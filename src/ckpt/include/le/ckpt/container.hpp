@@ -20,6 +20,8 @@
 #include <string_view>
 #include <vector>
 
+#include "le/obs/crc32.hpp"
+
 namespace le::ckpt {
 
 /// Thrown when a checkpoint cannot be read back: truncation, checksum
@@ -31,8 +33,9 @@ class CheckpointError : public std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte
-/// string; crc32("123456789") == 0xCBF43926.
-[[nodiscard]] std::uint32_t crc32(std::string_view bytes) noexcept;
+/// string; crc32("123456789") == 0xCBF43926.  The same function as
+/// obs::crc32 (le/obs/crc32.hpp), the repo's one definition.
+using obs::crc32;
 
 /// One named payload inside a checkpoint.  Payloads are arbitrary bytes
 /// (framed by length, not delimiters), so embedded newlines and NULs are

@@ -1,6 +1,5 @@
 #include "le/ckpt/container.hpp"
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -23,22 +22,6 @@ namespace le::ckpt {
 namespace {
 
 constexpr const char* kMagic = "le-ckpt-v1";
-
-/// The CRC-32 lookup table, built once (reflected 0xEDB88320 polynomial).
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
@@ -86,15 +69,6 @@ void fsync_path(const std::string& path, bool required) {
 #endif
 
 }  // namespace
-
-std::uint32_t crc32(std::string_view bytes) noexcept {
-  const auto& table = crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char byte : bytes) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 void write_container(std::ostream& out, const std::vector<Section>& sections) {
   out << kMagic << '\n' << "sections " << sections.size() << '\n';

@@ -16,12 +16,13 @@
 /// trips the surrogate path to simulation-only mode after a run of invalid
 /// predictions, half-opening later to probe for recovery.
 ///
+/// One request path (DESIGN.md section 10): query() is a one-row
+/// query_batch(), so a single pipeline decides and books every outcome.
 /// Serving throughput (Section III-D: T_lookup is an infrastructure number,
 /// not an arithmetic one): an optional serve::LookupCache remembers
 /// gate-accepted answers keyed by quantized input so repeated queries are
-/// O(1), and query_batch() answers many queries through one batched
-/// surrogate forward instead of per-query dispatch.  bench_serving (E13)
-/// quantifies both levers.
+/// O(1), and a batch's cache misses share one surrogate forward instead of
+/// per-query dispatch.  bench_serving (E13) quantifies both levers.
 ///
 /// Health: enable_health_monitoring() attaches an obs::SurrogateHealthMonitor
 /// that watches input drift, shadow-sampled residuals and UQ calibration,
@@ -55,6 +56,7 @@
 
 namespace le::serve {
 class DegradationLadder;
+enum class ServiceLevel : int;
 class LookupCache;
 struct LookupCacheConfig;
 }  // namespace le::serve
@@ -170,38 +172,35 @@ class SurrogateDispatcher {
   SurrogateDispatcher(SurrogateDispatcher&&) = delete;
   SurrogateDispatcher& operator=(SurrogateDispatcher&&) = delete;
 
-  /// Answers one query through the gate.
-  [[nodiscard]] Answer query(std::span<const double> input) {
-    return query(input, std::nullopt);
-  }
-
-  /// Deadline-carrying variant: when `deadline` has already passed the
-  /// query is shed (AnswerSource::kShed, ShedReason::kDeadline) before any
-  /// model work — a dead request never costs a forward pass or a
-  /// simulation.  The degradation ladder (attach_degradation) is consulted
-  /// here too.
+  /// Answers one query through the gate, as a batch of one: the input is
+  /// packed as a one-row matrix and answered by query_batch(), so it gets
+  /// exactly the batch pipeline's outcome and booking — including its
+  /// std::invalid_argument on an input whose width is not the model's.
   [[nodiscard]] Answer query(std::span<const double> input,
-                             serve::Deadline deadline);
+                             serve::Deadline deadline = std::nullopt);
 
-  /// Answers one query per row of `inputs` through the same
-  /// cache -> breaker -> UQ gate -> fallback pipeline as query(), except
-  /// that every cache miss shares ONE batched surrogate forward
-  /// (UqModel::predict_batch), so layer dispatch amortizes over the batch.
-  /// The breaker is consulted once per batch (a half-open probe admits the
-  /// whole batch); fallback simulations still run per query.  Answers are
-  /// returned in row order, and the shared forward's wall time is split
-  /// evenly over the rows it served.
-  [[nodiscard]] std::vector<Answer> query_batch(const tensor::Matrix& inputs) {
-    return query_batch(inputs, {});
-  }
-
-  /// Deadline-carrying batch variant: `deadlines` is empty (no deadlines)
-  /// or one entry per row.  Rows whose deadline expired are shed BEFORE
-  /// the batched forward — they are excluded from the miss matrix, so the
-  /// shared GEMM never includes a dead row — and come back as
-  /// AnswerSource::kShed in row order with everything else.
+  /// The dispatcher's one request pipeline; `deadlines` is empty (no
+  /// deadlines) or one entry per row.  The ladder level and the model are
+  /// read once per batch; then, in order: (1) rows whose deadline expired,
+  /// and every row at kShedAll, are shed (AnswerSource::kShed) before any
+  /// model work; (2) live inputs feed the health monitor's drift detector;
+  /// (3) cache hits that pass the current threshold answer with no
+  /// forward, and at kCacheOnly every miss is shed; (4) the breaker is
+  /// consulted once for the misses (open: straight to fallback); (5)
+  /// misses that expired meanwhile are shed, the rest share ONE forward —
+  /// UqModel::predict for a single row, so query() keeps its per-query
+  /// numbers (MC-dropout draws masks per call), predict_batch for more, so
+  /// layer dispatch amortizes; (6) invalid predictions feed the breaker,
+  /// gate-accepted ones are cached and may be shadow sampled; (7) declined
+  /// rows run the simulation at kFull unless their deadline has passed,
+  /// and are shed at degraded levels.
+  /// Answers come back in row order; the cache pass's wall time is split
+  /// evenly over the live rows, the forward's over the rows it served.
+  /// Throws std::invalid_argument, before booking anything, when `inputs`
+  /// is not input_dim() wide or `deadlines` has the wrong length.
   [[nodiscard]] std::vector<Answer> query_batch(
-      const tensor::Matrix& inputs, std::span<const serve::Deadline> deadlines);
+      const tensor::Matrix& inputs,
+      std::span<const serve::Deadline> deadlines = {});
 
   /// Arms the learned-lookup cache (the paper's "learned lookup table"
   /// made literal): every answer the UQ gate accepts is remembered keyed
@@ -374,6 +373,20 @@ class SurrogateDispatcher {
   [[nodiscard]] Answer make_shed_answer(serve::ShedReason reason,
                                         double seconds);
 
+  /// The model serving at `level`, copied under model_mutex_: the
+  /// registered degraded surrogate at kQuantized (sets `degraded`), the
+  /// incumbent otherwise.  A concurrent replace_surrogate() affects the
+  /// next batch, never a half-answered one.
+  [[nodiscard]] std::shared_ptr<uq::UqModel> serving_surrogate(
+      serve::ServiceLevel level, bool& degraded) const;
+
+  /// Banks one ground-truth pair, a fallback answer or a shadow sample:
+  /// training buffer, ground-truth tap and the meter's train side.  The
+  /// caller books the stats and metrics of its kind.
+  void bank_ground_truth(std::span<const double> input,
+                         const std::vector<double>& truth, double uncertainty,
+                         double seconds);
+
   /// Re-runs one accepted answer through the real simulation and feeds the
   /// health monitor's residual/coverage tracker; the sample joins the
   /// training buffer and its wall time is billed as training-path time.
@@ -385,10 +398,10 @@ class SurrogateDispatcher {
   /// Trips the armed breaker while the health monitor holds UNTRUSTED.
   void sync_health_breaker();
 
-  /// Guards surrogate_ only: query paths copy the shared_ptr once per
-  /// call; replace_surrogate() swaps under the same lock.  Everything
-  /// else the service thread touches (breaker, cache, health monitor)
-  /// is internally synchronized.
+  /// Guards surrogate_ only: the request pipeline copies the shared_ptr
+  /// once per batch; replace_surrogate() swaps under the same lock.
+  /// Everything else the service thread touches (breaker, cache, health
+  /// monitor) is internally synchronized.
   mutable std::mutex model_mutex_;
   std::shared_ptr<uq::UqModel> surrogate_;
   /// The fp surrogate displaced by enable_quantized_serving(); null while

@@ -22,6 +22,27 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The one surrogate forward of a batch over rows `rows` of `inputs`.  A
+/// single row goes through UqModel::predict, so query() keeps the exact
+/// per-query numbers (an MC-dropout model draws its masks per call, and a
+/// one-row predict_batch would answer differently) and there is no layer
+/// dispatch to amortize anyway; more rows share one predict_batch.
+std::vector<uq::Prediction> forward(uq::UqModel& model,
+                                    const tensor::Matrix& inputs,
+                                    std::span<const std::size_t> rows) {
+  std::vector<uq::Prediction> predictions;
+  if (rows.size() == 1) {
+    predictions.push_back(model.predict(inputs.row(rows[0])));
+    return predictions;
+  }
+  tensor::Matrix packed(rows.size(), inputs.cols());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto src = inputs.row(rows[i]);
+    std::copy(src.begin(), src.end(), packed.row(i).begin());
+  }
+  return model.predict_batch(packed);
+}
+
 }  // namespace
 
 SurrogateDispatcher::SurrogateDispatcher(std::shared_ptr<uq::UqModel> surrogate,
@@ -48,164 +69,9 @@ void SurrogateDispatcher::set_ground_truth_tap(GroundTruthTap tap) {
 
 Answer SurrogateDispatcher::query(std::span<const double> input,
                                   serve::Deadline deadline) {
-  const auto t0 = std::chrono::steady_clock::now();
-  // A dead-on-arrival request is shed before ANY model work: no forward
-  // pass, no simulation, not even a drift observation.
-  if (deadline && *deadline <= t0) {
-    return make_shed_answer(serve::ShedReason::kDeadline, 0.0);
-  }
-  // One ladder level per query; enforcement below never re-reads it, so a
-  // query is answered consistently at the level it entered under.
-  const serve::ServiceLevel level =
-      ladder_ ? ladder_->level() : serve::ServiceLevel::kFull;
-  if (level == serve::ServiceLevel::kShedAll) {
-    return make_shed_answer(serve::ShedReason::kOverload, seconds_since(t0));
-  }
-  // Cache epoch FIRST, then the model: if a replace_surrogate() lands in
-  // between, the stale epoch makes this query's eventual insert drop — a
-  // retired model's answer can never be cached into the new model's era.
-  const std::uint64_t cache_epoch = cache_ ? cache_->epoch() : 0;
-  // One consistent model per query: a concurrent replace_surrogate()
-  // affects the next query, never a half-answered one.  At kQuantized the
-  // registered degraded surrogate serves instead of the incumbent.
-  std::shared_ptr<uq::UqModel> surrogate;
-  bool degraded = false;
-  {
-    std::lock_guard lock(model_mutex_);
-    if (level == serve::ServiceLevel::kQuantized && degraded_surrogate_) {
-      surrogate = degraded_surrogate_;
-      degraded = true;
-    } else {
-      surrogate = surrogate_;
-    }
-  }
-
-  // Health monitoring sees every query input — cache hits included, since
-  // drift is a property of the demand stream, not of the route taken.  A
-  // completed drift window can flip the monitor to UNTRUSTED right here,
-  // in which case the breaker opens before this query consults it.
-  if (health_) {
-    health_->observe_query(input);
-    sync_health_breaker();
-  }
-
-  // Learned-lookup fast path: a remembered gate-accepted answer, re-checked
-  // against the *current* threshold, is served with no forward pass at all.
-  // The thread-local scratch keeps the hit path allocation-free up to the
-  // Answer itself.
-  if (cache_) {
-    static thread_local serve::CachedAnswer cached;
-    if (cache_->find(input, cached) && cached.uncertainty <= threshold_) {
-      Answer answer;
-      answer.values = cached.values;
-      answer.uncertainty = cached.uncertainty;
-      answer.source = AnswerSource::kSurrogate;
-      answer.from_cache = true;
-      const auto t1 = std::chrono::steady_clock::now();
-      answer.seconds = std::chrono::duration<double>(t1 - t0).count();
-      account_surrogate_answer(answer);
-      if (ladder_ && ladder_feed_latency_) ladder_->record(answer.seconds);
-      return answer;
-    }
-  }
-
-  // Brownout tier 2: under kCacheOnly a miss is refused outright — no
-  // forward, no fallback.  Cached answers above stay honest lookups.
-  if (level == serve::ServiceLevel::kCacheOnly) {
-    return make_shed_answer(serve::ShedReason::kOverload, seconds_since(t0));
-  }
-
-  Answer answer;
-  const bool surrogate_allowed = !breaker_ || breaker_->allow();
-  if (!surrogate_allowed) {
-    ++stats_.breaker_short_circuits;
-    if (metrics_.breaker_short_circuits) metrics_.breaker_short_circuits->add();
-  }
-
-  if (surrogate_allowed) {
-    const uq::Prediction prediction = surrogate->predict(input);
-    const double score = uq::uncertainty_score(prediction);
-
-    // An unusable prediction (corrupted mean, non-finite score, wrong
-    // length) is a surrogate *failure*, distinct from an honest "too
-    // uncertain" answer: it feeds the breaker instead of the gate.
-    ValidationSpec spec;
-    spec.expected_dim = surrogate->output_dim();
-    const bool usable =
-        std::isfinite(score) &&
-        validate_output(prediction.mean, spec) == OutputVerdict::kValid;
-    if (!usable) {
-      ++stats_.invalid_predictions;
-      if (metrics_.invalid_predictions) metrics_.invalid_predictions->add();
-      if (breaker_) breaker_->record_failure();
-    } else {
-      if (breaker_) breaker_->record_success();
-      answer.uncertainty = score;
-      if (score <= threshold_) {
-        answer.values = prediction.mean;
-        answer.source = AnswerSource::kSurrogate;
-        answer.degraded = degraded;
-        const auto t1 = std::chrono::steady_clock::now();
-        answer.seconds = std::chrono::duration<double>(t1 - t0).count();
-        // Only gate-accepted answers are remembered, so a later hit
-        // inherits this acceptance.  The epoch check drops the insert if
-        // the model this answer came from has been retired meanwhile.
-        // Degraded answers are never cached: the cache stores
-        // full-fidelity answers only, and a quantized answer must not
-        // keep serving after the brownout lifts.
-        if (cache_ && !degraded) {
-          (void)cache_->try_insert(input, {answer.values, score}, cache_epoch);
-        }
-        account_surrogate_answer(answer);
-        // Shadow sampling happens after the answer's latency is clocked:
-        // the caller still gets the surrogate answer; the ground-truth run
-        // is monitoring overhead billed to the training path.  Never under
-        // brownout: a shadow run is a full simulation — exactly the cost
-        // the ladder is shedding.
-        if (!degraded && health_ && health_->should_shadow_sample()) {
-          shadow_sample(input, prediction.mean, prediction.stddev, score);
-        }
-        if (ladder_ && ladder_feed_latency_) ladder_->record(answer.seconds);
-        return answer;
-      }
-    }
-  }
-
-  // At any degraded level the simulation fallback is disabled: running the
-  // most expensive path under overload is the collapse mode the ladder
-  // exists to prevent.  A gate rejection (or breaker short-circuit, or
-  // invalid prediction) under brownout is therefore a shed, not a sim run.
-  if (level != serve::ServiceLevel::kFull) {
-    return make_shed_answer(serve::ShedReason::kOverload, seconds_since(t0));
-  }
-  // The forward above took time; never burn a simulation — the most
-  // expensive path there is — on a request that died while we predicted.
-  if (deadline && *deadline <= std::chrono::steady_clock::now()) {
-    return make_shed_answer(serve::ShedReason::kDeadline, seconds_since(t0));
-  }
-
-  answer.values = simulation_(input);
-  answer.source = AnswerSource::kSimulation;
-  const auto t1 = std::chrono::steady_clock::now();
-  answer.seconds = std::chrono::duration<double>(t1 - t0).count();
-  ++stats_.simulation_answers;
-  stats_.simulation_seconds += answer.seconds;
-  {
-    std::lock_guard lock(buffer_mutex_);
-    buffer_.add(input, answer.values);  // no run is wasted
-    buffered_uncertainty_sum_ += answer.uncertainty;
-  }
-  if (ground_truth_tap_) ground_truth_tap_(input, answer.values);
-  // A fallback run is an N_train unit of the speedup model: its sample
-  // just joined the training buffer.
-  if (meter_) meter_->record_train(answer.seconds);
-  if (metrics_.simulation_answers) {
-    metrics_.simulation_answers->add();
-    metrics_.simulation_seconds->record(answer.seconds);
-    publish_gauges();
-  }
-  if (ladder_ && ladder_feed_latency_) ladder_->record(answer.seconds);
-  return answer;
+  tensor::Matrix row(1, input.size());
+  std::copy(input.begin(), input.end(), row.data());
+  return std::move(query_batch(row, {&deadline, 1}).front());
 }
 
 std::vector<Answer> SurrogateDispatcher::query_batch(
@@ -214,23 +80,17 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     throw std::invalid_argument(
         "query_batch: deadlines must be empty or one per row");
   }
-  // One ladder level per batch, same as query().
+  // One ladder level per batch; the stages below never re-read it, so a
+  // row is answered consistently at the level it entered under.
   const serve::ServiceLevel level =
       ladder_ ? ladder_->level() : serve::ServiceLevel::kFull;
-  // Epoch before model snapshot — same stale-era insert protection as
-  // query().
+  // Cache epoch FIRST, then the model: if a replace_surrogate() lands in
+  // between, the stale epoch makes this batch's inserts drop — a retired
+  // model's answer can never be cached into the new model's era.
   const std::uint64_t cache_epoch = cache_ ? cache_->epoch() : 0;
-  std::shared_ptr<uq::UqModel> surrogate;
   bool degraded = false;
-  {
-    std::lock_guard lock(model_mutex_);
-    if (level == serve::ServiceLevel::kQuantized && degraded_surrogate_) {
-      surrogate = degraded_surrogate_;
-      degraded = true;
-    } else {
-      surrogate = surrogate_;
-    }
-  }
+  const std::shared_ptr<uq::UqModel> surrogate =
+      serving_surrogate(level, degraded);
   if (inputs.cols() != surrogate->input_dim()) {
     throw std::invalid_argument("query_batch: input dim mismatch");
   }
@@ -243,9 +103,10 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
   };
 
   // Pass 0 — shed.  Rows dead on arrival (and, under kShedAll, every row)
-  // are resolved here and excluded from everything below: a shed row never
-  // reaches the miss matrix, so the shared GEMM never includes a dead row.
-  // A resolved row is recognisable by answers[r].source == kShed.
+  // are resolved here, before ANY model work — not even a drift
+  // observation — and excluded from everything below: a shed row never
+  // reaches the forward.  A resolved row is recognisable by
+  // answers[r].source == kShed.
   const auto entry = std::chrono::steady_clock::now();
   std::size_t n_live = 0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -262,6 +123,10 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     return answers[r].source != AnswerSource::kShed;
   };
 
+  // Health monitoring sees every live input — cache hits included, since
+  // drift is a property of the demand stream, not of the route taken.  A
+  // completed drift window can flip the monitor to UNTRUSTED right here,
+  // in which case the breaker opens before this batch consults it.
   if (health_) {
     for (std::size_t r = 0; r < n; ++r) {
       if (is_live(r)) health_->observe_query(inputs.row(r));
@@ -269,45 +134,36 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     sync_health_breaker();
   }
 
-  // Pass 1 — learned-lookup cache over the live rows.  Shared work is
-  // billed evenly: every live row owes an equal slice of the cache pass,
-  // and below, every forwarded miss owes an equal slice of the one batched
-  // forward that served it.
+  // Pass 1 — learned-lookup cache over the live rows: a remembered
+  // gate-accepted answer, re-checked against the *current* threshold, is
+  // served with no forward pass.  Shared work is billed evenly: every live
+  // row owes an equal slice of the cache pass, and below, every forwarded
+  // miss owes an equal slice of the one forward that served it.
   std::vector<std::size_t> misses;
   misses.reserve(n_live);
   const auto cache_t0 = std::chrono::steady_clock::now();
-  if (cache_) {
-    serve::CachedAnswer cached;  // reused across rows: one alloc per batch
-    for (std::size_t r = 0; r < n; ++r) {
-      if (!is_live(r)) continue;
-      if (cache_->find(inputs.row(r), cached) &&
-          cached.uncertainty <= threshold_) {
-        answers[r].values = cached.values;
-        answers[r].uncertainty = cached.uncertainty;
-        answers[r].from_cache = true;
-      } else {
-        misses.push_back(r);
-      }
-    }
-  } else {
-    for (std::size_t r = 0; r < n; ++r) {
-      if (is_live(r)) misses.push_back(r);
+  // Thread-local scratch: a probe allocates nothing beyond the Answer.
+  static thread_local serve::CachedAnswer cached;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (!is_live(r)) continue;
+    if (cache_ && cache_->find(inputs.row(r), cached) &&
+        cached.uncertainty <= threshold_) {
+      answers[r].values = cached.values;
+      answers[r].uncertainty = cached.uncertainty;
+      answers[r].from_cache = true;
+    } else {
+      misses.push_back(r);
     }
   }
   std::vector<double> owed(n, 0.0);
-  {
-    const double cache_share =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      cache_t0)
-            .count() /
-        static_cast<double>(n_live);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (is_live(r)) owed[r] = cache_share;
-    }
+  const double cache_share =
+      seconds_since(cache_t0) / static_cast<double>(n_live);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (is_live(r)) owed[r] = cache_share;
   }
 
-  // Brownout tier 2: kCacheOnly refuses every miss — the batch's forward
-  // never happens; the cache hits above still resolve normally.
+  // Brownout tier 2: kCacheOnly refuses every miss — the forward never
+  // happens; the cache hits above stay honest lookups.
   if (level == serve::ServiceLevel::kCacheOnly) {
     for (const std::size_t r : misses) {
       answers[r] = make_shed_answer(serve::ShedReason::kOverload, owed[r]);
@@ -315,95 +171,91 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     misses.clear();
   }
 
-  // Pass 2 — one batched surrogate forward over the misses, gated by one
-  // breaker consultation for the whole batch.  Deadlines are re-checked at
-  // matrix-packing time: a row that expired during the cache pass is shed
-  // here, pre-GEMM, instead of riding along dead.
-  if (!misses.empty()) {
-    const bool surrogate_allowed = !breaker_ || breaker_->allow();
-    if (!surrogate_allowed) {
-      stats_.breaker_short_circuits += misses.size();
-      if (metrics_.breaker_short_circuits) {
-        metrics_.breaker_short_circuits->add(misses.size());
-      }
-    } else {
-      const auto pack_now = std::chrono::steady_clock::now();
-      std::vector<std::size_t> forwarded;
-      forwarded.reserve(misses.size());
-      for (const std::size_t r : misses) {
-        if (const serve::Deadline d = deadline_of(r); d && *d <= pack_now) {
-          answers[r] = make_shed_answer(serve::ShedReason::kDeadline, owed[r]);
-        } else {
-          forwarded.push_back(r);
-        }
-      }
-      misses = std::move(forwarded);
+  // Pass 2 — one surrogate forward over the misses, gated by one breaker
+  // consultation for the whole batch.  Deadlines are re-checked first: a
+  // row that expired during the cache pass is shed here, pre-forward,
+  // instead of riding along dead.
+  const bool short_circuit = !misses.empty() && breaker_ && !breaker_->allow();
+  if (short_circuit) {
+    stats_.breaker_short_circuits += misses.size();
+    if (metrics_.breaker_short_circuits) {
+      metrics_.breaker_short_circuits->add(misses.size());
     }
-    if (surrogate_allowed && !misses.empty()) {
-      tensor::Matrix miss_inputs(misses.size(), inputs.cols());
-      for (std::size_t i = 0; i < misses.size(); ++i) {
-        const auto src = inputs.row(misses[i]);
-        auto dst = miss_inputs.row(i);
-        std::copy(src.begin(), src.end(), dst.begin());
-      }
-      const auto fwd_t0 = std::chrono::steady_clock::now();
-      const std::vector<uq::Prediction> predictions =
-          surrogate->predict_batch(miss_inputs);
-      const double fwd_share =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        fwd_t0)
-              .count() /
-          static_cast<double>(misses.size());
+  } else {
+    const auto pack_now = std::chrono::steady_clock::now();
+    std::erase_if(misses, [&](std::size_t r) {
+      const serve::Deadline d = deadline_of(r);
+      if (!d || *d > pack_now) return false;
+      answers[r] = make_shed_answer(serve::ShedReason::kDeadline, owed[r]);
+      return true;
+    });
+  }
+  if (!short_circuit && !misses.empty()) {
+    const auto fwd_t0 = std::chrono::steady_clock::now();
+    std::vector<uq::Prediction> predictions =
+        forward(*surrogate, inputs, misses);
+    const double fwd_share =
+        seconds_since(fwd_t0) / static_cast<double>(misses.size());
 
-      ValidationSpec spec;
-      spec.expected_dim = surrogate->output_dim();
-      std::vector<std::size_t> unanswered;
-      for (std::size_t i = 0; i < misses.size(); ++i) {
-        const std::size_t r = misses[i];
-        owed[r] += fwd_share;
-        const uq::Prediction& prediction = predictions[i];
-        const double score = uq::uncertainty_score(prediction);
-        const bool usable =
-            std::isfinite(score) &&
-            validate_output(prediction.mean, spec) == OutputVerdict::kValid;
-        if (!usable) {
-          ++stats_.invalid_predictions;
-          if (metrics_.invalid_predictions) metrics_.invalid_predictions->add();
-          if (breaker_) breaker_->record_failure();
-          unanswered.push_back(r);
-          continue;
-        }
+    ValidationSpec spec;
+    spec.expected_dim = surrogate->output_dim();
+    std::size_t n_declined = 0;  // misses[0, n_declined) go on to pass 3
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+      const std::size_t r = misses[i];
+      owed[r] += fwd_share;
+      uq::Prediction& prediction = predictions[i];
+      const double score = uq::uncertainty_score(prediction);
+      // An unusable prediction (corrupted mean, non-finite score, wrong
+      // length) is a surrogate *failure*, distinct from an honest "too
+      // uncertain" answer: it feeds the breaker instead of the gate.
+      const bool usable =
+          std::isfinite(score) &&
+          validate_output(prediction.mean, spec) == OutputVerdict::kValid;
+      if (!usable) {
+        ++stats_.invalid_predictions;
+        if (metrics_.invalid_predictions) metrics_.invalid_predictions->add();
+        if (breaker_) breaker_->record_failure();
+      } else {
         if (breaker_) breaker_->record_success();
         answers[r].uncertainty = score;
-        if (score <= threshold_) {
-          answers[r].values = prediction.mean;
-          answers[r].degraded = degraded;
-          // Degraded answers are never cached and never shadow sampled —
-          // see query() for why.
-          if (cache_ && !degraded) {
-            (void)cache_->try_insert(inputs.row(r), {prediction.mean, score},
-                                     cache_epoch);
-          }
-          if (!degraded && health_ && health_->should_shadow_sample()) {
-            shadow_sample(inputs.row(r), prediction.mean, prediction.stddev,
-                          score);
-          }
-        } else {
-          unanswered.push_back(r);
+      }
+      if (!usable || score > threshold_) {
+        misses[n_declined++] = r;
+        continue;
+      }
+      // Only gate-accepted answers are remembered, so a later hit inherits
+      // this acceptance; the epoch drops the insert if this model has been
+      // retired meanwhile.  Degraded answers are never cached (the cache
+      // stores full-fidelity answers only, and a quantized answer must not
+      // keep serving after the brownout lifts) and never shadow sampled (a
+      // shadow run is a full simulation — exactly the cost the ladder is
+      // shedding).
+      if (!degraded) {
+        if (cache_) {
+          (void)cache_->try_insert(inputs.row(r), {prediction.mean, score},
+                                   cache_epoch);
+        }
+        if (health_ && health_->should_shadow_sample()) {
+          shadow_sample(inputs.row(r), prediction.mean, prediction.stddev,
+                        score);
         }
       }
-      misses = std::move(unanswered);
+      answers[r].values = std::move(prediction.mean);
+      answers[r].degraded = degraded;
     }
+    misses.resize(n_declined);
   }
 
   // Pass 3 — book the surrogate answers; whatever the cache, the breaker
-  // and the gate all declined either falls back to the simulation (kFull)
-  // or is shed (degraded levels disable the fallback — see query()).
+  // and the gate all declined falls back to the simulation at kFull.  At
+  // any degraded level the fallback is disabled — running the most
+  // expensive path under overload is the collapse mode the ladder exists
+  // to prevent — so those rows are shed instead.
   std::vector<bool> needs_sim(n, false);
   for (const std::size_t r : misses) needs_sim[r] = true;
   for (std::size_t r = 0; r < n; ++r) {
     Answer& answer = answers[r];
-    if (answer.source == AnswerSource::kShed) continue;  // resolved in shed passes
+    if (answer.source == AnswerSource::kShed) continue;  // resolved above
     if (!needs_sim[r]) {
       answer.source = AnswerSource::kSurrogate;
       answer.seconds = owed[r];
@@ -424,19 +276,11 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     }
     answer.values = simulation_(inputs.row(r));
     answer.source = AnswerSource::kSimulation;
-    answer.seconds =
-        owed[r] + std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - sim_t0)
-                      .count();
+    answer.seconds = owed[r] + seconds_since(sim_t0);
+    bank_ground_truth(inputs.row(r), answer.values, answer.uncertainty,
+                      answer.seconds);
     ++stats_.simulation_answers;
     stats_.simulation_seconds += answer.seconds;
-    {
-      std::lock_guard lock(buffer_mutex_);
-      buffer_.add(inputs.row(r), answer.values);  // no run is wasted
-      buffered_uncertainty_sum_ += answer.uncertainty;
-    }
-    if (ground_truth_tap_) ground_truth_tap_(inputs.row(r), answer.values);
-    if (meter_) meter_->record_train(answer.seconds);
     if (metrics_.simulation_answers) {
       metrics_.simulation_answers->add();
       metrics_.simulation_seconds->record(answer.seconds);
@@ -445,6 +289,29 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     if (ladder_ && ladder_feed_latency_) ladder_->record(answer.seconds);
   }
   return answers;
+}
+
+std::shared_ptr<uq::UqModel> SurrogateDispatcher::serving_surrogate(
+    serve::ServiceLevel level, bool& degraded) const {
+  std::lock_guard lock(model_mutex_);
+  degraded = level == serve::ServiceLevel::kQuantized && degraded_surrogate_;
+  return degraded ? degraded_surrogate_ : surrogate_;
+}
+
+void SurrogateDispatcher::bank_ground_truth(std::span<const double> input,
+                                            const std::vector<double>& truth,
+                                            double uncertainty,
+                                            double seconds) {
+  {
+    std::lock_guard lock(buffer_mutex_);
+    buffer_.add(input, truth);  // no run is wasted
+    buffered_uncertainty_sum_ += uncertainty;
+  }
+  if (ground_truth_tap_) ground_truth_tap_(input, truth);
+  // Fallback and shadow runs alike are N_train units of the speedup model:
+  // the sample just joined the training buffer.  Billing a shadow run as
+  // lookup time would let monitoring inflate S_eff.
+  if (meter_) meter_->record_train(seconds);
 }
 
 Answer SurrogateDispatcher::make_shed_answer(serve::ShedReason reason,
@@ -495,22 +362,11 @@ void SurrogateDispatcher::shadow_sample(
     const std::vector<double>& predicted_stddev, double uncertainty) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<double> truth = simulation_(input);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const double seconds = seconds_since(t0);
+  health_->record_shadow(predicted_mean, predicted_stddev, truth);
+  bank_ground_truth(input, truth, uncertainty, seconds);
   ++stats_.shadow_samples;
   stats_.shadow_seconds += seconds;
-  health_->record_shadow(predicted_mean, predicted_stddev, truth);
-  // The shadow run produced a fresh labelled sample — no run is wasted —
-  // and its cost is an N_train unit of the speedup model, NOT a lookup:
-  // billing it as lookup time would let monitoring inflate S_eff.
-  {
-    std::lock_guard lock(buffer_mutex_);
-    buffer_.add(input, truth);
-    buffered_uncertainty_sum_ += uncertainty;
-  }
-  if (ground_truth_tap_) ground_truth_tap_(input, truth);
-  if (meter_) meter_->record_train(seconds);
   if (metrics_.shadow_samples) {
     metrics_.shadow_samples->add();
     metrics_.shadow_seconds->record(seconds);

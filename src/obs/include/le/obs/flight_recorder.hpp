@@ -21,8 +21,8 @@
 ///    uses raw ::open/::write/::close.  Slots caught mid-write by the
 ///    seqlock check are skipped, not torn.
 ///  - The on-disk format (`le-frec-v1`) is byte-wise little-endian with a
-///    trailing ckpt::crc32, so a dump truncated by the dying process is
-///    detected, not misparsed.
+///    trailing crc32 (le/obs/crc32.hpp), so a dump truncated by the dying
+///    process is detected, not misparsed.
 #pragma once
 
 #include <atomic>

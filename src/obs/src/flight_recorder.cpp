@@ -4,44 +4,18 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 
+#include "le/obs/crc32.hpp"
 #include "le/obs/timer.hpp"
 
 namespace le::obs {
 
 namespace {
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the same function as
-/// ckpt::crc32, re-derived here with a compile-time table: obs sits below
-/// ckpt in the layering, and a constexpr table has no first-use guard, so
-/// dump() can checksum from inside a signal handler.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-std::uint32_t crc32_bytes(const unsigned char* data, std::size_t len) noexcept {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = kCrcTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 // `le-frec-v1` layout (byte-wise little-endian):
 //   u32 magic "LEFR" | u16 version | u16 reserved | u32 pid | u32 count
@@ -197,8 +171,7 @@ bool FlightRecorder::dump() noexcept {
   put_u16(buf + 6, 0);
   put_u32(buf + 8, static_cast<std::uint32_t>(::getpid()));
   put_u32(buf + 12, count);
-  const std::uint32_t crc = crc32_bytes(buf, pos);
-  put_u32(buf + pos, crc);
+  put_u32(buf + pos, crc32({reinterpret_cast<const char*>(buf), pos}));
   pos += 4;
 
   // Stage-then-rename: a dump interrupted mid-write (the process can be
@@ -296,9 +269,7 @@ FlightDump read_flight_dump(const std::string& path) {
   if (bytes.size() != body + 4) {
     throw FlightDumpError("flight dump truncated (body): " + path);
   }
-  const std::uint32_t expected = get_u32(p + body);
-  const std::uint32_t actual = crc32_bytes(p, body);
-  if (expected != actual) {
+  if (get_u32(p + body) != crc32({reinterpret_cast<const char*>(p), body})) {
     throw FlightDumpError("flight dump CRC mismatch: " + path);
   }
   dump.events.reserve(count);

@@ -5,7 +5,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
 #include <thread>
 
 #include "le/core/adaptive_loop.hpp"
@@ -1195,6 +1197,229 @@ TEST(DispatcherOverload, DegradedRegistrationValidatesAndPromotionClearsIt) {
   // nullptr deregisters without touching the gate.
   dispatcher.set_degraded_surrogate(nullptr, 0.0);
   EXPECT_DOUBLE_EQ(dispatcher.query(std::vector<double>{0.7}).values[0], 3.0);
+}
+
+// ---------------------------------------------------------------------------
+// One request path: query() answers and books exactly like a one-row
+// query_batch() on an identically configured dispatcher.
+// ---------------------------------------------------------------------------
+
+/// A dispatcher over a CountingUq with a meter and a metrics registry
+/// attached, plus the ladder a scenario may arm.  Immovable, like the
+/// dispatcher it owns.
+struct DispatcherRig {
+  DispatcherRig()
+      : model(std::make_shared<CountingUq>()),
+        dispatcher(
+            model,
+            [this](std::span<const double> x) {
+              ++sim_calls;
+              return std::vector<double>{x[0] * x[0]};
+            },
+            0.5) {
+    dispatcher.set_speedup_meter(&meter);
+    dispatcher.enable_metrics(registry);
+  }
+
+  std::shared_ptr<CountingUq> model;
+  std::size_t sim_calls = 0;
+  SurrogateDispatcher dispatcher;
+  obs::EffectiveSpeedupMeter meter;
+  obs::MetricsRegistry registry;
+  std::shared_ptr<serve::DegradationLadder> ladder;
+};
+
+/// Everything a request may book, minus wall-clock seconds.
+struct RigLedger {
+  std::vector<std::size_t> counts;
+  double mean_accepted_uncertainty = 0.0;
+  std::map<std::string, std::uint64_t> metric_counts;
+
+  bool operator==(const RigLedger&) const = default;
+};
+
+RigLedger ledger_of(const DispatcherRig& rig) {
+  const DispatcherStats& s = rig.dispatcher.stats();
+  const obs::EffectiveSpeedupMeter::Snapshot meter = rig.meter.snapshot();
+  RigLedger ledger;
+  ledger.counts = {s.surrogate_answers,
+                   s.simulation_answers,
+                   s.invalid_predictions,
+                   s.breaker_short_circuits,
+                   s.cache_hits,
+                   s.shadow_samples,
+                   s.shed_deadline,
+                   s.shed_overload,
+                   s.degraded_answers,
+                   meter.n_lookup,
+                   meter.n_train,
+                   rig.sim_calls,
+                   rig.model->predict_calls + rig.model->batch_calls,
+                   rig.dispatcher.training_buffer().size()};
+  ledger.mean_accepted_uncertainty = s.mean_accepted_uncertainty;
+  const obs::MetricsSnapshot metrics = rig.registry.snapshot();
+  for (const auto& counter : metrics.counters) {
+    ledger.metric_counts[counter.name] = counter.value;
+  }
+  for (const auto& histogram : metrics.histograms) {
+    ledger.metric_counts[histogram.name] = histogram.count;
+  }
+  if (const CircuitBreaker* breaker = rig.dispatcher.circuit_breaker()) {
+    ledger.counts.push_back(static_cast<std::size_t>(breaker->state()));
+  }
+  return ledger;
+}
+
+void expect_same_ledger(const RigLedger& a, const RigLedger& b) {
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.mean_accepted_uncertainty, b.mean_accepted_uncertainty);
+  EXPECT_EQ(a.metric_counts, b.metric_counts);
+}
+
+void arm_ladder(DispatcherRig& rig, double pressure_seconds) {
+  rig.ladder = std::make_shared<serve::DegradationLadder>(tiny_ladder());
+  rig.dispatcher.attach_degradation(rig.ladder);
+  feed_window(*rig.ladder, pressure_seconds);
+}
+
+TEST(DispatcherBatch, QueryIsABatchOfOne) {
+  struct Scenario {
+    const char* name;
+    std::function<void(DispatcherRig&)> arrange;
+    double probe;
+    /// Deadline relative to the probe: <0 expired, >0 live, 0 none.
+    int deadline_ms = 0;
+  };
+  const auto open_breaker = [](DispatcherRig& rig, std::size_t threshold) {
+    CircuitBreakerConfig breaker;
+    breaker.failure_threshold = threshold;
+    breaker.cooldown_calls = 100;
+    rig.dispatcher.enable_circuit_breaker(breaker);
+  };
+  const auto cache_only = [](DispatcherRig& rig) {
+    rig.dispatcher.enable_lookup_cache(serve::LookupCacheConfig{});
+    (void)rig.dispatcher.query(std::vector<double>{0.1});
+    arm_ladder(rig, 1.0);
+    feed_window(*rig.ladder, 1.0e-3);
+    feed_window(*rig.ladder, 1.0e-3);
+    ASSERT_EQ(rig.ladder->level(), serve::ServiceLevel::kCacheOnly);
+  };
+  const auto quantized = [](DispatcherRig& rig) {
+    arm_ladder(rig, 1.5e-3);
+    rig.dispatcher.set_degraded_surrogate(std::make_shared<CountingUq>(), 0.2);
+    ASSERT_EQ(rig.ladder->level(), serve::ServiceLevel::kQuantized);
+  };
+  const std::vector<Scenario> scenarios{
+      {"cache hit",
+       [](DispatcherRig& rig) {
+         rig.dispatcher.enable_lookup_cache(serve::LookupCacheConfig{});
+         (void)rig.dispatcher.query(std::vector<double>{0.2});
+       },
+       0.2},
+      {"gate accept and cache insert",
+       [](DispatcherRig& rig) {
+         rig.dispatcher.enable_lookup_cache(serve::LookupCacheConfig{});
+       },
+       0.1, 5000},
+      {"gate reject -> simulation", [](DispatcherRig&) {}, 2.0},
+      {"invalid prediction feeds the breaker",
+       [&](DispatcherRig& rig) {
+         open_breaker(rig, 2);
+         rig.model->poisoned = true;
+       },
+       0.1},
+      {"open breaker short-circuits",
+       [&](DispatcherRig& rig) {
+         open_breaker(rig, 1);
+         rig.model->poisoned = true;
+         (void)rig.dispatcher.query(std::vector<double>{0.1});
+         rig.model->poisoned = false;
+         ASSERT_EQ(rig.dispatcher.circuit_breaker()->state(),
+                   BreakerState::kOpen);
+       },
+       0.1},
+      {"deadline shed on entry", [](DispatcherRig&) {}, 0.1, -1},
+      {"ladder kShedAll",
+       [](DispatcherRig& rig) {
+         arm_ladder(rig, 1.0);
+         ASSERT_EQ(rig.ladder->level(), serve::ServiceLevel::kShedAll);
+       },
+       0.1},
+      {"ladder kCacheOnly hit", cache_only, 0.1},
+      {"ladder kCacheOnly miss", cache_only, 0.4},
+      {"ladder kQuantized accept", quantized, 0.1},
+      {"ladder kQuantized reject", quantized, 0.7},
+      {"shadow sample",
+       [](DispatcherRig& rig) {
+         rig.dispatcher.enable_health_monitoring(every_answer_shadowed(),
+                                                 health_reference(64));
+       },
+       0.1},
+  };
+
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(scenario.name);
+    DispatcherRig single;
+    DispatcherRig batch;
+    scenario.arrange(single);
+    scenario.arrange(batch);
+    const RigLedger before = ledger_of(single);
+    expect_same_ledger(before, ledger_of(batch));
+
+    serve::Deadline deadline;
+    if (scenario.deadline_ms != 0) {
+      deadline = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(scenario.deadline_ms);
+    }
+    const Answer one =
+        single.dispatcher.query(std::vector<double>{scenario.probe}, deadline);
+    const std::vector<Answer> rows = batch.dispatcher.query_batch(
+        tensor::Matrix(1, 1, scenario.probe),
+        std::vector<serve::Deadline>{deadline});
+    ASSERT_EQ(rows.size(), 1u);
+    const Answer& row = rows[0];
+
+    EXPECT_EQ(one.source, row.source);
+    EXPECT_EQ(one.values, row.values);
+    EXPECT_EQ(one.uncertainty, row.uncertainty);
+    EXPECT_EQ(one.from_cache, row.from_cache);
+    EXPECT_EQ(one.degraded, row.degraded);
+    EXPECT_EQ(one.shed_reason, row.shed_reason);
+    const RigLedger after = ledger_of(single);
+    EXPECT_NE(after, before);  // the probe booked something
+    expect_same_ledger(after, ledger_of(batch));
+  }
+}
+
+TEST(DispatcherBatch, QueryRejectsAWrongWidthInputBeforeAnyWork) {
+  std::size_t sim_calls = 0;
+  SurrogateDispatcher dispatcher(
+      std::make_shared<FakeUq>(),
+      [&](std::span<const double> x) {
+        ++sim_calls;
+        return std::vector<double>{x[0]};
+      },
+      0.5);
+  dispatcher.enable_lookup_cache(serve::LookupCacheConfig{});
+  obs::EffectiveSpeedupMeter meter;
+  dispatcher.set_speedup_meter(&meter);
+
+  // FakeUq reads only input[0], so nothing downstream notices the width:
+  // 2.0 fails the gate (a width-blind dispatcher would run the simulation),
+  // 0.1 passes it (and would be cached under a 2-wide key).
+  EXPECT_THROW((void)dispatcher.query(std::vector<double>{2.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW((void)dispatcher.query(std::vector<double>{0.1, 0.0}),
+               std::invalid_argument);
+
+  EXPECT_EQ(sim_calls, 0u);
+  EXPECT_EQ(dispatcher.stats().total(), 0u);
+  EXPECT_EQ(dispatcher.stats().shed_total(), 0u);
+  EXPECT_EQ(dispatcher.stats().invalid_predictions, 0u);
+  EXPECT_EQ(dispatcher.training_buffer().size(), 0u);
+  EXPECT_EQ(dispatcher.lookup_cache()->size(), 0u);
+  EXPECT_EQ(meter.snapshot().n_lookup, 0u);
+  EXPECT_EQ(meter.snapshot().n_train, 0u);
 }
 
 }  // namespace
