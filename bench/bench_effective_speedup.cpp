@@ -20,7 +20,7 @@
 #include "le/nn/network.hpp"
 #include "le/nn/optimizer.hpp"
 #include "le/nn/train.hpp"
-#include "le/obs/quantile.hpp"
+#include "le/obs/metrics.hpp"
 #include "report.hpp"
 
 namespace {
@@ -106,20 +106,20 @@ int main() {
   std::vector<double> probe{3.0, 1.0, -1.0, 0.5, 0.5};
   in_scaler.transform(probe);
   const std::size_t lookups = 20000;
-  // Per-predict latencies feed a P-squared sketch: the formula uses the
-  // mean, but the tail is what serving SLOs see, so both are reported.
-  obs::QuantileSketch lookup_sketch;
+  // Per-predict latencies feed a histogram: the formula uses the mean, but
+  // the tail is what serving SLOs see, so both are reported.
+  obs::Histogram lookup_hist;
   const auto t_lookup_start = std::chrono::steady_clock::now();
   double sink = 0.0;
   for (std::size_t i = 0; i < lookups; ++i) {
     const auto q0 = std::chrono::steady_clock::now();
     sink += net.predict(probe)[0];
-    lookup_sketch.add(seconds_since(q0));
+    lookup_hist.record(seconds_since(q0));
   }
   const double t_lookup =
       seconds_since(t_lookup_start) / static_cast<double>(lookups);
   if (sink == -1.0) return 1;  // defeat dead-code elimination
-  const auto lookup_q = lookup_sketch.quantiles();
+  const auto lookup_q = lookup_hist.summary();
 
   core::SpeedupTimes times{t_seq, t_train, t_learn, t_lookup};
   std::printf("\nMeasured times (seconds):\n");

@@ -49,7 +49,7 @@
 #include "le/nn/optimizer.hpp"
 #include "le/nn/quantized.hpp"
 #include "le/nn/train.hpp"
-#include "le/obs/quantile.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/runtime/fault.hpp"
 #include "le/serve/admission.hpp"
@@ -214,12 +214,12 @@ tensor::Matrix make_query_pool(std::size_t n, stats::Rng& rng) {
 struct ServeTally {
   std::size_t served = 0;
   std::size_t served_in_time = 0;
-  obs::WindowedQuantile latency{1 << 17};  ///< completion latency, seconds
+  obs::Histogram latency;  ///< completion latency, seconds
 
   void book(double latency_seconds, double budget_seconds) {
     ++served;
     if (latency_seconds <= budget_seconds) ++served_in_time;
-    latency.add(latency_seconds);
+    latency.record(latency_seconds);
   }
 };
 

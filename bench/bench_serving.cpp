@@ -42,7 +42,7 @@
 #include "le/tensor/simd.hpp"
 #include "le/nn/optimizer.hpp"
 #include "le/nn/train.hpp"
-#include "le/obs/quantile.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/serve/batch_queue.hpp"
 #include "le/serve/lookup_cache.hpp"
@@ -177,10 +177,10 @@ int main() {
   tensor::Matrix pool = make_query_pool(128, rng);
 
   // Single-query baseline: the predict() hot path, one row at a time.
-  // Every call also feeds a P-squared sketch so the tail (p95/p99) is
-  // reported alongside the mean — mean-only latency hides dispatch jitter.
+  // Every call also feeds a histogram so the tail (p95/p99) is reported
+  // alongside the mean — mean-only latency hides dispatch jitter.
   std::vector<double> point(5);
-  obs::QuantileSketch single_lat;
+  obs::Histogram single_lat;
   const auto single_t0 = std::chrono::steady_clock::now();
   for (std::size_t q = 0; q < kTotalQueries; ++q) {
     const auto row = pool.row(q % pool.rows());
@@ -188,11 +188,11 @@ int main() {
     const auto q0 = std::chrono::steady_clock::now();
     volatile double sink = net.predict(point)[0];
     (void)sink;
-    single_lat.add(seconds_since(q0));
+    single_lat.record(seconds_since(q0));
   }
   const double single_qps =
       static_cast<double>(kTotalQueries) / seconds_since(single_t0);
-  const auto single_q = single_lat.quantiles();
+  const auto single_q = single_lat.summary();
   std::printf("single-query latency: p50 %.2f  p95 %.2f  p99 %.2f us\n",
               single_q.p50 * 1e6, single_q.p95 * 1e6, single_q.p99 * 1e6);
 
@@ -446,7 +446,7 @@ int main() {
     double t_lookup_us = 0.0;
     double live_speedup = 0.0;
     double hit_rate = 0.0;
-    obs::QuantileSketch::Quantiles latency;
+    obs::Histogram::Summary latency{};
   } variants[4] = {{"per-query scalar", false, false, true},
                    {"per-query", false, false, false},
                    {"batch-64", true, false, false},
@@ -481,8 +481,8 @@ int main() {
 
       // Per-answer latency quantiles come from the dispatcher's own
       // Answer::seconds accounting (batched answers carry their share of
-      // the shared forward), through the P-squared sketch.
-      obs::QuantileSketch latency;
+      // the shared forward), through a histogram.
+      obs::Histogram latency;
       const auto t0 = std::chrono::steady_clock::now();
       if (variant.batched) {
         tensor::Matrix chunk(kChunk, 5);
@@ -493,12 +493,12 @@ int main() {
             for (std::size_t c = 0; c < 5; ++c) dst[c] = src[c];
           }
           for (const auto& a : dispatcher.query_batch(chunk)) {
-            latency.add(a.seconds);
+            latency.record(a.seconds);
           }
         }
       } else {
         for (const auto& input : stream) {
-          latency.add(dispatcher.query(input).seconds);
+          latency.record(dispatcher.query(input).seconds);
         }
       }
       const double qps = static_cast<double>(kWorkload) / seconds_since(t0);
@@ -506,7 +506,7 @@ int main() {
       if (qps <= variant.qps) continue;
 
       variant.qps = qps;
-      variant.latency = latency.quantiles();
+      variant.latency = latency.summary();
       const auto snap = meter.snapshot();
       variant.t_lookup_us = 1e6 * snap.t_lookup();
       variant.live_speedup = snap.speedup();

@@ -6,7 +6,7 @@
 /// per-shard S_eff, and completed trace spans so one merged Chrome trace
 /// shows a request descending from the router into a worker and back.  A
 /// TelemetryFrame bundles all three plus the worker's identity (pid,
-/// process name) into one `le-net` v2 payload.
+/// process name) into one `le-net` v3 payload.
 ///
 /// Delivery respects the shard protocol's strict request/response shape —
 /// a worker never sends an unsolicited frame (that would desync the

@@ -45,7 +45,10 @@ inline constexpr std::uint32_t kWireMagic = 0x314E454CU;
 ///      reader must never interpret the new trailing fields as garbage,
 ///      and a new reader must never invent zeros for fields an old writer
 ///      did not send.
-inline constexpr std::uint16_t kWireVersion = 2;
+///   3  telemetry histograms carry sparse log-linear buckets
+///      (u32 n | n x (u32 index | u64 count)) instead of 40 dense
+///      power-of-two bucket counts.
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Upper bound on one frame's payload: rejects absurd lengths (a corrupt
 /// header must not make the receiver try to allocate gigabytes).
 inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 26;

@@ -16,6 +16,49 @@ std::string read_string(WireReader& r) {
   return std::string(r.bytes(n));
 }
 
+/// Reads an element count and rejects it before any allocation when the
+/// remaining payload cannot hold that many elements of `min_bytes` each
+/// (an element's fixed fields, with its strings empty).
+std::uint32_t read_count(WireReader& r, std::size_t min_bytes,
+                         const char* what) {
+  const std::uint32_t n = r.u32();
+  if (r.remaining() / min_bytes < n) {
+    throw WireError(std::string("le-net: ") + what + " longer than payload");
+  }
+  return n;
+}
+
+/// Sparse histogram buckets: strictly increasing in-layout indices, each
+/// with a non-zero count, summing to the entry's count.
+std::vector<obs::Histogram::Bucket> read_buckets(WireReader& r,
+                                                 std::uint64_t count) {
+  const std::uint32_t n = read_count(r, 4 + 8, "histogram buckets");
+  std::vector<obs::Histogram::Bucket> buckets;
+  buckets.reserve(n);
+  std::uint64_t total = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const obs::Histogram::Bucket b{r.u32(), r.u64()};
+    if (b.index >= obs::Histogram::kBucketCount) {
+      throw WireError("le-net: histogram bucket index outside the layout");
+    }
+    if (!buckets.empty() && b.index <= buckets.back().index) {
+      throw WireError("le-net: histogram bucket indices not increasing");
+    }
+    if (b.count == 0) {
+      throw WireError("le-net: empty histogram bucket on the wire");
+    }
+    if (b.count > count - total) {  // also rules out u64 wrap-around
+      throw WireError("le-net: histogram bucket counts exceed count");
+    }
+    total += b.count;
+    buckets.push_back(b);
+  }
+  if (total != count) {
+    throw WireError("le-net: histogram bucket counts fall short of count");
+  }
+  return buckets;
+}
+
 }  // namespace
 
 void put_meter_snapshot(WireWriter& w,
@@ -47,7 +90,8 @@ obs::EffectiveSpeedupMeter::Snapshot read_meter_snapshot(WireReader& r) {
 //   u32 n_gauges      | per: string name | f64 value
 //   u32 n_histograms  | per: string name | u64 count | f64 sum | f64 mean |
 //                       f64 min | f64 max | f64 p50 | f64 p95 | f64 p99 |
-//                       u32 n_buckets | n_buckets x u64
+//                       u32 n_buckets | per non-empty bucket, ascending:
+//                       u32 index | u64 count
 //   u32 n_spans       | per: string name | u32 thread | u32 depth |
 //                       u32 pid | f64 start_seconds | f64 seconds |
 //                       u64 trace_id | u64 span_id | u64 parent_span_id
@@ -80,7 +124,10 @@ std::string encode_telemetry(const TelemetryFrame& frame) {
     w.put_f64(h.p95);
     w.put_f64(h.p99);
     w.put_u32(static_cast<std::uint32_t>(h.buckets.size()));
-    for (const std::uint64_t b : h.buckets) w.put_u64(b);
+    for (const obs::Histogram::Bucket& b : h.buckets) {
+      w.put_u32(b.index);
+      w.put_u64(b.count);
+    }
   }
 
   w.put_u32(static_cast<std::uint32_t>(frame.spans.size()));
@@ -105,7 +152,7 @@ TelemetryFrame decode_telemetry(std::string_view payload) {
   frame.process_name = read_string(r);
   frame.meter = read_meter_snapshot(r);
 
-  const std::uint32_t n_counters = r.u32();
+  const std::uint32_t n_counters = read_count(r, 4 + 8, "counters");
   frame.metrics.counters.reserve(n_counters);
   for (std::uint32_t i = 0; i < n_counters; ++i) {
     obs::MetricsSnapshot::CounterEntry c;
@@ -113,7 +160,7 @@ TelemetryFrame decode_telemetry(std::string_view payload) {
     c.value = r.u64();
     frame.metrics.counters.push_back(std::move(c));
   }
-  const std::uint32_t n_gauges = r.u32();
+  const std::uint32_t n_gauges = read_count(r, 4 + 8, "gauges");
   frame.metrics.gauges.reserve(n_gauges);
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
     obs::MetricsSnapshot::GaugeEntry g;
@@ -121,7 +168,7 @@ TelemetryFrame decode_telemetry(std::string_view payload) {
     g.value = r.f64();
     frame.metrics.gauges.push_back(std::move(g));
   }
-  const std::uint32_t n_histograms = r.u32();
+  const std::uint32_t n_histograms = read_count(r, 4 + 8 + 7 * 8 + 4, "histograms");
   frame.metrics.histograms.reserve(n_histograms);
   for (std::uint32_t i = 0; i < n_histograms; ++i) {
     obs::MetricsSnapshot::HistogramEntry h;
@@ -134,16 +181,11 @@ TelemetryFrame decode_telemetry(std::string_view payload) {
     h.p50 = r.f64();
     h.p95 = r.f64();
     h.p99 = r.f64();
-    const std::uint32_t n_buckets = r.u32();
-    if (r.remaining() < std::size_t{n_buckets} * 8) {
-      throw WireError("le-net: histogram buckets longer than payload");
-    }
-    h.buckets.reserve(n_buckets);
-    for (std::uint32_t b = 0; b < n_buckets; ++b) h.buckets.push_back(r.u64());
+    h.buckets = read_buckets(r, h.count);
     frame.metrics.histograms.push_back(std::move(h));
   }
 
-  const std::uint32_t n_spans = r.u32();
+  const std::uint32_t n_spans = read_count(r, 4 + 3 * 4 + 5 * 8, "spans");
   frame.spans.reserve(n_spans);
   for (std::uint32_t i = 0; i < n_spans; ++i) {
     obs::SpanRecord s;

@@ -5,7 +5,7 @@
 /// if a running campaign can see where its time goes; "Understanding ML
 /// driven HPC" (Fox & Jha, 2019) calls monitoring of coupled ML+simulation
 /// loops first-class infrastructure.  This header provides the low-level
-/// pieces: counters, gauges and fixed-bucket latency histograms collected
+/// pieces: counters, gauges and log-linear latency histograms collected
 /// in a MetricsRegistry, all safe for concurrent update.
 ///
 /// Cost model: metrics are OFF by default.  The only expense on a hot path
@@ -19,14 +19,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "le/obs/quantile.hpp"
 
 namespace le::obs {
 
@@ -70,56 +70,88 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Latency histogram over fixed power-of-two buckets of nanoseconds.
+/// Latency histogram over a fixed log-linear layout of nanosecond buckets
+/// (HdrHistogram / DDSketch style; Masson et al., VLDB 2019).
 ///
-/// Bucket i covers (2^(i-1), 2^i] ns, so the range spans 1 ns to ~9 min;
-/// values outside clamp to the end buckets.  Recording is wait-free for the
-/// bucket/sum/min/max path (relaxed atomic adds; min/max via CAS) plus one
-/// short spinlocked P-squared update feeding the p50/p95/p99 sketch.
-/// quantile() reads the bucket upper bounds, i.e. it carries at most
-/// one-bucket (2x) error for arbitrary q; tail_quantiles() reads the sketch
-/// for true p50/p95/p99.
+/// A duration of d ns with 2^e <= d < 2^(e+1) lands in octave e, split into
+/// kSubBuckets equal sub-buckets picked by the top mantissa bits of d:
+/// index = e * kSubBuckets + mantissa[51:46].  kOctaves octaves cover 1 ns
+/// to 2^40 ns (~18 min); values outside clamp to the end buckets.  Every
+/// bucket is 1/64 of its octave wide, so its midpoint is within 1/128
+/// (~0.8%) of any value in it — the whole relative-error budget of
+/// quantile().  Buckets of two histograms with this layout add exactly,
+/// which is what makes fleet merges (MetricsSnapshot::merge) lossless.
+///
+/// record() is wait-free on the bucket (one fetch_add) and lock-free on
+/// sum/min/max (CAS).  Non-finite values are ignored: a NaN or inf must not
+/// poison the sum or break JSON export.
 class Histogram {
  public:
-  static constexpr std::size_t kBucketCount = 40;
+  static constexpr std::size_t kSubBucketBits = 6;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBucketBits;
+  static constexpr std::size_t kOctaves = 40;
+  static constexpr std::size_t kBucketCount = kOctaves * kSubBuckets;
 
-  /// Upper bound (seconds) of bucket i.
-  [[nodiscard]] static double bucket_upper_bound(std::size_t i) noexcept;
+  /// One non-empty bucket of a sparse bucket list (sorted by index).
+  struct Bucket {
+    std::uint32_t index = 0;
+    std::uint64_t count = 0;
+    friend bool operator==(const Bucket&, const Bucket&) = default;
+  };
+
+  /// Value-type view of a histogram: what snapshots and benches report.
+  struct Summary {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double mean = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+  };
+
   /// Bucket index a duration in seconds lands in.
   [[nodiscard]] static std::size_t bucket_index(double seconds) noexcept;
+  /// Midpoint (seconds) of bucket i — the value quantile() reports for it.
+  [[nodiscard]] static double bucket_midpoint(std::size_t i) noexcept;
+
+  /// The one quantile function: the midpoint of the bucket holding the
+  /// lower-rank order statistic floor(q * (n - 1)) of the n samples in
+  /// `buckets`, clamped to [min, max].  q <= 0 returns min and q >= 1
+  /// returns max exactly; an empty list returns 0.
+  [[nodiscard]] static double quantile(std::span<const Bucket> buckets,
+                                       double min, double max,
+                                       double q) noexcept;
+  /// count/mean/p50/p95/p99 of `buckets`, via quantile().
+  [[nodiscard]] static Summary summarize(std::span<const Bucket> buckets,
+                                         double sum, double min, double max);
 
   void record(double seconds) noexcept;
 
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t count() const noexcept;
   [[nodiscard]] double sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] double mean() const noexcept;
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  /// Approximate quantile (q in [0, 1]) from the bucket upper bounds.
-  [[nodiscard]] double quantile(double q) const noexcept;
-  /// True p50/p95/p99 from the P-squared sketch (no bucket rounding).
-  [[nodiscard]] QuantileSketch::Quantiles tail_quantiles() const noexcept {
-    return sketch_.quantiles();
-  }
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  [[nodiscard]] double quantile(double q) const;
+  [[nodiscard]] Summary summary() const;
+  /// Non-empty buckets, sorted by index.
+  [[nodiscard]] std::vector<Bucket> buckets() const;
   void reset() noexcept;
 
  private:
   std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};  ///< valid only when count_ > 0
-  std::atomic<double> max_{0.0};
-  QuantileSketch sketch_;
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-/// Two snapshots disagree structurally (histogram bucket layouts of
-/// different sizes under one name) — merging them would add apples to the
-/// first `n` oranges.  Typed so a telemetry pipeline can distinguish
+/// Two snapshots disagree structurally (a histogram bucket index outside
+/// this build's layout) — merging them would file counts under buckets
+/// that do not exist.  Typed so a telemetry pipeline can distinguish
 /// "schema skew between processes" from any other failure.
 class SnapshotMergeError : public std::runtime_error {
  public:
@@ -136,20 +168,11 @@ struct MetricsSnapshot {
     std::string name;
     double value = 0.0;
   };
-  struct HistogramEntry {
+  /// A histogram's Summary plus the sparse buckets it was derived from, so
+  /// snapshots from different processes merge exactly.
+  struct HistogramEntry : Histogram::Summary {
     std::string name;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    /// Per-bucket counts (Histogram::bucket_counts() layout).  Carried so
-    /// snapshots from different processes can merge exactly; may be empty
-    /// for snapshots that never cross a merge (JSON export omits it).
-    std::vector<std::uint64_t> buckets;
+    std::vector<Histogram::Bucket> buckets;  ///< sorted by index
   };
   std::vector<CounterEntry> counters;
   std::vector<GaugeEntry> gauges;
@@ -160,13 +183,13 @@ struct MetricsSnapshot {
   /// snapshots its own registry and the router folds the per-shard
   /// snapshots into one fleet view.  By name: counters add; gauges take
   /// `other`'s value (last write wins — the incoming snapshot is newer);
-  /// histograms add counts, sums and per-bucket counts component-wise,
-  /// keep min/min and max/max, recompute the mean, and re-derive
-  /// p50/p95/p99 from the merged buckets (bucket-upper-bound precision —
-  /// P-squared sketches cannot be merged exactly).  Disjoint metric sets
-  /// union; an empty snapshot on either side is the identity.  Histograms
-  /// under one name with differently sized non-empty bucket vectors throw
-  /// SnapshotMergeError (typed, never silent misaccounting).
+  /// histograms add their sparse buckets and sums, keep min/min and
+  /// max/max, and re-derive count/mean/p50/p95/p99 with
+  /// Histogram::summarize — so the merged quantiles equal those of one
+  /// registry that recorded everything.  Disjoint metric sets union; an
+  /// empty snapshot on either side is the identity.  A bucket index outside
+  /// Histogram's layout throws SnapshotMergeError (typed, never silent
+  /// misaccounting).
   void merge(const MetricsSnapshot& other);
 };
 

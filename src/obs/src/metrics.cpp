@@ -1,6 +1,7 @@
 #include "le/obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iomanip>
 #include <locale>
@@ -12,30 +13,63 @@ namespace detail {
 std::atomic<bool> g_metrics_enabled{false};
 }  // namespace detail
 
-double Histogram::bucket_upper_bound(std::size_t i) noexcept {
-  return std::ldexp(1.0, static_cast<int>(i)) * 1e-9;
+std::size_t Histogram::bucket_index(double seconds) noexcept {
+  const double ns = seconds * 1e9;
+  if (!(ns >= 1.0)) return 0;  // sub-ns, zero, negative
+  // IEEE-754 double: the biased exponent is the octave, the top mantissa
+  // bits pick the sub-bucket — no log() on the record path.
+  const auto bits = std::bit_cast<std::uint64_t>(ns);
+  const auto octave = static_cast<std::size_t>(bits >> 52) - 1023;
+  if (octave >= kOctaves) return kBucketCount - 1;
+  const auto sub = static_cast<std::size_t>(bits >> (52 - kSubBucketBits)) &
+                   (kSubBuckets - 1);
+  return octave * kSubBuckets + sub;
 }
 
-std::size_t Histogram::bucket_index(double seconds) noexcept {
-  if (!(seconds > 0.0)) return 0;
-  const double ns = seconds * 1e9;
-  if (ns <= 1.0) return 0;
-  int e = std::ilogb(ns);  // floor(log2 ns)
-  if (std::ldexp(1.0, e) < ns) ++e;
-  e = std::max(e, 0);
-  return std::min<std::size_t>(static_cast<std::size_t>(e), kBucketCount - 1);
+double Histogram::bucket_midpoint(std::size_t i) noexcept {
+  const double sub = static_cast<double>(i % kSubBuckets) + 0.5;
+  return std::ldexp(1.0 + sub / static_cast<double>(kSubBuckets),
+                    static_cast<int>(i / kSubBuckets)) *
+         1e-9;
+}
+
+double Histogram::quantile(std::span<const Bucket> buckets, double min,
+                           double max, double q) noexcept {
+  std::uint64_t n = 0;
+  for (const Bucket& b : buckets) n += b.count;
+  if (n == 0) return 0.0;
+  if (q <= 0.0) return min;
+  if (q >= 1.0) return max;
+  const auto rank =
+      static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
+  std::uint64_t cumulative = 0;
+  for (const Bucket& b : buckets) {
+    cumulative += b.count;
+    if (cumulative > rank) {
+      return std::min(std::max(bucket_midpoint(b.index), min), max);
+    }
+  }
+  return max;
+}
+
+Histogram::Summary Histogram::summarize(std::span<const Bucket> buckets,
+                                        double sum, double min, double max) {
+  Summary s;
+  for (const Bucket& b : buckets) s.count += b.count;
+  if (s.count == 0) return s;
+  s.sum = sum;
+  s.mean = sum / static_cast<double>(s.count);
+  s.min = min;
+  s.max = max;
+  s.p50 = quantile(buckets, min, max, 0.50);
+  s.p95 = quantile(buckets, min, max, 0.95);
+  s.p99 = quantile(buckets, min, max, 0.99);
+  return s;
 }
 
 void Histogram::record(double seconds) noexcept {
-  buckets_[bucket_index(seconds)].fetch_add(1, std::memory_order_relaxed);
+  if (!std::isfinite(seconds)) return;
   sum_.fetch_add(seconds, std::memory_order_relaxed);
-  // min/max CAS loops; the first record seeds both (count_ incremented last
-  // means a concurrent reader may briefly see count 0 with a seeded min —
-  // snapshot() reads count first, so it only ever under-reports).
-  if (count_.load(std::memory_order_relaxed) == 0) {
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, seconds, std::memory_order_relaxed);
-  }
   double cur = min_.load(std::memory_order_relaxed);
   while (seconds < cur &&
          !min_.compare_exchange_weak(cur, seconds, std::memory_order_relaxed)) {
@@ -44,8 +78,16 @@ void Histogram::record(double seconds) noexcept {
   while (seconds > cur &&
          !max_.compare_exchange_weak(cur, seconds, std::memory_order_relaxed)) {
   }
-  sketch_.add(seconds);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  // The bucket is published last (release; buckets() loads acquire): a
+  // reader that counts this sample also sees its sum/min/max, so a racing
+  // snapshot never pairs a non-empty bucket with the +/-inf sentinels.
+  buckets_[bucket_index(seconds)].fetch_add(1, std::memory_order_release);
+}
+
+std::uint64_t Histogram::count() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& b : buckets_) n += b.load(std::memory_order_acquire);
+  return n;
 }
 
 double Histogram::mean() const noexcept {
@@ -54,43 +96,41 @@ double Histogram::mean() const noexcept {
 }
 
 double Histogram::min() const noexcept {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
+  const double m = min_.load(std::memory_order_relaxed);
+  return std::isfinite(m) ? m : 0.0;
 }
 
 double Histogram::max() const noexcept {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
+  const double m = max_.load(std::memory_order_relaxed);
+  return std::isfinite(m) ? m : 0.0;
 }
 
-double Histogram::quantile(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(n);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
-    if (static_cast<double>(cumulative) >= target && cumulative > 0) {
-      return std::min(bucket_upper_bound(i), max());
-    }
-  }
-  return max();
+double Histogram::quantile(double q) const {
+  const std::vector<Bucket> b = buckets();
+  return quantile(b, min(), max(), q);
 }
 
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(kBucketCount);
+Histogram::Summary Histogram::summary() const {
+  const std::vector<Bucket> b = buckets();
+  return summarize(b, sum(), min(), max());
+}
+
+std::vector<Histogram::Bucket> Histogram::buckets() const {
+  std::vector<Bucket> out;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
+    const std::uint64_t n = buckets_[i].load(std::memory_order_acquire);
+    if (n != 0) out.push_back({static_cast<std::uint32_t>(i), n});
   }
   return out;
 }
 
 void Histogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-  sketch_.reset();
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
@@ -128,20 +168,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
     MetricsSnapshot::HistogramEntry e;
+    e.buckets = h->buckets();
+    static_cast<Histogram::Summary&>(e) =
+        Histogram::summarize(e.buckets, h->sum(), h->min(), h->max());
     e.name = name;
-    e.count = h->count();
-    e.sum = h->sum();
-    e.mean = h->mean();
-    e.min = h->min();
-    e.max = h->max();
-    // True tail quantiles from the P-squared sketch, not bucket bounds.
-    const QuantileSketch::Quantiles q = h->tail_quantiles();
-    e.p50 = q.p50;
-    e.p95 = q.p95;
-    e.p99 = q.p99;
-    // Bucket counts travel with the snapshot so cross-process merges are
-    // exact for counts even where quantiles must be re-derived.
-    e.buckets = h->bucket_counts();
     snap.histograms.push_back(std::move(e));
   }
   return snap;
@@ -161,24 +191,20 @@ MetricsRegistry& MetricsRegistry::global() {
 
 namespace {
 
-/// Quantile from merged bucket counts: the upper bound of the bucket the
-/// target rank lands in, clamped to the observed max (same contract as
-/// Histogram::quantile — at most one power-of-two bucket of error).
-double bucket_quantile(const std::vector<std::uint64_t>& buckets,
-                       std::uint64_t count, double q, double max) {
-  if (count == 0) return 0.0;
-  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(count);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    cumulative += buckets[i];
-    if (static_cast<double>(cumulative) >= target && cumulative > 0) {
-      return std::min(Histogram::bucket_upper_bound(i), max);
+void check_layout(const MetricsSnapshot::HistogramEntry& h) {
+  for (const Histogram::Bucket& b : h.buckets) {
+    if (b.index >= Histogram::kBucketCount) {
+      throw SnapshotMergeError(
+          "MetricsSnapshot::merge: histogram '" + h.name + "' has bucket " +
+          std::to_string(b.index) + " but the layout has " +
+          std::to_string(Histogram::kBucketCount) +
+          " (layout skew between processes)");
     }
   }
-  return max;
 }
 
-/// Merges `src` into `dst` (same metric name on both sides).
+/// Merges `src` into `dst` (same metric name on both sides): a sorted add
+/// of the sparse buckets, then the summary re-derived from them.
 void merge_histogram_entry(MetricsSnapshot::HistogramEntry& dst,
                            const MetricsSnapshot::HistogramEntry& src) {
   if (src.count == 0) return;  // empty side is the identity
@@ -188,38 +214,27 @@ void merge_histogram_entry(MetricsSnapshot::HistogramEntry& dst,
     dst.name = name;
     return;
   }
-  if (!dst.buckets.empty() && !src.buckets.empty() &&
-      dst.buckets.size() != src.buckets.size()) {
-    throw SnapshotMergeError(
-        "MetricsSnapshot::merge: histogram '" + dst.name + "' has " +
-        std::to_string(dst.buckets.size()) + " buckets on one side and " +
-        std::to_string(src.buckets.size()) +
-        " on the other (layout skew between processes)");
-  }
-  dst.min = std::min(dst.min, src.min);
-  dst.max = std::max(dst.max, src.max);
-  dst.sum += src.sum;
-  dst.count += src.count;
-  dst.mean = dst.sum / static_cast<double>(dst.count);
-  if (!dst.buckets.empty() && !src.buckets.empty()) {
-    for (std::size_t i = 0; i < dst.buckets.size(); ++i) {
-      dst.buckets[i] += src.buckets[i];
+  std::vector<Histogram::Bucket> merged;
+  merged.reserve(dst.buckets.size() + src.buckets.size());
+  auto a = dst.buckets.begin();
+  auto b = src.buckets.begin();
+  while (a != dst.buckets.end() || b != src.buckets.end()) {
+    if (b == src.buckets.end() ||
+        (a != dst.buckets.end() && a->index < b->index)) {
+      merged.push_back(*a++);
+    } else if (a == dst.buckets.end() || b->index < a->index) {
+      merged.push_back(*b++);
+    } else {
+      merged.push_back({a->index, a->count + b->count});
+      ++a;
+      ++b;
     }
-    // Sketches cannot be merged; re-derive the tail from the exact merged
-    // bucket counts instead of averaging two unmergeable estimates.
-    dst.p50 = bucket_quantile(dst.buckets, dst.count, 0.50, dst.max);
-    dst.p95 = bucket_quantile(dst.buckets, dst.count, 0.95, dst.max);
-    dst.p99 = bucket_quantile(dst.buckets, dst.count, 0.99, dst.max);
-  } else {
-    // No bucket data to merge on: keep the side with more observations as
-    // the (approximate) tail estimate; counts and sums above stay exact.
-    if (src.count > dst.count - src.count) {
-      dst.p50 = src.p50;
-      dst.p95 = src.p95;
-      dst.p99 = src.p99;
-    }
-    dst.buckets.clear();
   }
+  dst.buckets = std::move(merged);
+  static_cast<Histogram::Summary&>(dst) =
+      Histogram::summarize(dst.buckets, dst.sum + src.sum,
+                           std::min(dst.min, src.min),
+                           std::max(dst.max, src.max));
 }
 
 }  // namespace
@@ -248,6 +263,7 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
     }
   }
   for (const HistogramEntry& h : other.histograms) {
+    check_layout(h);
     const auto it = std::lower_bound(histograms.begin(), histograms.end(),
                                      h.name,
                                      [](const HistogramEntry& e,

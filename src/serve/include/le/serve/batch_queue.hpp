@@ -45,16 +45,9 @@
 #include <thread>
 #include <vector>
 
-#include "le/obs/quantile.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/serve/overload.hpp"
 #include "le/tensor/matrix.hpp"
-
-namespace le::obs {
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
-}  // namespace le::obs
 
 namespace le::serve {
 
@@ -105,9 +98,9 @@ struct BatchQueueStats {
   /// nanoseconds between that pass and the forward call); bench_overload
   /// (E17) asserts it.
   std::uint64_t dead_request_forwards = 0;
-  /// Queue-wait (submit to dispatch) p50/p95/p99 in seconds, from a
-  /// P-squared sketch — the latency cost of coalescing, per request.
-  obs::QuantileSketch::Quantiles wait;
+  /// Queue-wait (submit to dispatch) distribution in seconds — the latency
+  /// cost of coalescing, per request.
+  obs::Histogram::Summary wait;
 
   [[nodiscard]] double mean_batch() const noexcept {
     return batches == 0 ? 0.0
@@ -191,7 +184,7 @@ class BatchQueue {
 
   void serve_loop();
   void dispatch(std::vector<Pending> batch);
-  /// Books one request's queue wait into the sketch, the admission
+  /// Books one request's queue wait into the wait histogram, the admission
   /// controller and the degradation ladder.
   void record_wait(double seconds);
 
@@ -217,7 +210,7 @@ class BatchQueue {
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> dead_request_forwards_{0};
-  obs::QuantileSketch wait_sketch_;
+  obs::Histogram wait_;
 
   /// Metric handles; all null until enable_metrics().
   obs::Counter* metric_queries_ = nullptr;

@@ -34,13 +34,7 @@
 #include <mutex>
 #include <string>
 
-#include "le/obs/quantile.hpp"
-
-namespace le::obs {
-class Counter;
-class Gauge;
-class MetricsRegistry;
-}  // namespace le::obs
+#include "le/obs/metrics.hpp"
 
 namespace le::serve {
 
@@ -65,8 +59,8 @@ enum class ServiceLevel : int {
 }
 
 struct DegradationConfig {
-  /// Pressure samples per controller evaluation (and the sliding-window
-  /// size the quantile is computed over).
+  /// Pressure samples per controller evaluation: the quantile is computed
+  /// over each tumbling window of this many samples.
   std::size_t window = 64;
   /// Which quantile of the window drives the ladder (default p95).
   double quantile = 0.95;
@@ -130,7 +124,7 @@ class DegradationLadder {
   std::atomic<int> level_{0};
 
   mutable std::mutex mutex_;
-  obs::WindowedQuantile window_;
+  obs::Histogram window_;  ///< samples since the last evaluation
   std::size_t samples_since_eval_ = 0;
   int calm_evals_ = 0;  ///< consecutive below-release evaluations
   DegradationStats stats_;

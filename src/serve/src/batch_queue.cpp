@@ -166,7 +166,7 @@ void BatchQueue::serve_loop() {
 }
 
 void BatchQueue::record_wait(double seconds) {
-  wait_sketch_.add(seconds);
+  wait_.record(seconds);
   if (admission_) admission_->record_sojourn(seconds);
   if (ladder_) ladder_->record(seconds);
 }
@@ -296,7 +296,7 @@ BatchQueueStats BatchQueue::stats() const {
   s.shed = shed_.load(std::memory_order_relaxed);
   s.dead_request_forwards =
       dead_request_forwards_.load(std::memory_order_relaxed);
-  s.wait = wait_sketch_.quantiles();
+  s.wait = wait_.summary();
   return s;
 }
 

@@ -2,12 +2,10 @@
 
 #include <stdexcept>
 
-#include "le/obs/metrics.hpp"
-
 namespace le::serve {
 
 DegradationLadder::DegradationLadder(const DegradationConfig& config)
-    : config_(config), window_(config.window) {
+    : config_(config) {
   if (config_.window == 0) {
     throw std::invalid_argument("DegradationLadder: window must be positive");
   }
@@ -33,7 +31,7 @@ DegradationLadder::DegradationLadder(const DegradationConfig& config)
 
 void DegradationLadder::record(double seconds) {
   std::lock_guard lock(mutex_);
-  window_.add(seconds);
+  window_.record(seconds);
   if (++samples_since_eval_ >= config_.window) {
     samples_since_eval_ = 0;
     evaluate_locked();
@@ -42,6 +40,7 @@ void DegradationLadder::record(double seconds) {
 
 void DegradationLadder::evaluate_locked() {
   const double q = window_.quantile(config_.quantile);
+  window_.reset();
   ++stats_.evaluations;
   stats_.last_quantile = q;
   if (metric_quantile_) metric_quantile_->set(q);

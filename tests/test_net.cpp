@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -19,6 +20,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -822,12 +824,12 @@ class TracingOn {
 };
 
 TEST(Wire, VersionSkewFailsClosedInBothDirections) {
-  // An old (v1) writer's frame reaching this (v2) reader must be the typed
-  // VersionSkewError — and by symmetry a v1 reader applying the same exact
-  // version check rejects our v2 frames.  Fail closed both ways; never
+  // An old (v2) writer's frame reaching this (v3) reader must be the typed
+  // VersionSkewError — and by symmetry a v2 reader applying the same exact
+  // version check rejects our v3 frames.  Fail closed both ways; never
   // guess at a layout.
-  static_assert(net::kWireVersion == 2,
-                "wire v2 carries the trace-context and telemetry tails");
+  static_assert(net::kWireVersion == 3,
+                "wire v3 carries sparse log-linear histogram buckets");
   for (const int delta : {-1, +1}) {
     std::string frame = net::encode_frame(net::MsgType::kQuery, "x");
     frame[4] = static_cast<char>(net::kWireVersion + delta);
@@ -883,7 +885,7 @@ TEST(Telemetry, EncodeDecodeRoundTripsEveryField) {
   h.p50 = 0.002;
   h.p95 = 0.003;
   h.p99 = 0.003;
-  h.buckets = {1, 2, 0, 0};
+  h.buckets = {{0, 1}, {1, 2}};
   frame.metrics.histograms.push_back(h);
   obs::SpanRecord span;
   span.name = "net.worker_query";
@@ -909,11 +911,40 @@ TEST(Telemetry, EncodeDecodeRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(got.metrics.gauges[0].value, 3.5);
   ASSERT_EQ(got.metrics.histograms.size(), 1U);
   EXPECT_EQ(got.metrics.histograms[0].buckets,
-            (std::vector<std::uint64_t>{1, 2, 0, 0}));
+            (std::vector<obs::Histogram::Bucket>{{0, 1}, {1, 2}}));
+  EXPECT_DOUBLE_EQ(got.metrics.histograms[0].p95, 0.003);
   ASSERT_EQ(got.spans.size(), 1U);
   EXPECT_EQ(got.spans[0].name, "net.worker_query");
   EXPECT_EQ(got.spans[0].trace_id, 0xAAULL);
   EXPECT_EQ(got.spans[0].parent_span_id, 0xCCULL);
+}
+
+/// A telemetry payload holding one histogram of `count` samples whose
+/// sparse bucket section is written verbatim: `n` pairs announced, then
+/// `pairs` as (index, count).
+std::string telemetry_with_buckets(
+    std::uint64_t count, std::uint32_t n,
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& pairs) {
+  net::WireWriter w;
+  w.put_u32(1);  // pid
+  w.put_u32(1);  // name length
+  w.put_bytes("w");
+  for (int i = 0; i < 3; ++i) w.put_u64(0);    // meter counts
+  for (int i = 0; i < 4; ++i) w.put_f64(0.0);  // meter seconds
+  w.put_u32(0);  // counters
+  w.put_u32(0);  // gauges
+  w.put_u32(1);  // one histogram
+  w.put_u32(1);
+  w.put_bytes("h");
+  w.put_u64(count);
+  for (int i = 0; i < 7; ++i) w.put_f64(0.0);
+  w.put_u32(n);
+  for (const auto& [index, c] : pairs) {
+    w.put_u32(index);
+    w.put_u64(c);
+  }
+  w.put_u32(0);  // spans
+  return w.take();
 }
 
 TEST(Telemetry, DecodeFailsClosedOnGarbageAndTruncation) {
@@ -929,21 +960,130 @@ TEST(Telemetry, DecodeFailsClosedOnGarbageAndTruncation) {
                net::WireError);
   // A bucket count larger than the remaining payload is rejected before
   // any allocation-by-attacker loop.
-  net::WireWriter w;
-  w.put_u32(1);   // pid
-  w.put_u32(1);   // name length
-  w.put_bytes("w");
-  for (int i = 0; i < 3; ++i) w.put_u64(0);   // meter counts
-  for (int i = 0; i < 4; ++i) w.put_f64(0.0); // meter seconds
-  w.put_u32(0);  // counters
-  w.put_u32(0);  // gauges
-  w.put_u32(1);  // one histogram
-  w.put_u32(1);
-  w.put_bytes("h");
-  w.put_u64(0);
-  for (int i = 0; i < 7; ++i) w.put_f64(0.0);
-  w.put_u32(0xFFFFFFFFU);  // absurd bucket count
-  EXPECT_THROW((void)net::decode_telemetry(w.bytes()), net::WireError);
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(5, 0xFFFFFFFFU, {{3, 5}})),
+               net::WireError);
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(5, 2, {{3, 5}})),
+               net::WireError);
+}
+
+TEST(Telemetry, DecodeRejectsMalformedSparseBuckets) {
+  const auto kOut = static_cast<std::uint32_t>(obs::Histogram::kBucketCount);
+  // The well-formed baseline decodes.
+  const net::TelemetryFrame ok =
+      net::decode_telemetry(telemetry_with_buckets(5, 2, {{3, 2}, {9, 3}}));
+  EXPECT_EQ(ok.metrics.histograms.at(0).buckets,
+            (std::vector<obs::Histogram::Bucket>{{3, 2}, {9, 3}}));
+  // Index outside the layout.
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(1, 1, {{kOut, 1}})),
+               net::WireError);
+  // Indices not strictly increasing (descending, then repeated).
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(2, 2, {{9, 1}, {3, 1}})),
+               net::WireError);
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(2, 2, {{3, 1}, {3, 1}})),
+               net::WireError);
+  // A zero count.
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(1, 2, {{3, 1}, {9, 0}})),
+               net::WireError);
+  // Bucket counts that do not sum to count, short and long — including
+  // one whose sum would wrap around 2^64 back to count.
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(5, 1, {{3, 4}})),
+               net::WireError);
+  EXPECT_THROW((void)net::decode_telemetry(
+                   telemetry_with_buckets(5, 2, {{3, 4}, {9, 2}})),
+               net::WireError);
+  EXPECT_THROW((void)net::decode_telemetry(telemetry_with_buckets(
+                   5, 2, {{3, 6}, {9, ~std::uint64_t{0}}})),
+               net::WireError);
+}
+
+TEST(Telemetry, MutationFuzzDecodesOrThrowsWireError) {
+  // A real frame: registry snapshot with live histograms, plus spans.
+  obs::MetricsRegistry registry;
+  registry.counter("serve.requests").add(12);
+  registry.gauge("net.s_eff").set(2.5);
+  for (int i = 1; i <= 200; ++i) {
+    registry.histogram("lat").record(1e-6 * i * i);
+    registry.histogram("train").record(1e-2 / i);
+  }
+  net::TelemetryFrame frame;
+  frame.pid = 77;
+  frame.process_name = "shard-0";
+  frame.metrics = registry.snapshot();
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    obs::SpanRecord span;
+    span.name = "span" + std::to_string(i);
+    span.depth = i;
+    span.seconds = 1e-3 * i;
+    frame.spans.push_back(span);
+  }
+  const std::string good = net::encode_telemetry(frame);
+  ASSERT_NO_THROW((void)net::decode_telemetry(good));
+
+  std::uint64_t state = 0x5EED5EED5EEDULL;  // splitmix64, fixed seed
+  const auto next = [&state] {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  };
+  const auto below = [&next](std::size_t n) {
+    return static_cast<std::size_t>(next() % n);
+  };
+  constexpr int kCases = 10000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string bytes = good;
+    switch (c % 4) {
+      case 0:  // 1-4 bit flips
+        for (std::size_t f = 0, n = 1 + below(4); f < n; ++f) {
+          bytes[below(bytes.size())] ^=
+              static_cast<char>(1U << below(8));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(below(bytes.size()));
+        break;
+      case 2: {  // splice: a slice of the frame pasted over another offset
+        const std::size_t from = below(good.size());
+        const std::size_t len = 1 + below(std::min<std::size_t>(
+                                        32, good.size() - from));
+        const std::size_t to = below(bytes.size());
+        bytes.replace(to, std::min(len, bytes.size() - to),
+                      good.substr(from, len));
+        break;
+      }
+      default: {  // a boundary value written over a random u32
+        const std::uint32_t values[] = {
+            0U, 1U, 0xFFFFFFFFU, 0x80000000U,
+            static_cast<std::uint32_t>(obs::Histogram::kBucketCount)};
+        const std::uint32_t v = values[below(std::size(values))];
+        const std::size_t at = below(bytes.size() - 3);
+        std::memcpy(bytes.data() + at, &v, sizeof v);
+        break;
+      }
+    }
+    try {
+      const net::TelemetryFrame got = net::decode_telemetry(bytes);
+      // Decoding is canonical: whatever decodes re-encodes to its bytes.
+      EXPECT_EQ(net::encode_telemetry(got), bytes) << "case " << c;
+      ++decoded;
+    } catch (const net::WireError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw a non-WireError: " << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kCases);
+  EXPECT_GT(decoded, 0);   // flips in f64 payload bytes still decode
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Telemetry, CollectLocalDrainsTheGlobalTraceLog) {

@@ -1,5 +1,5 @@
 // Tests for le::obs — metrics primitives, registry, timers/trace spans,
-// the live Section III-D EffectiveSpeedupMeter, streaming quantiles, the
+// the live Section III-D EffectiveSpeedupMeter, histogram quantiles, the
 // Chrome trace exporter and the surrogate health stack (drift detector +
 // health monitor).
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "le/obs/flight_recorder.hpp"
 #include "le/obs/health.hpp"
 #include "le/obs/metrics.hpp"
-#include "le/obs/quantile.hpp"
 #include "le/obs/slo.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/obs/timer.hpp"
@@ -81,20 +80,31 @@ TEST(ObsGauge, LastWriteWins) {
 }
 
 TEST(ObsHistogram, BucketBoundsArePowersOfTwoNanoseconds) {
-  // Bucket i covers (2^(i-1), 2^i] ns.
-  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_upper_bound(0), 1e-9);
-  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_upper_bound(1), 2e-9);
-  EXPECT_DOUBLE_EQ(obs::Histogram::bucket_upper_bound(10), 1024e-9);
+  // Octave e starts at 2^e ns and splits into kSubBuckets equal buckets.
+  constexpr std::size_t kSub = obs::Histogram::kSubBuckets;
+  EXPECT_EQ(obs::Histogram::kBucketCount, 40u * 64u);
   EXPECT_EQ(obs::Histogram::bucket_index(0.0), 0u);
+  EXPECT_EQ(obs::Histogram::bucket_index(-1.0), 0u);
+  EXPECT_EQ(obs::Histogram::bucket_index(0.5e-9), 0u);  // sub-ns clamps
   EXPECT_EQ(obs::Histogram::bucket_index(1e-9), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_index(1.5e-9), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_index(2e-9), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_index(2.1e-9), 2u);
-  // 1 s = 1e9 ns, 2^29 < 1e9 <= 2^30.
-  EXPECT_EQ(obs::Histogram::bucket_index(1.0), 30u);
-  // Far beyond the range: clamps to the last bucket.
+  EXPECT_EQ(obs::Histogram::bucket_index(2e-9), kSub);
+  EXPECT_EQ(obs::Histogram::bucket_index(1024e-9), 10 * kSub);
+  EXPECT_EQ(obs::Histogram::bucket_index(1023.9e-9), 10 * kSub - 1);
+  // 1 s = 1e9 ns = 2^29 * 1.8626..., sub-bucket floor(0.8626 * 64) = 55.
+  EXPECT_EQ(obs::Histogram::bucket_index(1.0), 29 * kSub + 55);
+  // Far beyond 2^40 ns: clamps to the last bucket.
   EXPECT_EQ(obs::Histogram::bucket_index(1e12),
             obs::Histogram::kBucketCount - 1);
+  // Sampled buckets: the lower edge and the midpoint map back to the
+  // bucket, and the midpoint is within 1/128 of the lower edge.
+  for (std::size_t i = 0; i < obs::Histogram::kBucketCount; i += 37) {
+    const double mid = obs::Histogram::bucket_midpoint(i);
+    EXPECT_EQ(obs::Histogram::bucket_index(mid), i);
+    const double octave = std::ldexp(1e-9, static_cast<int>(i / kSub));
+    const double lo = octave * (1.0 + static_cast<double>(i % kSub) / kSub);
+    EXPECT_LE(mid - lo, lo / 128.0 + 1e-24);
+    EXPECT_EQ(obs::Histogram::bucket_index(lo * (1.0 + 1e-12)), i);
+  }
 }
 
 TEST(ObsHistogram, StatsTrackRecordedValues) {
@@ -114,18 +124,39 @@ TEST(ObsHistogram, StatsTrackRecordedValues) {
   EXPECT_EQ(h.sum(), 0.0);
 }
 
-TEST(ObsHistogram, QuantilesComeFromBucketUpperBounds) {
+TEST(ObsHistogram, QuantilesComeFromBucketMidpoints) {
   obs::Histogram h;
-  // 99 fast (~1 us) and 1 slow (~1 ms) samples: p50 must be in the fast
-  // bucket, p99+ reaches the slow one (at most one bucket of error).
-  for (int i = 0; i < 99; ++i) h.record(1e-6);
-  h.record(1e-3);
-  const double p50 = h.quantile(0.5);
-  EXPECT_GT(p50, 0.5e-6);
-  EXPECT_LE(p50, 2.1e-6);
-  const double p995 = h.quantile(0.995);
-  EXPECT_GT(p995, 0.5e-3);
-  EXPECT_LE(p995, 2.1e-3);
+  // 98 fast (~1 us) and 2 slow (~1 ms) samples.  The lower-rank order
+  // statistic floor(q * 99) picks the sample; quantile() reports its
+  // bucket's midpoint, within 1/128 of it.
+  for (int i = 0; i < 98; ++i) h.record(i % 2 ? 1.2e-6 : 1.0e-6);
+  h.record(1.3e-3);
+  h.record(1.5e-3);
+  const auto midpoint_of = [](double v) {
+    return obs::Histogram::bucket_midpoint(obs::Histogram::bucket_index(v));
+  };
+  EXPECT_EQ(h.quantile(0.5), midpoint_of(1.2e-6));  // rank 49
+  EXPECT_NEAR(h.quantile(0.5), 1.2e-6, 1.2e-6 / 128.0);
+  EXPECT_EQ(h.quantile(0.995), midpoint_of(1.3e-3));  // rank 98
+  EXPECT_NEAR(h.quantile(0.995), 1.3e-3, 1.3e-3 / 128.0);
+  EXPECT_EQ(h.summary().p50, h.quantile(0.5));
+  EXPECT_EQ(h.summary().p99, h.quantile(0.99));
+}
+
+TEST(ObsHistogram, QuantileZeroAndOneAreExactExtremes) {
+  obs::Histogram h;
+  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty: 0, not NaN
+  for (const double v : {3.3e-6, 7.7e-4, 1.234567e-5, 9.99e-2}) h.record(v);
+  EXPECT_EQ(h.quantile(0.0), 3.3e-6);
+  EXPECT_EQ(h.quantile(1.0), 9.99e-2);
+  EXPECT_EQ(h.summary().min, 3.3e-6);
+  EXPECT_EQ(h.summary().max, 9.99e-2);
+  // A single sample: every quantile is that sample.
+  obs::Histogram one;
+  one.record(4.2e-4);
+  EXPECT_EQ(one.quantile(0.0), 4.2e-4);
+  EXPECT_EQ(one.quantile(0.5), 4.2e-4);
+  EXPECT_EQ(one.quantile(1.0), 4.2e-4);
 }
 
 TEST(ObsHistogram, ConcurrentRecordsKeepCountAndExtremes) {
@@ -382,7 +413,7 @@ TEST(ObsSpeedupMeter, ConcurrentRecordingIsLossless) {
 }
 
 // ---------------------------------------------------------------------------
-// P-squared streaming quantiles
+// Histogram quantile accuracy against an exact sort
 
 /// Deterministic xorshift stream in [0, 1); le::stats is deliberately not a
 /// dependency of this test binary.
@@ -400,117 +431,65 @@ class UnitStream {
   std::uint64_t x_;
 };
 
-TEST(P2Quantile, ExactOrderStatisticForSmallSamples) {
-  obs::P2Quantile median(0.5);
-  EXPECT_EQ(median.value(), 0.0);  // empty
-  for (double v : {5.0, 1.0, 3.0, 2.0, 4.0}) median.add(v);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-  EXPECT_EQ(median.count(), 5u);
+/// Standard normal deviate by Box-Muller over UnitStream.
+double normal(UnitStream& stream) {
+  const double u1 = std::max(stream.next(), 1e-300);
+  const double u2 = stream.next();
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
-TEST(P2Quantile, TracksUniformStreamQuantiles) {
-  obs::P2Quantile p50(0.5), p95(0.95), p99(0.99);
-  UnitStream stream(42);
-  for (int i = 0; i < 20000; ++i) {
-    const double v = stream.next();
-    p50.add(v);
-    p95.add(v);
-    p99.add(v);
+/// Latency-shaped test streams (seconds).
+std::vector<double> latency_stream(const std::string& shape, std::size_t n,
+                                   std::uint64_t seed) {
+  UnitStream stream(seed);
+  std::vector<double> out(n);
+  for (double& v : out) {
+    if (shape == "lognormal") {
+      v = 1e-4 * std::exp(normal(stream));  // median 100 us, sigma 1
+    } else if (shape == "pareto") {
+      // x_m = 50 us, alpha = 1.2: a heavy tail reaching ~seconds.
+      v = 5e-5 / std::pow(std::max(stream.next(), 1e-300), 1.0 / 1.2);
+    } else {
+      // Bimodal: 90% near 1 us, 10% near 1 ms, each with 10% jitter.
+      const double mode = stream.next() < 0.9 ? 1e-6 : 1e-3;
+      v = mode * (1.0 + 0.1 * stream.next());
+    }
   }
-  EXPECT_NEAR(p50.value(), 0.50, 0.02);
-  EXPECT_NEAR(p95.value(), 0.95, 0.02);
-  EXPECT_NEAR(p99.value(), 0.99, 0.01);
+  return out;
 }
 
-TEST(P2Quantile, IgnoresNonFiniteAndResets) {
-  obs::P2Quantile median(0.5);
-  median.add(std::nan(""));
-  median.add(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(median.count(), 0u);
-  median.add(7.0);
-  EXPECT_DOUBLE_EQ(median.value(), 7.0);
-  median.reset();
-  EXPECT_EQ(median.count(), 0u);
-  EXPECT_EQ(median.value(), 0.0);
-}
-
-TEST(QuantileSketch, QuantilesAreOrderedAndCounted) {
-  obs::QuantileSketch sketch;
-  UnitStream stream(7);
-  for (int i = 0; i < 5000; ++i) sketch.add(1e-3 * stream.next());
-  const auto q = sketch.quantiles();
-  EXPECT_EQ(q.count, 5000u);
-  EXPECT_LE(q.p50, q.p95);
-  EXPECT_LE(q.p95, q.p99);
-  EXPECT_NEAR(q.p50, 0.5e-3, 0.05e-3);
-}
-
-TEST(QuantileSketch, ConcurrentAddsAreLossless) {
-  obs::QuantileSketch sketch;
-  constexpr std::size_t kThreads = 8;
-  constexpr std::size_t kEach = 5000;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sketch, t] {
-      UnitStream stream(1000 + t);
-      for (std::size_t i = 0; i < kEach; ++i) sketch.add(stream.next());
-    });
+TEST(ObsHistogram, QuantilesWithinOnePercentOfExactSort) {
+  for (const char* shape : {"lognormal", "pareto", "bimodal"}) {
+    std::vector<double> values = latency_stream(shape, 50000, 11);
+    obs::Histogram h;
+    for (const double v : values) h.record(v);
+    std::sort(values.begin(), values.end());
+    for (const double q : {0.5, 0.95, 0.99, 0.999}) {
+      // Same rank convention as Histogram::quantile: floor(q * (n - 1)).
+      const double exact = values[static_cast<std::size_t>(
+          q * static_cast<double>(values.size() - 1))];
+      EXPECT_LE(std::abs(h.quantile(q) - exact), 0.01 * exact)
+          << shape << " q=" << q << " exact=" << exact
+          << " histogram=" << h.quantile(q);
+    }
   }
-  for (auto& th : threads) th.join();
-  const auto q = sketch.quantiles();
-  EXPECT_EQ(q.count, kThreads * kEach);
-  EXPECT_NEAR(q.p50, 0.5, 0.05);
-}
-
-TEST(WindowedQuantile, ExactQuantilesOverTheWindow) {
-  obs::WindowedQuantile window(100);
-  for (int i = 1; i <= 100; ++i) window.add(static_cast<double>(i));
-  EXPECT_EQ(window.size(), 100u);
-  // Exact order statistics, not an estimate: rank = round(q * (n - 1)).
-  EXPECT_DOUBLE_EQ(window.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(window.quantile(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(window.quantile(1.0), 100.0);
-  EXPECT_DOUBLE_EQ(window.quantile(0.95), 95.0);
-}
-
-TEST(WindowedQuantile, RingBufferForgetsBeyondCapacity) {
-  obs::WindowedQuantile window(4);
-  for (int i = 1; i <= 3; ++i) window.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(window.quantile(1.0), 3.0);
-  // 100 old samples ago is out of the window; only the last 4 remain.
-  for (int i = 0; i < 100; ++i) window.add(1000.0);
-  for (double v : {7.0, 8.0, 9.0, 6.0}) window.add(v);
-  EXPECT_EQ(window.size(), 4u);
-  EXPECT_DOUBLE_EQ(window.quantile(0.0), 6.0);
-  EXPECT_DOUBLE_EQ(window.quantile(1.0), 9.0);
-}
-
-TEST(WindowedQuantile, IgnoresNonFiniteAndResets) {
-  obs::WindowedQuantile window(8);
-  window.add(std::numeric_limits<double>::quiet_NaN());
-  window.add(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(window.size(), 0u);
-  EXPECT_EQ(window.quantile(0.5), 0.0);  // empty window: 0, not NaN
-  window.add(2.5);
-  EXPECT_DOUBLE_EQ(window.quantile(0.5), 2.5);
-  window.reset();
-  EXPECT_EQ(window.size(), 0u);
-  // Degenerate capacity is clamped, not fatal — callers validate sizing.
-  EXPECT_EQ(obs::WindowedQuantile(0).capacity(), 1u);
 }
 
 TEST(ObsHistogram, TailQuantilesBeatBucketRounding) {
   obs::Histogram h;
   UnitStream stream(3);
-  // All mass inside one power-of-two bucket: bucket quantiles can only say
-  // "somewhere below 2^k ns", the sketch resolves the true tail.
+  // All mass inside one power-of-two octave: the log-linear sub-buckets
+  // still resolve the true p50/p99 to within 1/128.
   for (int i = 0; i < 10000; ++i) h.record(1.0e-3 + 0.9e-3 * stream.next());
-  const auto q = h.tail_quantiles();
+  const obs::Histogram::Summary q = h.summary();
   EXPECT_EQ(q.count, 10000u);
   EXPECT_NEAR(q.p50, 1.45e-3, 0.1e-3);
   EXPECT_NEAR(q.p99, 1.89e-3, 0.05e-3);
+  EXPECT_LE(q.p50, q.p95);
+  EXPECT_LE(q.p95, q.p99);
   h.reset();
-  EXPECT_EQ(h.tail_quantiles().count, 0u);
+  EXPECT_EQ(h.summary().count, 0u);
+  EXPECT_EQ(h.summary().p99, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -627,6 +606,24 @@ std::vector<obs::SpanRecord> sample_spans() {
   inner.start_seconds = 0.002;
   inner.seconds = 0.001;
   return {outer, inner};
+}
+
+TEST(ObsHistogram, NonFiniteRecordsAreIgnored) {
+  obs::MetricsRegistry reg;
+  obs::Histogram& h = reg.histogram("lat");
+  h.record(2e-3);
+  const std::vector<obs::Histogram::Bucket> before = h.buckets();
+  h.record(std::numeric_limits<double>::quiet_NaN());
+  h.record(std::numeric_limits<double>::infinity());
+  h.record(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.sum(), 2e-3);
+  EXPECT_EQ(h.buckets(), before);
+  EXPECT_EQ(h.max(), 2e-3);
+  const std::string json = obs::to_json(reg.snapshot());
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
 }
 
 TEST(ChromeTrace, ExportIsValidJsonWithCompleteEvents) {
@@ -980,7 +977,7 @@ TEST(ObsRegistry, SnapshotRacesLiveWritersSafely) {
 
 obs::MetricsSnapshot::HistogramEntry make_hist(
     const std::string& name, std::uint64_t count, double sum, double min,
-    double max, std::vector<std::uint64_t> buckets) {
+    double max, std::vector<obs::Histogram::Bucket> buckets) {
   obs::MetricsSnapshot::HistogramEntry h;
   h.name = name;
   h.count = count;
@@ -996,7 +993,7 @@ TEST(SnapshotMerge, EmptySnapshotIsIdentityOnBothSides) {
   obs::MetricsSnapshot base;
   base.counters.push_back({"a", 7});
   base.gauges.push_back({"g", 1.5});
-  base.histograms.push_back(make_hist("h", 2, 3.0, 1.0, 2.0, {1, 1}));
+  base.histograms.push_back(make_hist("h", 2, 3.0, 1.0, 2.0, {{0, 1}, {1, 1}}));
 
   obs::MetricsSnapshot lhs = base;
   lhs.merge(obs::MetricsSnapshot{});  // rhs empty
@@ -1018,7 +1015,7 @@ TEST(SnapshotMerge, DisjointMetricSetsUnion) {
   a.gauges.push_back({"gauge.a", 0.5});
   obs::MetricsSnapshot b;
   b.counters.push_back({"only.b", 2});
-  b.histograms.push_back(make_hist("hist.b", 1, 4.0, 4.0, 4.0, {0, 1}));
+  b.histograms.push_back(make_hist("hist.b", 1, 4.0, 4.0, 4.0, {{1, 1}}));
 
   a.merge(b);
   ASSERT_EQ(a.counters.size(), 2U);
@@ -1048,9 +1045,9 @@ TEST(SnapshotMerge, CountersAddAndGaugesLastWriteWins) {
 
 TEST(SnapshotMerge, HistogramsCombineComponentwise) {
   obs::MetricsSnapshot a;
-  a.histograms.push_back(make_hist("h", 3, 6.0, 1.0, 3.0, {2, 1, 0}));
+  a.histograms.push_back(make_hist("h", 3, 6.0, 1.0, 3.0, {{0, 2}, {1, 1}}));
   obs::MetricsSnapshot b;
-  b.histograms.push_back(make_hist("h", 2, 10.0, 0.5, 8.0, {0, 1, 1}));
+  b.histograms.push_back(make_hist("h", 2, 10.0, 0.5, 8.0, {{1, 1}, {2, 1}}));
   a.merge(b);
   ASSERT_EQ(a.histograms.size(), 1U);
   const auto& h = a.histograms.at(0);
@@ -1059,18 +1056,22 @@ TEST(SnapshotMerge, HistogramsCombineComponentwise) {
   EXPECT_DOUBLE_EQ(h.mean, 16.0 / 5.0);
   EXPECT_DOUBLE_EQ(h.min, 0.5);  // min of mins
   EXPECT_DOUBLE_EQ(h.max, 8.0);  // max of maxes
-  ASSERT_EQ(h.buckets.size(), 3U);
-  EXPECT_EQ(h.buckets[0], 2U);
-  EXPECT_EQ(h.buckets[1], 2U);
-  EXPECT_EQ(h.buckets[2], 1U);
+  EXPECT_EQ(h.buckets, (std::vector<obs::Histogram::Bucket>{
+                           {0, 2}, {1, 2}, {2, 1}}));
 }
 
 TEST(SnapshotMerge, BucketLayoutMismatchIsTypedError) {
+  // A bucket index past this build's layout: the sender's layout differs.
+  const auto out_of_range =
+      static_cast<std::uint32_t>(obs::Histogram::kBucketCount);
   obs::MetricsSnapshot a;
-  a.histograms.push_back(make_hist("h", 1, 1.0, 1.0, 1.0, {1, 0}));
+  a.histograms.push_back(make_hist("h", 1, 1.0, 1.0, 1.0, {{0, 1}}));
   obs::MetricsSnapshot b;
-  b.histograms.push_back(make_hist("h", 1, 1.0, 1.0, 1.0, {1, 0, 0}));
+  b.histograms.push_back(
+      make_hist("h", 1, 1.0, 1.0, 1.0, {{out_of_range, 1}}));
   EXPECT_THROW(a.merge(b), obs::SnapshotMergeError);
+  obs::MetricsSnapshot empty;  // a new name is checked as well
+  EXPECT_THROW(empty.merge(b), obs::SnapshotMergeError);
 }
 
 TEST(SnapshotMerge, MatchesLiveRegistriesMergedByHand) {
@@ -1096,6 +1097,43 @@ TEST(SnapshotMerge, MatchesLiveRegistriesMergedByHand) {
   EXPECT_EQ(merged.histograms.at(0).count, expect.histograms.at(0).count);
   EXPECT_DOUBLE_EQ(merged.histograms.at(0).sum, expect.histograms.at(0).sum);
   EXPECT_EQ(merged.histograms.at(0).buckets, expect.histograms.at(0).buckets);
+  // The fleet quantiles are exactly those of the combined registry.
+  EXPECT_EQ(merged.histograms.at(0).min, expect.histograms.at(0).min);
+  EXPECT_EQ(merged.histograms.at(0).max, expect.histograms.at(0).max);
+  EXPECT_EQ(merged.histograms.at(0).p50, expect.histograms.at(0).p50);
+  EXPECT_EQ(merged.histograms.at(0).p95, expect.histograms.at(0).p95);
+  EXPECT_EQ(merged.histograms.at(0).p99, expect.histograms.at(0).p99);
+}
+
+TEST(SnapshotMerge, HistogramMergeIsAssociative) {
+  obs::MetricsRegistry ra, rb, rc;
+  const char* shapes[] = {"lognormal", "pareto", "bimodal"};
+  obs::MetricsRegistry* regs[] = {&ra, &rb, &rc};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const double v : latency_stream(shapes[i], 5000, 20 + i)) {
+      regs[i]->histogram("lat").record(v);
+    }
+  }
+  obs::MetricsSnapshot left = ra.snapshot();  // (a + b) + c
+  left.merge(rb.snapshot());
+  left.merge(rc.snapshot());
+  obs::MetricsSnapshot bc = rb.snapshot();  // a + (b + c)
+  bc.merge(rc.snapshot());
+  obs::MetricsSnapshot right = ra.snapshot();
+  right.merge(bc);
+  const auto& l = left.histograms.at(0);
+  const auto& r = right.histograms.at(0);
+  // Everything derived from buckets/min/max is bit-identical; the sum is a
+  // floating-point addition, associative only to rounding.
+  EXPECT_EQ(l.count, r.count);
+  EXPECT_EQ(l.buckets, r.buckets);
+  EXPECT_EQ(l.min, r.min);
+  EXPECT_EQ(l.max, r.max);
+  EXPECT_EQ(l.p50, r.p50);
+  EXPECT_EQ(l.p95, r.p95);
+  EXPECT_EQ(l.p99, r.p99);
+  EXPECT_DOUBLE_EQ(l.sum, r.sum);
+  EXPECT_DOUBLE_EQ(l.mean, r.mean);
 }
 
 TEST(ObsPrometheus, ExposesCountersGaugesAndSummaries) {
