@@ -15,6 +15,7 @@
 #include "le/nn/optimizer.hpp"
 #include "le/nn/serialize.hpp"
 #include "le/obs/speedup_meter.hpp"
+#include "le/tensor/matrix.hpp"
 
 namespace le::core {
 
@@ -216,28 +217,33 @@ CampaignResult run_ml_campaign(const data::ParamSpace& space,
     }
     surrogate->set_training(false);
 
-    // Sweep the pool through the surrogate; run the predicted best.
-    // Every candidate prediction is one N_lookup unit of the speedup
-    // model; the sweep is metered in bulk (one clock read for the pool).
+    // Sweep the pool through the surrogate in one batched forward; run the
+    // predicted best.  A batched row is bit-identical to a single-row
+    // predict (DESIGN.md section 13), so the pick does not depend on the
+    // batching.  Every candidate prediction is one N_lookup unit of the
+    // speedup model; the sweep is metered in bulk (one clock read).
     std::vector<double> best_candidate;
     double best_pred = std::numeric_limits<double>::infinity();
-    std::vector<double> scaled_in(space.dims());
     const auto sweep_t0 = std::chrono::steady_clock::now();
-    std::size_t swept = 0;
-    for (auto& candidate : data::uniform_sample(space, config.pool, rng)) {
-      scaled_in.assign(candidate.begin(), candidate.end());
-      in_scaler.transform(scaled_in);
-      std::vector<double> pred = surrogate->predict(scaled_in);
+    const auto pool = data::uniform_sample(space, config.pool, rng);
+    tensor::Matrix scaled_pool(pool.size(), space.dims());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      std::copy(pool[i].begin(), pool[i].end(), scaled_pool.row(i).begin());
+    }
+    in_scaler.transform(scaled_pool);
+    tensor::Matrix preds = surrogate->predict_batch(scaled_pool);
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const std::span<double> pred = preds.row(i);
       out_scaler.inverse(pred);
       const double value = objective(pred);
       if (value < best_pred) {
         best_pred = value;
-        best_candidate = candidate;
+        best_candidate = pool[i];
       }
-      ++swept;
     }
     if (config.speedup_meter) {
-      config.speedup_meter->record_lookups(swept, seconds_since(sweep_t0));
+      config.speedup_meter->record_lookups(pool.size(),
+                                           seconds_since(sweep_t0));
     }
     run_real(best_candidate);
   }

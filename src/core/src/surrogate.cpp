@@ -232,7 +232,7 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
       // shedding).
       if (!degraded) {
         if (cache_) {
-          (void)cache_->try_insert(inputs.row(r), {prediction.mean, score},
+          (void)cache_->try_insert(inputs.row(r), prediction.mean, score,
                                    cache_epoch);
         }
         if (health_ && health_->should_shadow_sample()) {

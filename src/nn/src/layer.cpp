@@ -8,6 +8,19 @@
 
 namespace le::nn {
 
+namespace {
+
+// Gives an infer() output buffer its shape.  Every infer() writes each
+// element of `out`, so a buffer that already has the shape (the network's
+// ping-pong scratch on every call after the first) is reused as is instead
+// of being refilled with zeros first.
+void shape_for_overwrite(tensor::Matrix& out, std::size_t rows,
+                         std::size_t cols) {
+  if (out.rows() != rows || out.cols() != cols) out.resize(rows, cols);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // DenseLayer
 
@@ -43,7 +56,7 @@ void DenseLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
   if (input.cols() != weights_.rows()) {
     throw std::invalid_argument("DenseLayer::infer: input dim mismatch");
   }
-  out.resize(input.rows(), weights_.cols());
+  shape_for_overwrite(out, input.rows(), weights_.cols());
   tensor::gemm(input, weights_, out, infer_plan_);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     auto row = out.row(r);
@@ -161,7 +174,7 @@ void ActivationLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
   if (input.cols() != dim_) {
     throw std::invalid_argument("ActivationLayer::infer: dim mismatch");
   }
-  out.resize(input.rows(), input.cols());
+  shape_for_overwrite(out, input.rows(), input.cols());
   // tanh and relu dominate the serving hot path; route them through the
   // kernel layer (AVX2 when active, scalar std::tanh otherwise).  The other
   // activations stay on the scalar reference.
@@ -228,7 +241,7 @@ void DropoutLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
   if (input.cols() != dim_) {
     throw std::invalid_argument("DropoutLayer::infer: dim mismatch");
   }
-  out.resize(input.rows(), input.cols());
+  shape_for_overwrite(out, input.rows(), input.cols());
   if (!stochastic() || rate_ == 0.0) {
     std::copy(input.data(), input.data() + input.size(), out.data());
     return;

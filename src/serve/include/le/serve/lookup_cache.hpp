@@ -9,17 +9,20 @@
 /// component share one entry, repeated queries hit in O(1) with no forward
 /// pass at all, and stripe-level locking keeps concurrent serving threads
 /// out of each other's way.
+///
+/// Each stripe is a fixed-capacity slab: key and value slots of a width
+/// fixed by the stripe's first insert, an exact LRU doubly linked by 32-bit
+/// slot index, and an open-addressed index (linear probing, backward-shift
+/// delete).  After a stripe's first insert no find, insert, eviction or hit
+/// touches the heap.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace le::obs {
@@ -32,7 +35,8 @@ namespace le::serve {
 
 struct LookupCacheConfig {
   /// Total entries across all shards; the per-shard bound is
-  /// ceil(capacity / shards), enforced independently per shard.
+  /// ceil(capacity / shards), enforced independently per shard (and below
+  /// 2^31, the slab's 32-bit slot index).
   std::size_t capacity = 4096;
   /// Mutex stripes.  Each input hashes to one shard, so concurrent
   /// queries contend only when they land on the same stripe.
@@ -71,6 +75,7 @@ class LookupCache {
   using Key = std::vector<std::int64_t>;
 
   explicit LookupCache(const LookupCacheConfig& config);
+  ~LookupCache();
 
   /// Quantizes one input vector at `resolution`.  All components must be
   /// finite (non-finite inputs are uncacheable and handled by the callers).
@@ -78,7 +83,8 @@ class LookupCache {
                                     double resolution);
 
   /// O(1) lookup; a hit refreshes the entry's LRU position.  Non-finite
-  /// inputs always miss.
+  /// inputs, and inputs whose width differs from the one the shard's first
+  /// insert fixed, always miss.
   [[nodiscard]] std::optional<CachedAnswer> find(std::span<const double> input);
 
   /// Allocation-free variant for the serving hot path: on a hit, fills
@@ -89,9 +95,9 @@ class LookupCache {
   [[nodiscard]] bool find(std::span<const double> input, CachedAnswer& out);
 
   /// Inserts (or refreshes) the entry for `input`, evicting the shard's
-  /// least-recently-used entry when the stripe is full.  Non-finite inputs
-  /// are ignored.
-  void insert(std::span<const double> input, CachedAnswer answer);
+  /// least-recently-used entry when the stripe is full.  Non-finite and
+  /// width-mismatched inputs are ignored.
+  void insert(std::span<const double> input, const CachedAnswer& answer);
 
   /// The cache's invalidation era: clear() advances it.  A caller that
   /// snapshots a model and will insert that model's answers later should
@@ -109,8 +115,21 @@ class LookupCache {
   /// either lands before clear()'s sweep (and is swept), or observes the
   /// advanced epoch and is dropped.  Used by the dispatcher's gate-accepted
   /// insert path.
-  bool try_insert(std::span<const double> input, CachedAnswer answer,
+  ///
+  /// The first insert into a shard fixes that shard's input and value
+  /// widths until clear(); an input or `values` of any other width is
+  /// uncacheable and the insert is dropped (returning false).  Non-finite
+  /// inputs are dropped too.  `values` is copied into the shard's slab.
+  bool try_insert(std::span<const double> input,
+                  std::span<const double> values, double uncertainty,
                   std::uint64_t expected_epoch);
+  bool try_insert(std::span<const double> input, const CachedAnswer& answer,
+                  std::uint64_t expected_epoch);
+
+  /// The shard (mutex stripe) `input` maps to: the high half of the key
+  /// hash, so it never correlates with the slot probe, which uses the low
+  /// half.  Exposed for tests and diagnostics of shard balance.
+  [[nodiscard]] std::size_t shard_for(std::span<const double> input) const;
 
   [[nodiscard]] LookupCacheStats stats() const;
   /// Live entry count over all shards.
@@ -134,24 +153,10 @@ class LookupCache {
   static void quantize_into(std::span<const double> input, double resolution,
                             Key& key);
 
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept;
-  };
-
-  struct Entry {
-    Key key;
-    CachedAnswer answer;
-  };
-
-  /// One mutex stripe: an LRU list (front = most recent) plus an index
-  /// from key to list position.
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-  };
-
-  [[nodiscard]] Shard& shard_for(const Key& key) noexcept;
+  /// One mutex stripe: a fixed-capacity slab (layout in lookup_cache.cpp).
+  struct Shard;
+  /// Shard pick from the high 32 bits of a key hash.
+  [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const noexcept;
 
   LookupCacheConfig config_;
   std::size_t per_shard_capacity_;

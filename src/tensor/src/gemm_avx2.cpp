@@ -5,12 +5,16 @@
 //
 // Structure: gemm_avx2 keeps gemm_blocked's macro-block loop nest (the
 // blocking proven by the tail-shape property suite in tests/test_tensor.cpp
-// and tuned by the ATLAS-style autotuner) and replaces the innermost
-// scalar loops with a 4x8 register tile: 4 rows of A broadcast against two
+// and tuned by the ATLAS-style autotuner).  Inside a block, the 8-wide
+// column groups run a 4x8 register tile: 4 rows of A broadcast against two
 // 4-wide column vectors of B, eight FMA accumulators resident in ymm
-// registers across the whole kc extent.  Tail rows (<4) and tail columns
-// (<4) fall back to the scalar inner loop, so odd shapes stay correct
-// without a packed-edge code path.
+// registers across the whole kc extent.  Everything else — tail rows (<4)
+// of those groups, a 4-wide column group, and a column tail of 1-3 columns
+// — runs as 4-lane column strips of up to 8 rows, the tail one masked
+// (_mm256_maskload_pd / _mm256_maskstore_pd), so there is no scalar inner
+// loop left.  Every output element is one FMA chain over k in order,
+// whichever tile computes it, so a row gets bit-identical results whether
+// it is multiplied alone or inside a batch.
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -63,20 +67,72 @@ inline void tile_4x8(const double* a, std::size_t lda, const double* b,
   _mm256_storeu_pd(c + 3 * ldc + 4, c31);
 }
 
-// C tile[rows][4] += A[rows, kc] * B[kc, 4 cols], rows in 1..4.
+// C tile[R][4] += A[R rows, kc] * B[kc, 4 cols]: one accumulator per row.
+// kMasked loads and stores only the lanes set in `mask`, so a 1-3 column
+// tail reads and writes nothing past the matrix edge.
+template <std::size_t R, bool kMasked>
 inline void tile_rx4(const double* a, std::size_t lda, const double* b,
                      std::size_t ldb, double* c, std::size_t ldc,
-                     std::size_t kc, std::size_t rows) {
-  __m256d acc[4];
-  for (std::size_t r = 0; r < rows; ++r) acc[r] = _mm256_loadu_pd(c + r * ldc);
+                     std::size_t kc, __m256i mask) {
+  const auto load = [mask](const double* src) {
+    if constexpr (kMasked) {
+      return _mm256_maskload_pd(src, mask);
+    } else {
+      (void)mask;
+      return _mm256_loadu_pd(src);
+    }
+  };
+  __m256d acc[R];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) acc[r] = load(c + r * ldc);
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_loadu_pd(b + p * ldb);
-    for (std::size_t r = 0; r < rows; ++r) {
+    const __m256d b0 = load(b + p * ldb);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
       acc[r] = _mm256_fmadd_pd(_mm256_broadcast_sd(a + r * lda + p), b0,
                                acc[r]);
     }
   }
-  for (std::size_t r = 0; r < rows; ++r) _mm256_storeu_pd(c + r * ldc, acc[r]);
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    if constexpr (kMasked) {
+      _mm256_maskstore_pd(c + r * ldc, mask, acc[r]);
+    } else {
+      _mm256_storeu_pd(c + r * ldc, acc[r]);
+    }
+  }
+}
+
+// One 4-lane column strip over `rows` rows: 8-row tiles (eight independent
+// FMA chains hide the FMA latency), then one tile for the 1-7 left over.
+template <bool kMasked>
+void column_strip(const double* a, std::size_t lda, const double* b,
+                  std::size_t ldb, double* c, std::size_t ldc, std::size_t kc,
+                  std::size_t rows, __m256i mask) {
+  std::size_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    tile_rx4<8, kMasked>(a + r * lda, lda, b, ldb, c + r * ldc, ldc, kc, mask);
+  }
+  a += r * lda;
+  c += r * ldc;
+  switch (rows - r) {
+    case 7: tile_rx4<7, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    case 6: tile_rx4<6, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    case 5: tile_rx4<5, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    case 4: tile_rx4<4, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    case 3: tile_rx4<3, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    case 2: tile_rx4<2, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    case 1: tile_rx4<1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask); break;
+    default: break;
+  }
+}
+
+// Lane mask with the low `live` (1-4) lanes set: maskload/maskstore test
+// each 64-bit lane's sign bit.
+inline __m256i lane_mask(std::size_t live) {
+  const __m256i lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(live)),
+                            lanes);
 }
 
 }  // namespace
@@ -98,55 +154,40 @@ void gemm_avx2(const Matrix& a, const Matrix& b, Matrix& out,
   const double* pa = a.data();
   const double* pb = b.data();
   double* pc = out.data();
+  const __m256i all_lanes = lane_mask(4);
   for (std::size_t i0 = 0; i0 < m; i0 += blocking.mc) {
     const std::size_t i1 = std::min(i0 + blocking.mc, m);
     for (std::size_t p0 = 0; p0 < k; p0 += blocking.kc) {
       const std::size_t p1 = std::min(p0 + blocking.kc, k);
       const std::size_t kc = p1 - p0;
+      const double* ap = pa + p0;  // A columns [p0, p1)
+      const double* bp = pb + p0 * n;  // B rows [p0, p1)
       for (std::size_t j0 = 0; j0 < n; j0 += blocking.nc) {
         const std::size_t j1 = std::min(j0 + blocking.nc, n);
+        // 8-wide column groups: 4x8 tiles, then the <4 tail rows as two
+        // 4-lane strips per group.
+        const std::size_t j8 = j0 + (j1 - j0) / 8 * 8;
         std::size_t i = i0;
         for (; i + 4 <= i1; i += 4) {
-          std::size_t j = j0;
-          for (; j + 8 <= j1; j += 8) {
-            tile_4x8(pa + i * k + p0, k, pb + p0 * n + j, n, pc + i * n + j,
-                     n, kc);
-          }
-          for (; j + 4 <= j1; j += 4) {
-            tile_rx4(pa + i * k + p0, k, pb + p0 * n + j, n, pc + i * n + j,
-                     n, kc, 4);
-          }
-          if (j < j1) {
-            // Column tail (<4): scalar inner loop, gemm_blocked order.
-            for (std::size_t r = i; r < i + 4; ++r) {
-              double* orow = pc + r * n;
-              for (std::size_t p = p0; p < p1; ++p) {
-                const double aip = pa[r * k + p];
-                const double* brow = pb + p * n;
-                for (std::size_t jj = j; jj < j1; ++jj) {
-                  orow[jj] += aip * brow[jj];
-                }
-              }
-            }
+          for (std::size_t j = j0; j < j8; j += 8) {
+            tile_4x8(ap + i * k, k, bp + j, n, pc + i * n + j, n, kc);
           }
         }
-        if (i < i1) {
-          // Row tail (<4 rows): 4-wide columns, then scalar column tail.
-          std::size_t j = j0;
-          for (; j + 4 <= j1; j += 4) {
-            tile_rx4(pa + i * k + p0, k, pb + p0 * n + j, n, pc + i * n + j,
-                     n, kc, i1 - i);
-          }
-          for (std::size_t r = i; r < i1; ++r) {
-            double* orow = pc + r * n;
-            for (std::size_t p = p0; p < p1; ++p) {
-              const double aip = pa[r * k + p];
-              const double* brow = pb + p * n;
-              for (std::size_t jj = j; jj < j1; ++jj) {
-                orow[jj] += aip * brow[jj];
-              }
-            }
-          }
+        for (std::size_t j = j0; j < j8 && i < i1; j += 4) {
+          column_strip<false>(ap + i * k, k, bp + j, n, pc + i * n + j, n, kc,
+                              i1 - i, all_lanes);
+        }
+        // The last 1-7 columns over every row of the block: one full
+        // 4-lane strip and/or one masked strip of 1-3 lanes.
+        std::size_t j = j8;
+        if (j + 4 <= j1) {
+          column_strip<false>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j, n,
+                              kc, i1 - i0, all_lanes);
+          j += 4;
+        }
+        if (j < j1) {
+          column_strip<true>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j, n, kc,
+                             i1 - i0, lane_mask(j1 - j));
         }
       }
     }

@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "le/nn/network.hpp"
@@ -38,13 +39,14 @@ struct KernelOverrideGuard {
 
 /// An example network round-tripped through the serializer, so the
 /// agreement statements hold for deployed (loaded-from-bytes) models, not
-/// just freshly constructed ones.  Hidden widths are deliberately not
-/// multiples of the 4x8 register tile.
-Network serialized_example(Activation activation, unsigned seed) {
+/// just freshly constructed ones.  The default hidden widths are
+/// deliberately not multiples of the 4x8 register tile.
+Network serialized_example(Activation activation, unsigned seed,
+                           std::vector<std::size_t> hidden = {17, 9}) {
   Rng rng(seed);
   nn::MlpConfig cfg;
   cfg.input_dim = 5;
-  cfg.hidden = {17, 9};
+  cfg.hidden = std::move(hidden);
   cfg.output_dim = 3;
   cfg.activation = activation;
   Network fresh = nn::make_mlp(cfg, rng);
@@ -110,6 +112,35 @@ TEST(KernelAgreement, BatchedAndRowWisePathsAgreeBitwiseOnEveryKernel) {
             << "kernel " << static_cast<int>(kernel) << " row " << r;
       }
     }
+  }
+}
+
+TEST(KernelAgreement, ServedShapeAgreesAtBatch64OnEveryKernel) {
+  // The served surrogate's shape (5 -> 32 -> 32 -> 3, tanh) at the serving
+  // batch: the 64x32x3 output layer runs the AVX2 kernel's masked 3-lane
+  // strip in the batch and its 1-row strip row by row.
+  KernelOverrideGuard guard;
+  std::vector<tensor::GemmKernel> kernels{tensor::GemmKernel::kScalar};
+  if (tensor::cpu_has_avx2_fma()) {
+    kernels.push_back(tensor::GemmKernel::kAvx2);
+  }
+  Network net = serialized_example(Activation::kTanh, 161, {32, 32});
+  const tensor::Matrix inputs = example_inputs(64, 5, 162);
+  std::vector<tensor::Matrix> per_kernel;
+  for (const tensor::GemmKernel kernel : kernels) {
+    tensor::set_gemm_kernel_override(kernel);
+    per_kernel.push_back(net.predict_batch(inputs));
+    const tensor::Matrix& batched = per_kernel.back();
+    for (std::size_t r = 0; r < inputs.rows(); ++r) {
+      const auto single = net.predict(inputs.row(r));
+      for (std::size_t c = 0; c < single.size(); ++c) {
+        EXPECT_EQ(batched(r, c), single[c])
+            << "kernel " << static_cast<int>(kernel) << " row " << r;
+      }
+    }
+  }
+  if (per_kernel.size() == 2) {
+    EXPECT_LT(max_abs(per_kernel[0], per_kernel[1]), 1e-5);
   }
 }
 

@@ -8,11 +8,18 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <future>
 #include <limits>
+#include <list>
+#include <map>
 #include <mutex>
+#include <new>
+#include <optional>
+#include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "le/obs/metrics.hpp"
@@ -24,6 +31,48 @@
 #include "le/serve/lookup_cache.hpp"
 #include "le/serve/overload.hpp"
 #include "le/tensor/matrix.hpp"
+
+// Global allocation counter for the cache's zero-allocation test: the
+// replaced operator new counts calls only while g_count_allocations is set.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+// Out of line so the compiler does not pair an inlined free() with the
+// new-expression that allocated the pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace {
 
@@ -222,6 +271,216 @@ TEST(LookupCache, StripedShardsSurviveConcurrentMixedTraffic) {
   // insertions counts same-key refreshes too, so only the inequality
   // holds here (the distinct-key identity is covered by the churn test).
   EXPECT_LE(stats.evictions, stats.insertions);
+}
+
+// A test-only reference for the LookupCache contract, built the obvious
+// way: per shard, one std::list LRU (front = most recent) plus a std::map
+// index, with the same shard pick (LookupCache::shard_for) and the same
+// width rule (the shard's first insert fixes both widths until clear()).
+class ReferenceLru {
+ public:
+  enum class Outcome { kDropped, kRefreshed, kInserted, kEvicted };
+
+  ReferenceLru(std::size_t shards, std::size_t per_shard)
+      : shards_(shards), per_shard_(per_shard) {}
+
+  bool find(std::size_t shard_id, const LookupCache::Key& key,
+            CachedAnswer& out) {
+    Shard& shard = shards_[shard_id];
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
+      ++stats.misses;
+      return false;
+    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.first);
+    out = it->second.second;
+    ++stats.hits;
+    return true;
+  }
+
+  Outcome insert(std::size_t shard_id, const LookupCache::Key& key,
+                 const CachedAnswer& answer) {
+    Shard& shard = shards_[shard_id];
+    if (!shard.widths) {
+      shard.widths = std::make_pair(key.size(), answer.values.size());
+    } else if (*shard.widths !=
+               std::make_pair(key.size(), answer.values.size())) {
+      return Outcome::kDropped;
+    }
+    ++stats.insertions;
+    if (const auto it = shard.index.find(key); it != shard.index.end()) {
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.first);
+      it->second.second = answer;
+      return Outcome::kRefreshed;
+    }
+    shard.lru.push_front(key);
+    shard.index.emplace(key, std::make_pair(shard.lru.begin(), answer));
+    if (shard.lru.size() <= per_shard_) {
+      ++stats.entries;
+      return Outcome::kInserted;
+    }
+    shard.index.erase(shard.lru.back());
+    shard.lru.pop_back();
+    ++stats.evictions;
+    return Outcome::kEvicted;
+  }
+
+  void clear() {
+    for (Shard& shard : shards_) shard = Shard{};
+    stats.entries = 0;
+  }
+
+  le::serve::LookupCacheStats stats;
+
+ private:
+  struct Shard {
+    std::list<LookupCache::Key> lru;
+    std::map<LookupCache::Key,
+             std::pair<std::list<LookupCache::Key>::iterator, CachedAnswer>>
+        index;
+    std::optional<std::pair<std::size_t, std::size_t>> widths;
+  };
+  std::vector<Shard> shards_;
+  std::size_t per_shard_;
+};
+
+// Drives the slab cache and the reference through the same seeded stream
+// of finds, inserts and clears, a few of them with a second input or
+// output width; every op must end the same way in both, and so must the
+// stats.
+void model_check(std::size_t capacity, std::size_t shards, unsigned seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " shards "
+                                  << shards);
+  LookupCache cache(small_cache(capacity, shards, 1e-12));
+  ReferenceLru reference(shards, (capacity + shards - 1) / shards);
+  std::mt19937 gen(seed);
+  std::uniform_int_distribution<int> key_dist(0, static_cast<int>(3 * capacity));
+  std::uniform_int_distribution<int> op_dist(0, 999);
+  CachedAnswer got, want;
+  for (int op = 0; op < 100000; ++op) {
+    const int k = key_dist(gen);
+    const int kind = op_dist(gen);
+    std::vector<double> input{0.5 * k, static_cast<double>(k % 7)};
+    if (op_dist(gen) < 15) input.push_back(1.0);  // a second input width
+    const LookupCache::Key key = LookupCache::quantize(input, 1e-12);
+    const std::size_t shard = cache.shard_for(input);
+    if (kind < 2) {
+      cache.clear();
+      reference.clear();
+    } else if (kind < 500) {
+      const bool hit = cache.find(input, got);
+      ASSERT_EQ(hit, reference.find(shard, key, want)) << "find, op " << op;
+      if (hit) {
+        ASSERT_EQ(got.values, want.values) << "op " << op;
+        ASSERT_EQ(got.uncertainty, want.uncertainty) << "op " << op;
+      }
+    } else {
+      // One in fifty inserts carries a second output width.
+      const CachedAnswer answer{
+          kind % 50 == 0 ? std::vector<double>{1.0 * op, 2.0}
+                         : std::vector<double>{1.0 * op},
+          0.001 * k};
+      const auto before = cache.stats();
+      const bool stored = cache.try_insert(input, answer, cache.epoch());
+      const auto after = cache.stats();
+      const ReferenceLru::Outcome outcome = reference.insert(shard, key, answer);
+      ASSERT_EQ(stored, outcome != ReferenceLru::Outcome::kDropped)
+          << "insert, op " << op;
+      ASSERT_EQ(after.evictions - before.evictions,
+                outcome == ReferenceLru::Outcome::kEvicted ? 1u : 0u)
+          << "eviction, op " << op;
+      ASSERT_EQ(after.entries - before.entries,
+                outcome == ReferenceLru::Outcome::kInserted ? 1u : 0u)
+          << "growth, op " << op;
+    }
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, reference.stats.hits);
+  EXPECT_EQ(stats.misses, reference.stats.misses);
+  EXPECT_EQ(stats.insertions, reference.stats.insertions);
+  EXPECT_EQ(stats.evictions, reference.stats.evictions);
+  EXPECT_EQ(stats.entries, reference.stats.entries);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+}
+
+TEST(LookupCache, SlabMatchesAReferenceLruOnOneShardAndOnFour) {
+  model_check(64, 1, 17);
+  model_check(64, 4, 18);
+  model_check(3, 1, 19);  // a 4-cell index: every probe collides
+}
+
+TEST(LookupCache, SteadyStateMissInsertEvictAndHitNeverAllocate) {
+  // 256 keys cycled through 64 entries: every probe of the next key misses
+  // and its insert evicts; the probe right after the insert hits.  The
+  // warm-up gives every shard its first insert (the slabs' one allocation)
+  // and sizes the thread-local key scratch.
+  le::obs::MetricsRegistry registry;
+  LookupCache cache(small_cache(64, 4, 1e-12));
+  cache.enable_metrics(registry, "alloc.cache");
+  std::vector<std::vector<double>> inputs;
+  for (int i = 0; i < 256; ++i) {
+    inputs.push_back({0.25 * i, 1.0, -2.0, 3.0, 0.5});
+  }
+  const std::vector<double> values{1.0, 2.0, 3.0};
+  const CachedAnswer answer{values, 0.1};
+  for (const auto& input : inputs) cache.insert(input, answer);
+  CachedAnswer out{std::vector<double>(values.size()), 0.0};
+  const auto before = cache.stats();
+
+  std::size_t missed = 0, hit = 0;
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  for (int i = 0; i < 10000; ++i) {
+    const auto& input = inputs[static_cast<std::size_t>(i) % inputs.size()];
+    if (!cache.find(input, out)) ++missed;
+    (void)cache.try_insert(input, values, 0.1, cache.epoch());
+    if (i % 2 == 0) {
+      cache.insert(input, answer);  // a refresh through the CachedAnswer path
+    }
+    if (cache.find(input, out)) ++hit;
+  }
+  g_count_allocations.store(false);
+
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(missed, 10000u);
+  EXPECT_EQ(hit, 10000u);
+  EXPECT_EQ(cache.stats().evictions - before.evictions, 10000u);
+  EXPECT_EQ(out.values, values);
+}
+
+TEST(LookupCache, WidthMismatchedInputIsUncacheable) {
+  LookupCache cache(small_cache(8, 1, 1e-12));
+  cache.insert(std::vector<double>{1.0, 2.0}, {{3.0}, 0.1});  // fixes 2 -> 1
+
+  EXPECT_FALSE(cache.find(std::vector<double>{1.0}).has_value());
+  EXPECT_FALSE(cache.find(std::vector<double>{1.0, 2.0, 0.0}).has_value());
+  EXPECT_FALSE(cache.try_insert(std::vector<double>{1.0, 2.0, 0.0},
+                                {{3.0}, 0.1}, cache.epoch()));
+  EXPECT_FALSE(cache.try_insert(std::vector<double>{5.0, 6.0},
+                                {{3.0, 4.0}, 0.1}, cache.epoch()));
+  EXPECT_FALSE(cache.find(std::vector<double>{5.0, 6.0}).has_value());
+  ASSERT_TRUE(cache.find(std::vector<double>{1.0, 2.0}).has_value());
+
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.misses, 3u);
+}
+
+TEST(LookupCache, ClearLetsANewOutputWidthCacheAgain) {
+  LookupCache cache(small_cache(8, 1, 1e-12));
+  const std::vector<double> input{1.0, 2.0};
+  cache.insert(input, {{3.0}, 0.1});
+  cache.clear();
+
+  EXPECT_TRUE(cache.try_insert(input, {{4.0, 5.0, 6.0}, 0.2}, cache.epoch()));
+  const auto hit = cache.find(input);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->values, (std::vector<double>{4.0, 5.0, 6.0}));
+  EXPECT_DOUBLE_EQ(hit->uncertainty, 0.2);
+  // The old width is the mismatched one now.
+  EXPECT_FALSE(cache.try_insert(input, {{3.0}, 0.1}, cache.epoch()));
 }
 
 // ---------------------------------------------------------------------------

@@ -201,7 +201,11 @@ TEST(GemmProperty, TailAndDegenerateShapesMatchNaiveUnderRandomBlockings) {
   const GemmShape shapes[] = {
       {0, 0, 0}, {0, 5, 3},  {4, 0, 6},   {3, 7, 0},   {1, 1, 1},
       {1, 64, 1}, {2, 3, 5}, {37, 23, 41}, {65, 3, 9},  {5, 129, 8},
-      {4, 16, 8}, {3, 8, 7}, {12, 31, 19}, {128, 1, 17}};
+      {4, 16, 8}, {3, 8, 7}, {12, 31, 19}, {128, 1, 17},
+      // Narrow outputs: the AVX2 kernel's masked 1-3 lane strips, alone
+      // (n < 4) and behind a full 4-lane strip (n = 6, 7).
+      {64, 32, 3}, {4, 32, 1}, {4, 32, 2}, {8, 7, 3}, {3, 32, 3},
+      {1, 32, 3}, {9, 33, 6}, {6, 17, 7}};
   std::mt19937 gen(2024);
   std::uniform_int_distribution<std::size_t> block_dist(1, 160);
   for (const GemmShape& s : shapes) {
