@@ -19,7 +19,7 @@
 //      must fire while most of the error budget is still unspent, brown
 //      the degradation ladder out via engage_at_least, and resolve after
 //      the fault clears;
-//   4. postmortem — a SIGKILLed worker leaves a `le-frec-v1` flight dump
+//   4. postmortem — a SIGKILLed worker leaves a `le-frec-v2` flight dump
 //      no staler than its last telemetry cadence; the router harvests it
 //      before respawning the shard.
 //

@@ -5,9 +5,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <locale>
+#include <span>
 #include <sstream>
 
+#include "le/obs/codec.hpp"
 #include "le/obs/metrics.hpp"
 
 namespace le::ckpt {
@@ -21,79 +22,52 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Classic-locale text stream: checkpoint payloads must round-trip
-/// bit-exactly regardless of the host's global locale.
-std::ostringstream make_out() {
-  std::ostringstream out;
-  out.imbue(std::locale::classic());
-  out.precision(17);
-  return out;
-}
-
-std::istringstream make_in(const std::string& text) {
-  std::istringstream in(text);
-  in.imbue(std::locale::classic());
-  return in;
-}
-
-[[noreturn]] void bad_section(const std::string& name) {
-  throw CheckpointError("checkpoint: malformed section '" + name + "'");
-}
-
-template <typename T>
-std::string encode_values(const std::vector<T>& values) {
-  auto out = make_out();
-  out << values.size();
-  for (const T& v : values) out << ' ' << v;
-  return std::move(out).str();
-}
-
-template <typename T>
-std::vector<T> decode_values(const std::string& text, const char* name) {
-  auto in = make_in(text);
-  std::size_t count = 0;
-  if (!(in >> count)) bad_section(name);
-  std::vector<T> values(count);
-  for (T& v : values) {
-    if (!(in >> v)) bad_section(name);
+/// Decodes one binary section with `read`, which must consume it exactly;
+/// any codec failure is that section's corruption.
+template <typename Read>
+void read_section(const std::vector<Section>& sections, const char* name,
+                  Read&& read) {
+  try {
+    obs::ByteReader r(find_section(sections, name).payload);
+    read(r);
+    r.expect_end();
+  } catch (const obs::CodecError&) {
+    throw CheckpointError("checkpoint: malformed section '" +
+                          std::string(name) + "'");
   }
-  return values;
 }
 
-const Section& find_section(const std::vector<Section>& sections,
-                            const std::string& name) {
-  for (const Section& s : sections) {
-    if (s.name == name) return s;
-  }
-  throw CheckpointError("checkpoint: missing section '" + name + "'");
+std::string encode_f64_vec(std::span<const double> values) {
+  obs::ByteWriter w;
+  w.put_f64_vec(values);
+  return w.take();
 }
 
+/// u32 input_dim | u32 target_dim | u32 rows | rows x (inputs, targets)
 std::string encode_dataset(const data::Dataset& dataset) {
-  auto out = make_out();
-  out << dataset.input_dim() << ' ' << dataset.target_dim() << ' '
-      << dataset.size() << '\n';
+  obs::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(dataset.input_dim()));
+  w.put_u32(static_cast<std::uint32_t>(dataset.target_dim()));
+  w.put_u32(static_cast<std::uint32_t>(dataset.size()));
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    for (double v : dataset.input(i)) out << v << ' ';
-    for (double v : dataset.target(i)) out << v << ' ';
-    out << '\n';
+    for (const double v : dataset.input(i)) w.put_f64(v);
+    for (const double v : dataset.target(i)) w.put_f64(v);
   }
-  return std::move(out).str();
+  return w.take();
 }
 
-data::Dataset decode_dataset(const std::string& text) {
-  auto in = make_in(text);
-  std::size_t input_dim = 0, target_dim = 0, count = 0;
-  if (!(in >> input_dim >> target_dim >> count)) bad_section("dataset");
+data::Dataset decode_dataset(obs::ByteReader& r) {
+  const std::size_t input_dim = r.u32();
+  const std::size_t target_dim = r.u32();
+  const std::size_t width = input_dim + target_dim;
+  const std::uint32_t rows = r.count(8 * width);
   data::Dataset dataset(input_dim, target_dim);
-  std::vector<double> input(input_dim), target(target_dim);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (double& v : input) {
-      if (!(in >> v)) bad_section("dataset");
-    }
-    for (double& v : target) {
-      if (!(in >> v)) bad_section("dataset");
-    }
-    dataset.add(input, target);
+  std::vector<double> row;
+  for (std::uint32_t i = 0; i < rows; ++i) {
+    row.clear();
+    for (std::size_t k = 0; k < width; ++k) row.push_back(r.f64());
+    dataset.add(std::span(row).first(input_dim),
+                std::span(row).subspan(input_dim));
   }
   return dataset;
 }
@@ -101,7 +75,7 @@ data::Dataset decode_dataset(const std::string& text) {
 }  // namespace
 
 std::string encode_rng(const stats::Rng& rng) {
-  auto out = make_out();
+  std::ostringstream out;
   // mt19937_64 streams its full 312-word state; seed_ is carried
   // separately because split() derives children from it, not the engine.
   out << rng.seed() << ' ';
@@ -111,7 +85,7 @@ std::string encode_rng(const stats::Rng& rng) {
 }
 
 stats::Rng decode_rng(const std::string& text) {
-  auto in = make_in(text);
+  std::istringstream in(text);
   std::uint64_t seed = 0;
   if (!(in >> seed)) throw CheckpointError("checkpoint: bad rng state");
   stats::Rng rng(seed);
@@ -122,76 +96,63 @@ stats::Rng decode_rng(const std::string& text) {
 }
 
 std::vector<Section> CampaignState::encode() const {
-  std::vector<Section> sections;
-  {
-    auto out = make_out();
-    out << kind << ' ' << sequence << ' ' << progress << ' '
-        << simulations_run << ' ' << simulations_failed;
-    sections.push_back({"meta", std::move(out).str()});
+  obs::ByteWriter meta;
+  meta.put_string(kind);
+  meta.put_u64(sequence);
+  meta.put_u64(progress);
+  meta.put_u64(simulations_run);
+  meta.put_u64(simulations_failed);
+  obs::ByteWriter completed;
+  completed.put_u32(static_cast<std::uint32_t>(completed_tasks.size()));
+  for (const std::uint64_t task : completed_tasks) completed.put_u64(task);
+  obs::ByteWriter normalizer;
+  for (const auto* scale : {&input_scale_lo, &input_scale_hi,
+                            &output_scale_lo, &output_scale_hi}) {
+    normalizer.put_f64_vec(*scale);
   }
-  sections.push_back({"completed", encode_values(completed_tasks)});
-  sections.push_back({"dataset", encode_dataset(dataset)});
-  sections.push_back({"rng", rng_state});
-  sections.push_back({"network", network_text});
-  {
-    auto out = make_out();
-    out << encode_values(input_scale_lo) << '\n'
-        << encode_values(input_scale_hi) << '\n'
-        << encode_values(output_scale_lo) << '\n'
-        << encode_values(output_scale_hi);
-    sections.push_back({"normalizer", std::move(out).str()});
-  }
-  sections.push_back({"scalars", encode_values(scalars)});
-  sections.push_back({"series", encode_values(series)});
-  {
-    auto out = make_out();
-    out << meter.n_lookup << ' ' << meter.n_train << ' ' << meter.seq_samples
-        << ' ' << meter.lookup_seconds << ' ' << meter.train_seconds << ' '
-        << meter.learn_seconds << ' ' << meter.seq_seconds;
-    sections.push_back({"meter", std::move(out).str()});
-  }
-  return sections;
+  obs::ByteWriter meter_bytes;
+  obs::put_meter_snapshot(meter_bytes, meter);
+  return {{"meta", meta.take()},
+          {"completed", completed.take()},
+          {"dataset", encode_dataset(dataset)},
+          {"rng", rng_state},
+          {"network", network_text},
+          {"normalizer", normalizer.take()},
+          {"scalars", encode_f64_vec(scalars)},
+          {"series", encode_f64_vec(series)},
+          {"meter", meter_bytes.take()}};
 }
 
 CampaignState CampaignState::decode(const std::vector<Section>& sections) {
   CampaignState state;
-  {
-    auto in = make_in(find_section(sections, "meta").payload);
-    if (!(in >> state.kind >> state.sequence >> state.progress >>
-          state.simulations_run >> state.simulations_failed)) {
-      bad_section("meta");
-    }
-  }
-  state.completed_tasks = decode_values<std::uint64_t>(
-      find_section(sections, "completed").payload, "completed");
-  state.dataset = decode_dataset(find_section(sections, "dataset").payload);
+  read_section(sections, "meta", [&](obs::ByteReader& r) {
+    state.kind = r.string();
+    state.sequence = r.u64();
+    state.progress = r.u64();
+    state.simulations_run = r.u64();
+    state.simulations_failed = r.u64();
+  });
+  read_section(sections, "completed", [&](obs::ByteReader& r) {
+    state.completed_tasks.resize(r.count(8));
+    for (std::uint64_t& task : state.completed_tasks) task = r.u64();
+  });
+  read_section(sections, "dataset",
+               [&](obs::ByteReader& r) { state.dataset = decode_dataset(r); });
   state.rng_state = find_section(sections, "rng").payload;
   state.network_text = find_section(sections, "network").payload;
-  {
-    auto in = make_in(find_section(sections, "normalizer").payload);
-    std::string line;
-    const auto next_vector = [&] {
-      if (!std::getline(in, line)) bad_section("normalizer");
-      return decode_values<double>(line, "normalizer");
-    };
-    state.input_scale_lo = next_vector();
-    state.input_scale_hi = next_vector();
-    state.output_scale_lo = next_vector();
-    state.output_scale_hi = next_vector();
-  }
-  state.scalars = decode_values<double>(
-      find_section(sections, "scalars").payload, "scalars");
-  state.series = decode_values<double>(
-      find_section(sections, "series").payload, "series");
-  {
-    auto in = make_in(find_section(sections, "meter").payload);
-    if (!(in >> state.meter.n_lookup >> state.meter.n_train >>
-          state.meter.seq_samples >> state.meter.lookup_seconds >>
-          state.meter.train_seconds >> state.meter.learn_seconds >>
-          state.meter.seq_seconds)) {
-      bad_section("meter");
-    }
-  }
+  read_section(sections, "normalizer", [&](obs::ByteReader& r) {
+    state.input_scale_lo = r.f64_vec();
+    state.input_scale_hi = r.f64_vec();
+    state.output_scale_lo = r.f64_vec();
+    state.output_scale_hi = r.f64_vec();
+  });
+  read_section(sections, "scalars",
+               [&](obs::ByteReader& r) { state.scalars = r.f64_vec(); });
+  read_section(sections, "series",
+               [&](obs::ByteReader& r) { state.series = r.f64_vec(); });
+  read_section(sections, "meter", [&](obs::ByteReader& r) {
+    state.meter = obs::read_meter_snapshot(r);
+  });
   // The rng section must be replayable now, not when the campaign first
   // draws from it (fail at restore, where fallback is still possible).
   if (!state.rng_state.empty()) (void)decode_rng(state.rng_state);

@@ -1,14 +1,14 @@
 #include "le/ckpt/container.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
 
+#include "le/obs/codec.hpp"
 #include "le/runtime/fault.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -21,31 +21,25 @@ namespace le::ckpt {
 
 namespace {
 
-constexpr const char* kMagic = "le-ckpt-v1";
+/// `le-ckpt-v2`: "LECK" as little-endian bytes.  Checkpoints carry whole
+/// datasets and networks, so the only length bound is the u32 field's.
+constexpr obs::FrameFormat kCkptFormat{"le-ckpt", 0x4B43454CU, 2,
+                                       0xFFFFFFFFU};
+/// Frame type of a section list, the only payload a checkpoint holds.
+constexpr std::uint16_t kSectionListType = 1;
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
 }
 
-std::string read_line(std::istream& in, const char* context) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    corrupt(std::string("truncated at ") + context);
+std::string encode_container(const std::vector<Section>& sections) {
+  obs::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(sections.size()));
+  for (const Section& s : sections) {
+    w.put_string(s.name);
+    w.put_string(s.payload);
   }
-  // Every line the writer emits is newline-terminated; getline only sets
-  // eofbit here when the final '\n' was torn off (truncated file).
-  if (in.eof()) {
-    corrupt(std::string("unterminated line at ") + context);
-  }
-  return line;
-}
-
-/// Validates a section name: one token, no whitespace (names share the
-/// frame header line with the length and CRC fields).
-void check_name(const std::string& name) {
-  if (name.empty() || name.find_first_of(" \t\r\n") != std::string::npos) {
-    throw std::invalid_argument("checkpoint: bad section name '" + name + "'");
-  }
+  return obs::encode_frame(kCkptFormat, kSectionListType, w.bytes());
 }
 
 #ifdef LE_CKPT_POSIX
@@ -70,61 +64,36 @@ void fsync_path(const std::string& path, bool required) {
 
 }  // namespace
 
-void write_container(std::ostream& out, const std::vector<Section>& sections) {
-  out << kMagic << '\n' << "sections " << sections.size() << '\n';
+const Section& find_section(const std::vector<Section>& sections,
+                            std::string_view name) {
   for (const Section& s : sections) {
-    check_name(s.name);
-    char crc_hex[16];
-    std::snprintf(crc_hex, sizeof(crc_hex), "%08x", crc32(s.payload));
-    out << "section " << s.name << ' ' << s.payload.size() << ' ' << crc_hex
-        << '\n';
-    out.write(s.payload.data(),
-              static_cast<std::streamsize>(s.payload.size()));
-    out << '\n';
+    if (s.name == name) return s;
   }
-  out << "end\n";
+  corrupt("missing section '" + std::string(name) + "'");
+}
+
+void write_container(std::ostream& out, const std::vector<Section>& sections) {
+  const std::string bytes = encode_container(sections);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   if (!out) corrupt("stream write failed");
 }
 
 std::vector<Section> read_container(std::istream& in) {
-  if (read_line(in, "magic") != kMagic) corrupt("bad magic/version header");
-  std::size_t count = 0;
-  {
-    std::istringstream header(read_line(in, "section count"));
-    std::string tag;
-    if (!(header >> tag >> count) || tag != "sections") {
-      corrupt("bad section-count header");
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  try {
+    obs::ByteReader r(obs::decode_frame(bytes, kCkptFormat, kSectionListType));
+    // Each section costs at least its two u32 length fields.
+    std::vector<Section> sections(r.count(8));
+    for (Section& section : sections) {
+      section.name = r.string();
+      section.payload = r.string();
     }
+    r.expect_end();
+    return sections;
+  } catch (const obs::CodecError& e) {
+    corrupt(e.what());
   }
-  std::vector<Section> sections;
-  sections.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::istringstream frame(read_line(in, "frame header"));
-    std::string tag, name, crc_hex;
-    std::size_t size = 0;
-    if (!(frame >> tag >> name >> size >> crc_hex) || tag != "section") {
-      corrupt("bad frame header for section " + std::to_string(i));
-    }
-    Section s;
-    s.name = std::move(name);
-    s.payload.resize(size);
-    if (size > 0) {
-      in.read(s.payload.data(), static_cast<std::streamsize>(size));
-      if (static_cast<std::size_t>(in.gcount()) != size) {
-        corrupt("truncated payload in section '" + s.name + "'");
-      }
-    }
-    if (in.get() != '\n') corrupt("missing frame terminator after '" +
-                                  s.name + "'");
-    const std::uint32_t expected =
-        static_cast<std::uint32_t>(std::stoul(crc_hex, nullptr, 16));
-    if (crc32(s.payload) != expected) {
-      corrupt("CRC mismatch in section '" + s.name + "'");
-    }
-    sections.push_back(std::move(s));
-  }
-  if (read_line(in, "end marker") != "end") corrupt("missing end marker");
-  return sections;
 }
 
 void atomic_write_file(const std::string& path, std::string_view bytes) {
@@ -176,9 +145,7 @@ void atomic_write_file(const std::string& path, std::string_view bytes) {
 
 std::size_t write_checkpoint(const std::string& path,
                              const std::vector<Section>& sections) {
-  std::ostringstream buffer(std::ios::binary);
-  write_container(buffer, sections);
-  const std::string bytes = std::move(buffer).str();
+  const std::string bytes = encode_container(sections);
   atomic_write_file(path, bytes);
   return bytes.size();
 }

@@ -116,7 +116,7 @@ struct ShardLoopOptions {
 /// kShutdown frame or peer EOF (the router died — exit, never linger).
 ///
 /// When `options.checkpoint_path` is non-empty the worker first attempts
-/// recovery: a readable, CRC-valid `le-ckpt-v1` file restores the replica
+/// recovery: a readable, CRC-valid `le-ckpt-v2` file restores the replica
 /// parameters and meter counters (newest-valid-wins is trivial here — one
 /// file, atomically replaced), and the kHello frame reports `recovered =
 /// true` with the restored snapshot, so the router can attribute pre-crash
@@ -133,10 +133,6 @@ struct ShardLoopOptions {
 /// tier sees it.
 void serve_shard_loop(Channel& channel, ShardBackend& backend,
                       const ShardLoopOptions& options);
-
-/// Back-compat convenience: options with only a checkpoint path.
-void serve_shard_loop(Channel& channel, ShardBackend& backend,
-                      const std::string& checkpoint_path);
 
 using BackendFactory =
     std::function<std::unique_ptr<ShardBackend>(std::size_t shard)>;
@@ -306,9 +302,20 @@ class ShardedService {
   /// Marks the shard dead, reaps the child, and respawns within budget
   /// (mutex already held).  Returns true when the shard is live again.
   bool handle_death_locked(std::size_t shard);
-  /// One request/response exchange (mutex already held).
-  [[nodiscard]] Frame exchange_locked(std::size_t shard, MsgType type,
-                                      const std::string& payload);
+  /// The shard's worker; throws std::out_of_range on a bad index.
+  [[nodiscard]] Worker& worker_at(std::size_t shard) const;
+  /// What an exchange failure means to its caller.
+  enum class OnFailure { kTolerate, kRethrow };
+  /// One guarded request/response exchange (mutex already held): sends
+  /// `type`, receives the reply, requires it to be `expect` and hands its
+  /// payload to `on_reply`.  Any failure on the way — transport, wire,
+  /// wrong reply type, or `on_reply` rejecting the payload — is a worker
+  /// death: handle_death_locked runs, then the failure is swallowed
+  /// (returns false) or rethrown, per `on_failure`.
+  bool exchange_locked(
+      std::size_t shard, MsgType type, std::string_view payload,
+      MsgType expect, OnFailure on_failure,
+      const std::function<void(std::string_view)>& on_reply = {});
 
   ShardedServiceConfig config_;
   BackendFactory factory_;

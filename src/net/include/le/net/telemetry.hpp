@@ -41,13 +41,6 @@ struct TelemetryFrame {
   std::vector<obs::SpanRecord> spans;  ///< drained: delivered exactly once
 };
 
-/// Meter-snapshot field layout shared by kHello, kStatsReply, checkpoints
-/// and telemetry frames (3 x u64 counts, 4 x f64 seconds).
-void put_meter_snapshot(WireWriter& w,
-                        const obs::EffectiveSpeedupMeter::Snapshot& s);
-[[nodiscard]] obs::EffectiveSpeedupMeter::Snapshot read_meter_snapshot(
-    WireReader& r);
-
 /// Serializes / parses a TelemetryFrame payload.  decode_telemetry
 /// validates exhaustively (WireError on any overrun or trailing bytes).
 [[nodiscard]] std::string encode_telemetry(const TelemetryFrame& frame);

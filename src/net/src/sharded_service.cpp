@@ -144,6 +144,14 @@ std::vector<NetAnswer> decode_answers(std::string_view payload,
   return answers;
 }
 
+/// kParams / kSyncPush payload: one f64 vector, nothing after it.
+std::vector<double> decode_params(std::string_view payload) {
+  WireReader r(payload);
+  std::vector<double> params = r.f64_vec();
+  r.expect_end();
+  return params;
+}
+
 NetAnswer make_worker_down_answer() {
   NetAnswer a;
   a.source = NetAnswerSource::kShed;
@@ -155,7 +163,7 @@ void write_worker_checkpoint(const std::string& path, ShardBackend& backend) {
   WireWriter params;
   params.put_f64_vec(backend.export_params());
   WireWriter meter;
-  put_meter_snapshot(meter, backend.meter().snapshot());
+  obs::put_meter_snapshot(meter, backend.meter().snapshot());
   ckpt::write_checkpoint(
       path, {{kCkptParamsSection, params.take()},
              {kCkptMeterSection, meter.take()}});
@@ -165,34 +173,21 @@ void write_worker_checkpoint(const std::string& path, ShardBackend& backend) {
 /// untouched where possible) when the file is absent or corrupt — recovery
 /// fails open, unlike frames.
 bool try_recover_worker(const std::string& path, ShardBackend& backend) {
-  std::vector<ckpt::Section> sections;
   try {
-    sections = ckpt::read_checkpoint(path);
-  } catch (const ckpt::CheckpointError&) {
-    return false;
-  }
-  const auto find = [&](const char* name) -> const ckpt::Section* {
-    for (const auto& s : sections) {
-      if (s.name == name) return &s;
-    }
-    return nullptr;
-  };
-  const ckpt::Section* params = find(kCkptParamsSection);
-  const ckpt::Section* meter = find(kCkptMeterSection);
-  if (params == nullptr || meter == nullptr) return false;
-  try {
-    WireReader pr(params->payload);
-    const std::vector<double> flat = pr.f64_vec();
-    pr.expect_end();
-    WireReader mr(meter->payload);
-    const Snapshot snap = read_meter_snapshot(mr);
+    const std::vector<ckpt::Section> sections = ckpt::read_checkpoint(path);
+    const std::vector<double> flat = decode_params(
+        ckpt::find_section(sections, kCkptParamsSection).payload);
+    WireReader mr(ckpt::find_section(sections, kCkptMeterSection).payload);
+    const Snapshot snap = obs::read_meter_snapshot(mr);
     mr.expect_end();
     backend.import_params(flat);
     backend.meter().restore(snap);
+    return true;
+  } catch (const ckpt::CheckpointError&) {
+    return false;
   } catch (const WireError&) {
     return false;
   }
-  return true;
 }
 
 }  // namespace
@@ -218,7 +213,7 @@ void serve_shard_loop(Channel& channel, ShardBackend& backend,
   {
     WireWriter hello;
     hello.put_u8(recovered ? 1 : 0);
-    put_meter_snapshot(hello, backend.meter().snapshot());
+    obs::put_meter_snapshot(hello, backend.meter().snapshot());
     channel.send_frame(MsgType::kHello, hello.bytes());
   }
 
@@ -316,16 +311,13 @@ void serve_shard_loop(Channel& channel, ShardBackend& backend,
           break;
         }
         case MsgType::kSyncPush: {
-          WireReader r(request.payload);
-          const std::vector<double> params = r.f64_vec();
-          r.expect_end();
-          backend.import_params(params);
+          backend.import_params(decode_params(request.payload));
           channel.send_frame(MsgType::kAck, "");
           break;
         }
         case MsgType::kStats: {
           WireWriter w;
-          put_meter_snapshot(w, backend.meter().snapshot());
+          obs::put_meter_snapshot(w, backend.meter().snapshot());
           channel.send_frame(MsgType::kStatsReply, w.bytes());
           break;
         }
@@ -369,13 +361,6 @@ void serve_shard_loop(Channel& channel, ShardBackend& backend,
       }
     }
   }
-}
-
-void serve_shard_loop(Channel& channel, ShardBackend& backend,
-                      const std::string& checkpoint_path) {
-  ShardLoopOptions options;
-  options.checkpoint_path = checkpoint_path;
-  serve_shard_loop(channel, backend, options);
 }
 
 struct ShardedService::Worker {
@@ -551,7 +536,7 @@ void ShardedService::spawn_locked(std::size_t shard) {
     }
     WireReader r(hello.payload);
     const bool recovered = r.u8() != 0;
-    worker.last_meter = read_meter_snapshot(r);
+    worker.last_meter = obs::read_meter_snapshot(r);
     r.expect_end();
     worker.alive = true;
     if (recovered) {
@@ -608,11 +593,35 @@ bool ShardedService::handle_death_locked(std::size_t shard) {
   return worker.alive;
 }
 
-Frame ShardedService::exchange_locked(std::size_t shard, MsgType type,
-                                      const std::string& payload) {
+ShardedService::Worker& ShardedService::worker_at(std::size_t shard) const {
+  if (shard >= workers_.size()) {
+    throw std::out_of_range("ShardedService: bad shard index " +
+                            std::to_string(shard));
+  }
+  return *workers_[shard];
+}
+
+bool ShardedService::exchange_locked(
+    std::size_t shard, MsgType type, std::string_view payload, MsgType expect,
+    OnFailure on_failure,
+    const std::function<void(std::string_view)>& on_reply) {
   Worker& worker = *workers_[shard];
-  worker.channel.send_frame(type, payload);
-  return worker.channel.recv_frame();
+  try {
+    worker.channel.send_frame(type, payload);
+    const Frame reply = worker.channel.recv_frame();
+    if (reply.type != expect) {
+      throw WireError("ShardedService: expected reply type " +
+                      std::to_string(static_cast<unsigned>(expect)) +
+                      ", got " +
+                      std::to_string(static_cast<unsigned>(reply.type)));
+    }
+    if (on_reply) on_reply(reply.payload);
+    return true;
+  } catch (const std::exception&) {
+    handle_death_locked(shard);
+    if (on_failure == OnFailure::kRethrow) throw;
+    return false;
+  }
 }
 
 void ShardedService::start() {
@@ -764,23 +773,16 @@ std::vector<NetAnswer> ShardedService::query_batch(
 
 obs::EffectiveSpeedupMeter::Snapshot ShardedService::shard_meter(
     std::size_t shard) {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::shard_meter: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   if (worker.alive) {
-    try {
-      const Frame reply = exchange_locked(shard, MsgType::kStats, "");
-      if (reply.type != MsgType::kStatsReply) {
-        throw WireError("ShardedService: expected kStatsReply");
-      }
-      WireReader r(reply.payload);
-      worker.last_meter = read_meter_snapshot(r);
-      r.expect_end();
-    } catch (const std::exception&) {
-      handle_death_locked(shard);
-    }
+    (void)exchange_locked(shard, MsgType::kStats, "", MsgType::kStatsReply,
+                          OnFailure::kTolerate, [&](std::string_view payload) {
+                            WireReader r(payload);
+                            const Snapshot snap = obs::read_meter_snapshot(r);
+                            r.expect_end();
+                            worker.last_meter = snap;
+                          });
   }
   return worker.last_meter;
 }
@@ -814,17 +816,11 @@ void ShardedService::sync_replicas(runtime::SyncModel pattern) {
   std::vector<std::vector<double>> replicas;
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     if (!workers_[s]->alive) continue;
-    try {
-      const Frame reply = exchange_locked(s, MsgType::kSyncPull, "");
-      if (reply.type != MsgType::kParams) {
-        throw WireError("ShardedService: expected kParams");
-      }
-      WireReader r(reply.payload);
-      replicas.push_back(r.f64_vec());
-      r.expect_end();
+    if (exchange_locked(s, MsgType::kSyncPull, "", MsgType::kParams,
+                        OnFailure::kTolerate, [&](std::string_view payload) {
+                          replicas.push_back(decode_params(payload));
+                        })) {
       members.push_back(s);
-    } catch (const std::exception&) {
-      handle_death_locked(s);
     }
   }
 
@@ -835,17 +831,10 @@ void ShardedService::sync_replicas(runtime::SyncModel pattern) {
   }
 
   for (std::size_t i = 0; i < members.size(); ++i) {
-    const std::size_t s = members[i];
-    try {
-      WireWriter w;
-      w.put_f64_vec(replicas[i]);
-      const Frame reply = exchange_locked(s, MsgType::kSyncPush, w.bytes());
-      if (reply.type != MsgType::kAck) {
-        throw WireError("ShardedService: expected kAck");
-      }
-    } catch (const std::exception&) {
-      handle_death_locked(s);
-    }
+    WireWriter w;
+    w.put_f64_vec(replicas[i]);
+    (void)exchange_locked(members[i], MsgType::kSyncPush, w.bytes(),
+                          MsgType::kAck, OnFailure::kTolerate);
   }
 }
 
@@ -855,69 +844,40 @@ void ShardedService::checkpoint_all() {
     Worker& worker = *workers_[s];
     const std::lock_guard<std::mutex> lock(worker.mutex);
     if (!worker.alive) continue;
-    try {
-      const Frame reply = exchange_locked(s, MsgType::kCheckpoint, "");
-      if (reply.type != MsgType::kAck) {
-        throw WireError("ShardedService: expected kAck");
-      }
-    } catch (const std::exception&) {
-      handle_death_locked(s);
-    }
+    (void)exchange_locked(s, MsgType::kCheckpoint, "", MsgType::kAck,
+                          OnFailure::kTolerate);
   }
 }
 
 std::vector<double> ShardedService::pull_params(std::size_t shard) {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::pull_params: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   if (!worker.alive) {
     throw TransportError("ShardedService::pull_params: shard is down");
   }
-  try {
-    const Frame reply = exchange_locked(shard, MsgType::kSyncPull, "");
-    if (reply.type != MsgType::kParams) {
-      throw WireError("ShardedService: expected kParams");
-    }
-    WireReader r(reply.payload);
-    std::vector<double> params = r.f64_vec();
-    r.expect_end();
-    return params;
-  } catch (const std::exception&) {
-    handle_death_locked(shard);
-    throw;
-  }
+  std::vector<double> params;
+  (void)exchange_locked(shard, MsgType::kSyncPull, "", MsgType::kParams,
+                        OnFailure::kRethrow, [&](std::string_view payload) {
+                          params = decode_params(payload);
+                        });
+  return params;
 }
 
 void ShardedService::push_params(std::size_t shard,
                                  std::span<const double> params) {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::push_params: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   if (!worker.alive) {
     throw TransportError("ShardedService::push_params: shard is down");
   }
-  try {
-    WireWriter w;
-    w.put_f64_vec(params);
-    const Frame reply = exchange_locked(shard, MsgType::kSyncPush, w.bytes());
-    if (reply.type != MsgType::kAck) {
-      throw WireError("ShardedService: expected kAck");
-    }
-  } catch (const std::exception&) {
-    handle_death_locked(shard);
-    throw;
-  }
+  WireWriter w;
+  w.put_f64_vec(params);
+  (void)exchange_locked(shard, MsgType::kSyncPush, w.bytes(), MsgType::kAck,
+                        OnFailure::kRethrow);
 }
 
 void ShardedService::kill_shard(std::size_t shard) {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::kill_shard: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   if (worker.alive && worker.pid > 0) {
     // SIGKILL only: the router is NOT told — the next exchange discovers
@@ -933,45 +893,32 @@ std::size_t ShardedService::poll_telemetry() {
     Worker& worker = *workers_[s];
     const std::lock_guard<std::mutex> lock(worker.mutex);
     if (!worker.alive) continue;
-    try {
-      const Frame reply = exchange_locked(s, MsgType::kTelemetry, "");
-      if (reply.type != MsgType::kTelemetryReply) {
-        throw WireError("ShardedService: expected kTelemetryReply");
-      }
-      absorb_telemetry_locked(s, reply.payload);
+    if (exchange_locked(s, MsgType::kTelemetry, "", MsgType::kTelemetryReply,
+                        OnFailure::kTolerate, [&](std::string_view payload) {
+                          absorb_telemetry_locked(s, payload);
+                        })) {
       ++replied;
-    } catch (const std::exception&) {
-      handle_death_locked(s);
     }
   }
   return replied;
 }
 
 TelemetryFrame ShardedService::shard_telemetry(std::size_t shard) const {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::shard_telemetry: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   return worker.last_telemetry;
 }
 
 std::vector<obs::SpanRecord> ShardedService::harvested_spans(
     std::size_t shard) const {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::harvested_spans: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   return worker.harvested_spans;
 }
 
 std::vector<obs::FlightEvent> ShardedService::flight_events(
     std::size_t shard) const {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::flight_events: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   return worker.flight_events;
 }
@@ -1005,10 +952,7 @@ std::map<std::uint32_t, std::string> ShardedService::process_names() const {
 }
 
 bool ShardedService::shard_alive(std::size_t shard) const {
-  if (shard >= workers_.size()) {
-    throw std::out_of_range("ShardedService::shard_alive: bad shard index");
-  }
-  Worker& worker = *workers_[shard];
+  Worker& worker = worker_at(shard);
   const std::lock_guard<std::mutex> lock(worker.mutex);
   return worker.alive;
 }

@@ -1,147 +1,25 @@
 #include "le/net/wire.hpp"
 
-#include <bit>
-#include <cstring>
-
-#include "le/ckpt/container.hpp"
-
 namespace le::net {
 
-namespace {
-
-void append_le(std::string& out, std::uint64_t v, std::size_t bytes) {
-  for (std::size_t i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFU));
-  }
-}
-
-std::uint64_t read_le(std::span<const std::uint8_t> bytes) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
 std::string encode_frame(MsgType type, std::string_view payload) {
-  if (payload.size() > kMaxPayloadBytes) {
-    throw WireError("le-net: payload exceeds kMaxPayloadBytes");
-  }
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  append_le(out, kWireMagic, 4);
-  append_le(out, kWireVersion, 2);
-  append_le(out, static_cast<std::uint16_t>(type), 2);
-  append_le(out, static_cast<std::uint32_t>(payload.size()), 4);
-  append_le(out, ckpt::crc32(payload), 4);
-  out.append(payload);
-  return out;
+  return obs::encode_frame(kWireFormat, static_cast<std::uint16_t>(type),
+                           payload);
 }
 
 FrameHeader decode_frame_header(
     std::span<const std::uint8_t, kFrameHeaderBytes> bytes) {
-  const auto magic = static_cast<std::uint32_t>(read_le(bytes.subspan(0, 4)));
-  if (magic != kWireMagic) {
-    throw WireError("le-net: bad frame magic (not an le-net peer)");
-  }
-  const auto version = static_cast<std::uint16_t>(read_le(bytes.subspan(4, 2)));
-  if (version != kWireVersion) {
-    throw VersionSkewError(
-        "le-net: peer speaks wire version " + std::to_string(version) +
-        ", this build speaks " + std::to_string(kWireVersion) +
-        " (failing closed; redeploy the laggard)");
-  }
-  FrameHeader header;
-  header.type =
-      static_cast<MsgType>(static_cast<std::uint16_t>(read_le(bytes.subspan(6, 2))));
-  header.payload_len = static_cast<std::uint32_t>(read_le(bytes.subspan(8, 4)));
-  header.payload_crc = static_cast<std::uint32_t>(read_le(bytes.subspan(12, 4)));
-  if (header.payload_len > kMaxPayloadBytes) {
-    throw WireError("le-net: frame payload length exceeds kMaxPayloadBytes");
-  }
-  return header;
+  const obs::FrameHeader header = obs::decode_frame_header(bytes, kWireFormat);
+  return {static_cast<MsgType>(header.type), header.payload_len,
+          header.payload_crc};
 }
 
 void check_payload(const FrameHeader& header, std::string_view payload) {
-  if (payload.size() != header.payload_len) {
-    throw WireError("le-net: payload length mismatch");
-  }
-  if (ckpt::crc32(payload) != header.payload_crc) {
-    throw WireError("le-net: payload CRC mismatch");
-  }
-}
-
-void WireWriter::put_u8(std::uint8_t v) { append_le(out_, v, 1); }
-void WireWriter::put_u16(std::uint16_t v) { append_le(out_, v, 2); }
-void WireWriter::put_u32(std::uint32_t v) { append_le(out_, v, 4); }
-void WireWriter::put_u64(std::uint64_t v) { append_le(out_, v, 8); }
-void WireWriter::put_f64(double v) {
-  append_le(out_, std::bit_cast<std::uint64_t>(v), 8);
-}
-void WireWriter::put_bytes(std::string_view bytes) { out_.append(bytes); }
-void WireWriter::put_f64_vec(std::span<const double> values) {
-  put_u32(static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) put_f64(v);
-}
-
-namespace {
-
-std::uint64_t reader_take(std::string_view bytes, std::size_t& pos,
-                          std::size_t n) {
-  if (bytes.size() - pos < n) {
-    throw WireError("le-net: payload truncated (decode past end)");
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<std::uint8_t>(bytes[pos + i]))
-         << (8 * i);
-  }
-  pos += n;
-  return v;
-}
-
-}  // namespace
-
-std::uint8_t WireReader::u8() {
-  return static_cast<std::uint8_t>(reader_take(bytes_, pos_, 1));
-}
-std::uint16_t WireReader::u16() {
-  return static_cast<std::uint16_t>(reader_take(bytes_, pos_, 2));
-}
-std::uint32_t WireReader::u32() {
-  return static_cast<std::uint32_t>(reader_take(bytes_, pos_, 4));
-}
-std::uint64_t WireReader::u64() { return reader_take(bytes_, pos_, 8); }
-double WireReader::f64() {
-  return std::bit_cast<double>(reader_take(bytes_, pos_, 8));
-}
-
-std::string_view WireReader::bytes(std::size_t n) {
-  if (remaining() < n) {
-    throw WireError("le-net: payload truncated (byte run past end)");
-  }
-  const std::string_view view = bytes_.substr(pos_, n);
-  pos_ += n;
-  return view;
-}
-
-std::vector<double> WireReader::f64_vec() {
-  const std::uint32_t n = u32();
-  if (remaining() < std::size_t{n} * 8) {
-    throw WireError("le-net: f64 vector longer than remaining payload");
-  }
-  std::vector<double> values(n);
-  for (auto& v : values) v = f64();
-  return values;
-}
-
-void WireReader::expect_end() const {
-  if (pos_ != bytes_.size()) {
-    throw WireError("le-net: trailing bytes after payload decode");
-  }
+  obs::check_frame_payload(
+      kWireFormat,
+      {static_cast<std::uint16_t>(header.type), header.payload_len,
+       header.payload_crc},
+      payload);
 }
 
 }  // namespace le::net

@@ -20,9 +20,9 @@
 ///    serializes the ring into a buffer preallocated by configure() and
 ///    uses raw ::open/::write/::close.  Slots caught mid-write by the
 ///    seqlock check are skipped, not torn.
-///  - The on-disk format (`le-frec-v1`) is byte-wise little-endian with a
-///    trailing crc32 (le/obs/crc32.hpp), so a dump truncated by the dying
-///    process is detected, not misparsed.
+///  - The on-disk format (`le-frec-v2`) is one frame of the shared codec
+///    (le/obs/codec.hpp): a CRC32 over the payload and an exact length, so
+///    a dump truncated by the dying process is detected, not misparsed.
 #pragma once
 
 #include <atomic>
@@ -46,7 +46,7 @@ struct FlightEvent {
   char name[kNameBytes] = {};  ///< NUL-terminated label (truncated to fit)
 };
 
-/// A parsed `le-frec-v1` dump file.
+/// A parsed `le-frec-v2` dump file.
 struct FlightDump {
   std::uint32_t pid = 0;
   std::vector<FlightEvent> events;  ///< oldest first
@@ -134,7 +134,7 @@ void install_flight_signal_handlers();
 void set_flight_span_hook_enabled(bool on) noexcept;
 [[nodiscard]] bool flight_span_hook_enabled() noexcept;
 
-/// Parses a `le-frec-v1` dump file; throws FlightDumpError on bad magic,
+/// Parses a `le-frec-v2` dump file; throws FlightDumpError on bad magic,
 /// version skew, truncation or CRC mismatch.
 [[nodiscard]] FlightDump read_flight_dump(const std::string& path);
 

@@ -27,6 +27,9 @@
 
 namespace le::obs {
 
+class ByteReader;
+class ByteWriter;
+
 class EffectiveSpeedupMeter {
  public:
   /// One surrogate inference answered in `seconds` (an N_lookup unit).
@@ -98,5 +101,13 @@ class EffectiveSpeedupMeter {
   std::atomic<double> learn_seconds_{0.0};
   std::atomic<double> seq_seconds_{0.0};
 };
+
+/// The one binary layout of a meter snapshot (3 x u64 counts, 4 x f64
+/// seconds), shared by the `le-net` kHello/kStatsReply/telemetry payloads
+/// and the `meter` sections of checkpoints.
+void put_meter_snapshot(ByteWriter& w,
+                        const EffectiveSpeedupMeter::Snapshot& s);
+[[nodiscard]] EffectiveSpeedupMeter::Snapshot read_meter_snapshot(
+    ByteReader& r);
 
 }  // namespace le::obs

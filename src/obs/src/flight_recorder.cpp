@@ -6,79 +6,33 @@
 
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 
-#include "le/obs/crc32.hpp"
+#include "le/obs/codec.hpp"
 #include "le/obs/timer.hpp"
 
 namespace le::obs {
 
 namespace {
 
-// `le-frec-v1` layout (byte-wise little-endian):
-//   u32 magic "LEFR" | u16 version | u16 reserved | u32 pid | u32 count
-//   count * 64-byte entries:
+// `le-frec-v2`: one codec frame (magic "LEFR", version 2, type 1) whose
+// payload is
+//   u32 pid | u32 count | count * 64-byte entries:
 //     f64 t_seconds | u64 a | u64 b | u32 pid | u32 thread | char name[32]
-//   u32 crc32 over every preceding byte
-constexpr std::uint32_t kFlightMagic = 0x5246454Cu;  // "LEFR"
-constexpr std::uint16_t kFlightVersion = 1;
-constexpr std::size_t kFlightHeaderBytes = 16;
+constexpr FrameFormat kFlightFormat{"le-frec", 0x5246454Cu, 2, 0xFFFFFFFFu};
+constexpr std::uint16_t kFlightDumpType = 1;
+constexpr std::size_t kFlightPrefixBytes = 8;
 constexpr std::size_t kFlightEntryBytes = 64;
 
-void put_u16(unsigned char* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<unsigned char>(v & 0xFF);
-  p[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
-}
-
-void put_u32(unsigned char* p, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-void put_u64(unsigned char* p, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-std::uint16_t get_u16(const unsigned char* p) noexcept {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t get_u32(const unsigned char* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 void serialize_event(unsigned char* p, const FlightEvent& e) noexcept {
-  put_u64(p + 0, std::bit_cast<std::uint64_t>(e.t_seconds));
-  put_u64(p + 8, e.a);
-  put_u64(p + 16, e.b);
-  put_u32(p + 24, e.pid);
-  put_u32(p + 28, e.thread);
+  store_le(p + 0, std::bit_cast<std::uint64_t>(e.t_seconds), 8);
+  store_le(p + 8, e.a, 8);
+  store_le(p + 16, e.b, 8);
+  store_le(p + 24, e.pid, 4);
+  store_le(p + 28, e.thread, 4);
   std::memcpy(p + 32, e.name, FlightEvent::kNameBytes);
-}
-
-FlightEvent deserialize_event(const unsigned char* p) noexcept {
-  FlightEvent e;
-  e.t_seconds = std::bit_cast<double>(get_u64(p + 0));
-  e.a = get_u64(p + 8);
-  e.b = get_u64(p + 16);
-  e.pid = get_u32(p + 24);
-  e.thread = get_u32(p + 28);
-  std::memcpy(e.name, p + 32, FlightEvent::kNameBytes);
-  e.name[FlightEvent::kNameBytes - 1] = '\0';
-  return e;
 }
 
 /// Full ::write loop tolerant of EINTR/short writes (async-signal-safe).
@@ -106,10 +60,10 @@ void FlightRecorder::configure(const std::string& path,
   enabled_.store(false, std::memory_order_release);
   if (capacity == 0) capacity = 1;
   slots_ = std::vector<Slot>(capacity);
-  dump_buffer_.assign(
-      kFlightHeaderBytes + static_cast<std::size_t>(capacity) *
-                               kFlightEntryBytes + 4,
-      0);
+  dump_buffer_.assign(kFrameHeaderBytes + kFlightPrefixBytes +
+                          static_cast<std::size_t>(capacity) *
+                              kFlightEntryBytes,
+                      0);
   std::memset(path_, 0, sizeof(path_));
   std::strncpy(path_, path.c_str(), sizeof(path_) - 1);
   std::memset(tmp_path_, 0, sizeof(tmp_path_));
@@ -149,11 +103,12 @@ void FlightRecorder::record(const char* name, std::uint64_t a,
 bool FlightRecorder::dump() noexcept {
   if (!enabled()) return false;
   unsigned char* buf = dump_buffer_.data();
+  unsigned char* payload = buf + kFrameHeaderBytes;
   const std::uint64_t end = cursor_.load(std::memory_order_acquire);
   const std::uint64_t cap = slots_.size();
   const std::uint64_t begin = end > cap ? end - cap : 0;
 
-  std::size_t pos = kFlightHeaderBytes;
+  std::size_t len = kFlightPrefixBytes;
   std::uint32_t count = 0;
   for (std::uint64_t i = begin; i < end; ++i) {
     Slot& slot = slots_[i % cap];
@@ -162,25 +117,21 @@ bool FlightRecorder::dump() noexcept {
     FlightEvent copy = slot.event;
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != seq1) continue;
-    serialize_event(buf + pos, copy);
-    pos += kFlightEntryBytes;
+    serialize_event(payload + len, copy);
+    len += kFlightEntryBytes;
     ++count;
   }
-  put_u32(buf + 0, kFlightMagic);
-  put_u16(buf + 4, kFlightVersion);
-  put_u16(buf + 6, 0);
-  put_u32(buf + 8, static_cast<std::uint32_t>(::getpid()));
-  put_u32(buf + 12, count);
-  put_u32(buf + pos, crc32({reinterpret_cast<const char*>(buf), pos}));
-  pos += 4;
-
+  store_le(payload + 0, static_cast<std::uint32_t>(::getpid()), 4);
+  store_le(payload + 4, count, 4);
+  store_frame_header(buf, kFlightFormat, kFlightDumpType,
+                     {reinterpret_cast<const char*>(payload), len});
   // Stage-then-rename: a dump interrupted mid-write (the process can be
   // SIGKILLed at any instant) must never clobber the previous complete
   // dump — the black box's newest intact recording is the whole point.
   // Both ::open/::write and ::rename are async-signal-safe.
   const int fd = ::open(tmp_path_, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  const bool ok = write_all(fd, buf, pos);
+  const bool ok = write_all(fd, buf, kFrameHeaderBytes + len);
   ::close(fd);
   if (!ok) return false;
   return ::rename(tmp_path_, path_) == 0;
@@ -246,38 +197,28 @@ bool flight_span_hook_enabled() noexcept {
 FlightDump read_flight_dump(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) throw FlightDumpError("flight dump unreadable: " + path);
-  std::vector<unsigned char> bytes{std::istreambuf_iterator<char>(file),
-                                   std::istreambuf_iterator<char>()};
-  if (bytes.size() < kFlightHeaderBytes + 4) {
-    throw FlightDumpError("flight dump truncated (header): " + path);
+  const std::string bytes{std::istreambuf_iterator<char>(file),
+                          std::istreambuf_iterator<char>()};
+  try {
+    ByteReader r(decode_frame(bytes, kFlightFormat, kFlightDumpType));
+    FlightDump dump;
+    dump.pid = r.u32();
+    dump.events.resize(r.count(kFlightEntryBytes));
+    for (FlightEvent& e : dump.events) {
+      e.t_seconds = r.f64();
+      e.a = r.u64();
+      e.b = r.u64();
+      e.pid = r.u32();
+      e.thread = r.u32();
+      std::memcpy(e.name, r.bytes(FlightEvent::kNameBytes).data(),
+                  FlightEvent::kNameBytes);
+      e.name[FlightEvent::kNameBytes - 1] = '\0';
+    }
+    r.expect_end();
+    return dump;
+  } catch (const CodecError& e) {
+    throw FlightDumpError(std::string(e.what()) + ": " + path);
   }
-  const unsigned char* p = bytes.data();
-  if (get_u32(p) != kFlightMagic) {
-    throw FlightDumpError("flight dump bad magic: " + path);
-  }
-  const std::uint16_t version = get_u16(p + 4);
-  if (version != kFlightVersion) {
-    throw FlightDumpError("flight dump version skew (got " +
-                          std::to_string(version) + ", want " +
-                          std::to_string(kFlightVersion) + "): " + path);
-  }
-  FlightDump dump;
-  dump.pid = get_u32(p + 8);
-  const std::uint32_t count = get_u32(p + 12);
-  const std::size_t body = kFlightHeaderBytes +
-                           static_cast<std::size_t>(count) * kFlightEntryBytes;
-  if (bytes.size() != body + 4) {
-    throw FlightDumpError("flight dump truncated (body): " + path);
-  }
-  if (get_u32(p + body) != crc32({reinterpret_cast<const char*>(p), body})) {
-    throw FlightDumpError("flight dump CRC mismatch: " + path);
-  }
-  dump.events.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    dump.events.push_back(
-        deserialize_event(p + kFlightHeaderBytes + i * kFlightEntryBytes));
-  }
-  return dump;
 }
 
 }  // namespace le::obs

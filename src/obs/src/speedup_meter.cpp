@@ -4,6 +4,8 @@
 #include <locale>
 #include <sstream>
 
+#include "le/obs/codec.hpp"
+
 namespace le::obs {
 
 void EffectiveSpeedupMeter::record_lookups(std::size_t n,
@@ -124,6 +126,29 @@ void EffectiveSpeedupMeter::restore(const Snapshot& snap) noexcept {
 EffectiveSpeedupMeter& EffectiveSpeedupMeter::global() {
   static EffectiveSpeedupMeter meter;
   return meter;
+}
+
+void put_meter_snapshot(ByteWriter& w,
+                        const EffectiveSpeedupMeter::Snapshot& s) {
+  w.put_u64(s.n_lookup);
+  w.put_u64(s.n_train);
+  w.put_u64(s.seq_samples);
+  w.put_f64(s.lookup_seconds);
+  w.put_f64(s.train_seconds);
+  w.put_f64(s.learn_seconds);
+  w.put_f64(s.seq_seconds);
+}
+
+EffectiveSpeedupMeter::Snapshot read_meter_snapshot(ByteReader& r) {
+  EffectiveSpeedupMeter::Snapshot s;
+  s.n_lookup = static_cast<std::size_t>(r.u64());
+  s.n_train = static_cast<std::size_t>(r.u64());
+  s.seq_samples = static_cast<std::size_t>(r.u64());
+  s.lookup_seconds = r.f64();
+  s.train_seconds = r.f64();
+  s.learn_seconds = r.f64();
+  s.seq_seconds = r.f64();
+  return s;
 }
 
 }  // namespace le::obs

@@ -4,11 +4,15 @@
 // re-execs this binary as the victim process.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,16 +30,28 @@
 #include "le/runtime/fault.hpp"
 #include "le/stats/rng.hpp"
 
+#include "byte_mutator.hpp"
+
 namespace le {
 namespace {
 
 namespace fs = std::filesystem;
 
+/// Suffix that keeps concurrently running test binaries (the plain and
+/// the ASan/UBSan build of this file) out of each other's directories.
+std::string process_suffix() {
+#if defined(__unix__) || defined(__APPLE__)
+  return "." + std::to_string(::getpid());
+#else
+  return "";
+#endif
+}
+
 /// Fresh per-test scratch directory under the system temp dir.
 class ScratchDir {
  public:
   explicit ScratchDir(const std::string& name)
-      : path_(fs::temp_directory_path() / name) {
+      : path_(fs::temp_directory_path() / (name + process_suffix())) {
     fs::remove_all(path_);
     fs::create_directories(path_);
   }
@@ -212,6 +228,139 @@ TEST(CkptState, DecodeRejectsMissingSection) {
                ckpt::CheckpointError);
 }
 
+TEST(CkptState, NonFiniteValuesRoundTripBitExactly) {
+  // NaN with payload bits, both infinities, negative zero and the smallest
+  // denormal: every double must come back with its exact bit pattern.
+  const std::vector<double> specials{
+      std::bit_cast<double>(std::uint64_t{0x7FF8DEADBEEF1234ULL}),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), -0.0,
+      std::numeric_limits<double>::denorm_min()};
+  ckpt::CampaignState state = make_state();
+  state.dataset = data::Dataset(specials.size(), specials.size());
+  state.dataset.add(specials, specials);
+  state.input_scale_lo = specials;
+  state.input_scale_hi = specials;
+  state.output_scale_lo = specials;
+  state.output_scale_hi = specials;
+  state.scalars = specials;
+  state.series = specials;
+  state.meter.lookup_seconds = specials[0];
+  state.meter.train_seconds = specials[1];
+  state.meter.learn_seconds = specials[3];
+  state.meter.seq_seconds = specials[4];
+
+  ScratchDir dir("le_ckpt_nonfinite");
+  const std::string path = (dir.path() / "x.ckpt").string();
+  (void)ckpt::write_checkpoint(path, state.encode());
+  const auto back = ckpt::CampaignState::decode(ckpt::read_checkpoint(path));
+
+  const auto bits = [](std::span<const double> values) {
+    std::vector<std::uint64_t> out;
+    for (const double v : values) {
+      out.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    return out;
+  };
+  const auto expected = bits(specials);
+  ASSERT_EQ(back.dataset.size(), 1u);
+  EXPECT_EQ(bits(back.dataset.input(0)), expected);
+  EXPECT_EQ(bits(back.dataset.target(0)), expected);
+  EXPECT_EQ(bits(back.input_scale_lo), expected);
+  EXPECT_EQ(bits(back.input_scale_hi), expected);
+  EXPECT_EQ(bits(back.output_scale_lo), expected);
+  EXPECT_EQ(bits(back.output_scale_hi), expected);
+  EXPECT_EQ(bits(back.scalars), expected);
+  EXPECT_EQ(bits(back.series), expected);
+  const double meter_seconds[] = {back.meter.lookup_seconds,
+                                  back.meter.train_seconds,
+                                  back.meter.learn_seconds,
+                                  back.meter.seq_seconds};
+  const double want_seconds[] = {specials[0], specials[1], specials[3],
+                                 specials[4]};
+  EXPECT_EQ(bits(meter_seconds), bits(want_seconds));
+}
+
+bool same_sections(const std::vector<ckpt::Section>& a,
+                   const std::vector<ckpt::Section>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].name != b[i].name || a[i].payload != b[i].payload) return false;
+  }
+  return true;
+}
+
+TEST(Container, MutationFuzzReturnsOriginalOrThrowsCheckpointError) {
+  // A real CampaignState checkpoint, mutated 10k ways: the reader either
+  // returns exactly the original sections or throws CheckpointError —
+  // never another exception type, never different sections.
+  const std::vector<ckpt::Section> sections = make_state().encode();
+  std::stringstream buf;
+  ckpt::write_container(buf, sections);
+  const std::string good = buf.str();
+
+  testing_support::ByteMutator mutator(0x5EED5EED5EEDULL);
+  constexpr int kCases = 10000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::stringstream in(mutator.mutate(good, c));
+    try {
+      const auto got = ckpt::read_container(in);
+      EXPECT_TRUE(same_sections(got, sections)) << "case " << c;
+      EXPECT_TRUE(same_sections(ckpt::CampaignState::decode(got).encode(),
+                                sections))
+          << "case " << c;
+      ++decoded;
+    } catch (const ckpt::CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw a non-CheckpointError: "
+                    << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kCases);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(CkptState, MutatedSectionsDecodeOrThrowCheckpointError) {
+  // The container's CRC keeps corrupt sections away from decode; this
+  // drives decode directly with mutated section payloads, so its own
+  // bounds checks are what stands between corruption and a crash.
+  const std::vector<ckpt::Section> sections = make_state().encode();
+  testing_support::ByteMutator mutator(0xC0FFEEULL);
+  constexpr int kCases = 10000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::vector<ckpt::Section> mutated = sections;
+    std::string& payload = mutated[mutator.below(mutated.size())].payload;
+    if (payload.size() >= 8) payload = mutator.mutate(payload, c);
+    try {
+      (void)ckpt::CampaignState::decode(mutated);
+      ++decoded;
+    } catch (const ckpt::CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw a non-CheckpointError: "
+                    << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kCases);
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Container, PreV2TextCheckpointFailsClosed) {
+  // A well-formed text-era file, CRC included: there is no v1 reader, so
+  // it fails closed like any corrupt snapshot.
+  char crc_hex[9];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", ckpt::crc32("hi"));
+  std::stringstream buf("le-ckpt-v1\nsections 1\nsection a 2 " +
+                        std::string(crc_hex) + "\nhi\nend\n");
+  EXPECT_THROW((void)ckpt::read_container(buf), ckpt::CheckpointError);
+}
+
 // ---------------------------------------------------------------------------
 // CampaignCheckpointer: cadence, rotation, corrupt-newest fallback
 
@@ -306,6 +455,32 @@ TEST(Checkpointer, CorruptNewestFallsBackToPreviousGoodSnapshot) {
   EXPECT_EQ(loaded->progress, 10u);
   EXPECT_EQ(checkpointer.stats().corrupt_skipped, 2u);
   EXPECT_EQ(checkpointer.stats().restores, 1u);
+}
+
+TEST(Checkpointer, HugeLengthFieldsFallBackToPreviousSnapshot) {
+  ScratchDir dir("le_ckpt_hugelen");
+  ckpt::CheckpointerConfig cfg;
+  cfg.directory = dir.str();
+  ckpt::CampaignCheckpointer checkpointer(cfg);
+  ckpt::CampaignState state = make_state();
+  state.progress = 10;
+  (void)checkpointer.save(state);
+  state.progress = 20;
+  const std::string second = checkpointer.save(state);
+  state.progress = 30;
+  const std::string newest = checkpointer.save(state);
+  // Newest: a text-era header whose section length claims 2^40 bytes.
+  std::ofstream(newest, std::ios::binary | std::ios::trunc)
+      << "le-ckpt-v1\nsections 1\nsection meta 1099511627776 00000000\n"
+         "x\nend\n";
+  // Second-newest: the frame's own length field set to 0xFFFFFFFF.
+  std::string bytes = read_file(second);
+  bytes.replace(8, 4, "\xFF\xFF\xFF\xFF");
+  std::ofstream(second, std::ios::binary | std::ios::trunc) << bytes;
+  const auto loaded = checkpointer.load_latest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->progress, 10u);
+  EXPECT_EQ(checkpointer.stats().corrupt_skipped, 2u);
 }
 
 TEST(Checkpointer, OrphanTempFileIsInvisibleToRecovery) {

@@ -579,18 +579,30 @@ TEST(ShardLoop, CheckpointThenRecoverRestoresParamsAndMeter) {
 }
 
 TEST(ShardLoop, CorruptCheckpointStartsFreshNotCrashed) {
-  const std::string dir = make_temp_dir();
-  const std::string path = dir + "/shard0.ckpt";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "le-ckpt-v1\nsections 1\nsection x 4 deadbeef\nXXXX\nend\n";
+  // A CRC-corrupt text-era file, plus text-era headers whose CRC, length
+  // and count fields once escaped the reader as non-CheckpointErrors.
+  for (const char* contents :
+       {"le-ckpt-v1\nsections 1\nsection x 4 deadbeef\nXXXX\nend\n",
+        "le-ckpt-v1\nsections 1\nsection x 4 zzzzzzzz\nXXXX\nend\n",
+        "le-ckpt-v1\nsections 1\nsection x 4 fffffffffffffffff\nXXXX\nend\n",
+        "le-ckpt-v1\nsections 1\nsection x 99999999999999 deadbeef\nXXXX\n"
+        "end\n",
+        "le-ckpt-v1\nsections 99999999999999999\nsection x 4 deadbeef\n"
+        "XXXX\nend\n"}) {
+    SCOPED_TRACE(contents);
+    const std::string dir = make_temp_dir();
+    const std::string path = dir + "/shard0.ckpt";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << contents;
+    }
+    InProcessWorker worker(2.0, path);
+    const net::Frame hello = worker.router().recv_frame();
+    ASSERT_EQ(hello.type, net::MsgType::kHello);
+    EXPECT_EQ(static_cast<unsigned char>(hello.payload[0]), 0);  // fresh
+    (void)worker.exchange(net::MsgType::kShutdown, "");
+    std::filesystem::remove_all(dir);
   }
-  InProcessWorker worker(2.0, path);
-  const net::Frame hello = worker.router().recv_frame();
-  ASSERT_EQ(hello.type, net::MsgType::kHello);
-  EXPECT_EQ(static_cast<unsigned char>(hello.payload[0]), 0);  // fresh
-  (void)worker.exchange(net::MsgType::kShutdown, "");
-  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------ sharded service --

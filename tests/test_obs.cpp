@@ -8,16 +8,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "le/obs/codec.hpp"
+#include "le/obs/crc32.hpp"
 #include "le/obs/drift.hpp"
 #include "le/obs/flight_recorder.hpp"
 #include "le/obs/health.hpp"
@@ -27,6 +32,8 @@
 #include "le/obs/timer.hpp"
 #include "le/obs/trace_export.hpp"
 #include "le/tensor/matrix.hpp"
+
+#include "byte_mutator.hpp"
 
 namespace {
 
@@ -1356,6 +1363,198 @@ TEST(FlightRecorder, CorruptDumpsAreTypedErrors) {
 
   write_bytes(good);  // the pristine bytes still parse
   EXPECT_EQ(obs::read_flight_dump(path).events.size(), 1U);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Codec — the one frame and payload codec under le-net, le-ckpt and le-frec
+
+TEST(Codec, FrameDecodeChecksMagicThenVersionThenLengthThenCrc) {
+  constexpr obs::FrameFormat kFormat{"test", 0x54534554U, 5, 64};
+  const std::string good = obs::encode_frame(kFormat, 9, "payload");
+  ASSERT_EQ(good.size(), obs::kFrameHeaderBytes + 7);
+  EXPECT_EQ(obs::decode_frame(good, kFormat, 9), "payload");
+  EXPECT_THROW((void)obs::decode_frame(good, kFormat, 8), obs::CodecError);
+
+  // Every header field broken at once: magic is reported first.
+  std::string bad = good;
+  bad[0] ^= 1;
+  bad[4] = 6;
+  bad[good.size() - 1] ^= 1;
+  EXPECT_THROW((void)obs::decode_frame(bad, kFormat, 9), obs::CodecError);
+  try {
+    (void)obs::decode_frame(bad, kFormat, 9);
+  } catch (const obs::VersionSkewError&) {
+    ADD_FAILURE() << "version checked before magic";
+  } catch (const obs::CodecError&) {
+  }
+  bad[0] ^= 1;  // magic fixed: now the skew is what fails
+  EXPECT_THROW((void)obs::decode_frame(bad, kFormat, 9), obs::VersionSkewError);
+  bad[4] = 5;  // version fixed: the CRC catches the flipped payload byte
+  EXPECT_THROW((void)obs::decode_frame(bad, kFormat, 9), obs::CodecError);
+
+  // Length beyond the format maximum, shorter or longer than present.
+  EXPECT_THROW((void)obs::encode_frame(kFormat, 1, std::string(65, 'x')),
+               obs::CodecError);
+  EXPECT_THROW((void)obs::decode_frame(good.substr(0, good.size() - 1),
+                                       kFormat, 9),
+               obs::CodecError);
+  EXPECT_THROW((void)obs::decode_frame(good + "x", kFormat, 9),
+               obs::CodecError);
+  EXPECT_THROW((void)obs::decode_frame(good.substr(0, 15), kFormat, 9),
+               obs::CodecError);
+}
+
+TEST(Codec, CountsAreCheckedBeforeAnythingIsAllocated) {
+  obs::ByteWriter w;
+  w.put_u32(0xFFFFFFFFU);  // claims 4 G elements, none follow
+  obs::ByteReader r(w.bytes());
+  EXPECT_THROW((void)r.f64_vec(), obs::CodecError);
+  obs::ByteReader strings(w.bytes());
+  EXPECT_THROW((void)strings.string(), obs::CodecError);
+
+  obs::ByteWriter ok;
+  ok.put_string("name");
+  ok.put_f64_vec(std::vector<double>{-0.0, 2.5});
+  obs::ByteReader back(ok.bytes());
+  EXPECT_EQ(back.string(), "name");
+  const std::vector<double> v = back.f64_vec();
+  EXPECT_TRUE(std::signbit(v.at(0)));
+  EXPECT_EQ(v.at(1), 2.5);
+  back.expect_end();
+}
+
+/// `le-frec-v2` bytes built by hand, independently of the codec: the
+/// 16-byte frame header ("LEFR", version 2, type 1, payload length,
+/// payload CRC) then u32 pid | u32 count | 64-byte events.
+std::string frec_payload(std::uint32_t pid,
+                         const std::vector<obs::FlightEvent>& events) {
+  std::string out;
+  const auto le = [&out](std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  le(pid, 4);
+  le(events.size(), 4);
+  for (const obs::FlightEvent& e : events) {
+    le(std::bit_cast<std::uint64_t>(e.t_seconds), 8);
+    le(e.a, 8);
+    le(e.b, 8);
+    le(e.pid, 4);
+    le(e.thread, 4);
+    out.append(e.name, obs::FlightEvent::kNameBytes);
+  }
+  return out;
+}
+
+std::string frec_header(std::uint32_t payload_len, std::uint32_t crc) {
+  std::string out = "LEFR";
+  out += std::string("\x02\x00\x01\x00", 4);
+  for (const std::uint32_t v : {payload_len, crc}) {
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  return out;
+}
+
+std::string read_whole_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+obs::FlightEvent flight_event(double t, std::uint64_t a, std::uint64_t b,
+                              std::uint32_t pid, std::uint32_t thread,
+                              const char* name) {
+  obs::FlightEvent e;
+  e.t_seconds = t;
+  e.a = a;
+  e.b = b;
+  e.pid = pid;
+  e.thread = thread;
+  std::strncpy(e.name, name, obs::FlightEvent::kNameBytes - 1);
+  return e;
+}
+
+TEST(FlightRecorder, DumpLayoutKnownAnswer) {
+  // Pinned bytes for one fixed event set: header fields and CRC.
+  const std::vector<obs::FlightEvent> events{
+      flight_event(1.5, 0x1122334455667788ULL, 7, 4242, 1, "worker_start"),
+      flight_event(2.25, 42, 3, 4242, 2, "query")};
+  const std::string payload = frec_payload(4242, events);
+  ASSERT_EQ(payload.size(), 8U + 2 * 64);
+  EXPECT_EQ(obs::crc32(payload), 0x1950B301U);
+  const unsigned char header[16] = {'L',  'E',  'F',  'R',  0x02, 0x00,
+                                    0x01, 0x00, 0x88, 0x00, 0x00, 0x00,
+                                    0x01, 0xB3, 0x50, 0x19};
+  EXPECT_EQ(frec_header(136, 0x1950B301U),
+            std::string(reinterpret_cast<const char*>(header), 16));
+
+  // Per-process name: the plain and sanitized binaries run in parallel.
+  const std::string path = testing::TempDir() + "le_obs_flight_kat." +
+                           std::to_string(::getpid()) + ".bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << frec_header(136, 0x1950B301U) << payload;
+  }
+  const obs::FlightDump dump = obs::read_flight_dump(path);
+  EXPECT_EQ(dump.pid, 4242U);
+  ASSERT_EQ(dump.events.size(), 2U);
+  EXPECT_EQ(dump.events[0].t_seconds, 1.5);
+  EXPECT_EQ(dump.events[0].a, 0x1122334455667788ULL);
+  EXPECT_EQ(dump.events[0].thread, 1U);
+  EXPECT_STREQ(dump.events[0].name, "worker_start");
+  EXPECT_EQ(dump.events[1].b, 3U);
+  EXPECT_STREQ(dump.events[1].name, "query");
+
+  // The writer emits exactly this layout for what its ring holds.
+  obs::FlightRecorder recorder;
+  recorder.configure(path, 8);
+  recorder.record("worker_start", 1, 0);
+  recorder.record("query", 42, 3);
+  ASSERT_TRUE(recorder.dump());
+  const std::string live =
+      frec_payload(static_cast<std::uint32_t>(::getpid()), recorder.events());
+  EXPECT_EQ(read_whole_file(path),
+            frec_header(static_cast<std::uint32_t>(live.size()),
+                        obs::crc32(live)) +
+                live);
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorder, MutationFuzzDecodesOrThrowsFlightDumpError) {
+  const std::string path = testing::TempDir() + "le_obs_flight_fuzz." +
+                           std::to_string(::getpid()) + ".bin";
+  obs::FlightRecorder recorder;
+  recorder.configure(path, 16);
+  for (std::uint64_t i = 0; i < 6; ++i) recorder.record("event", i, i * i);
+  ASSERT_TRUE(recorder.dump());
+  const std::string good = read_whole_file(path);
+  const obs::FlightDump original = obs::read_flight_dump(path);
+
+  testing_support::ByteMutator mutator(0x5EED5EED5EEDULL);
+  constexpr int kCases = 10000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    {
+      const std::string bytes = mutator.mutate(good, c);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    try {
+      const obs::FlightDump got = obs::read_flight_dump(path);
+      // The CRC admits only the original events.
+      EXPECT_EQ(got.pid, original.pid) << "case " << c;
+      EXPECT_EQ(got.events.size(), original.events.size()) << "case " << c;
+      ++decoded;
+    } catch (const obs::FlightDumpError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw a non-FlightDumpError: "
+                    << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kCases);
+  EXPECT_GT(rejected, 0);
   std::remove(path.c_str());
 }
 
