@@ -21,7 +21,8 @@
 //       the drifted stream must reach >= 80% of the pre-drift S_eff;
 //   (5) steady-state dispatch overhead of monitoring + 1% shadow sampling
 //       (shadow simulations excluded — they are billed training-path
-//       work, not dispatch cost) must stay <= 5%.
+//       work, not dispatch cost), the median over rounds of block-interleaved
+//       plain/monitored serving, must stay <= 5%.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -256,36 +257,61 @@ int main() {
   // Same surrogate, same in-distribution stream, monitoring off vs on
   // (drift detector + 1% shadow sampling).  Shadow simulations are
   // subtracted: they are honest training-path work billed to the meter,
-  // not dispatch overhead.  Best of three to suppress scheduler noise.
+  // not dispatch overhead.  A query costs ~15-35 us and monitoring a few
+  // tenths of a microsecond, while host noise moves whole runs by several
+  // percent.  So the two dispatchers serve the stream interleaved, block
+  // by block (the order alternating between blocks), and a burst of noise
+  // lands on both; each round yields one overhead ratio, the gate reads
+  // the median round, and the rounds' quartiles are its measured spread.
   constexpr int kOverheadQueries = 4000;
-  const auto serve_stream = [&](core::SurrogateDispatcher& d) {
-    stats::Rng stream_rng(23);
+  constexpr int kBlockQueries = 100;
+  constexpr int kOverheadRounds = 7;
+  core::SurrogateDispatcher plain(retrained.surrogate, simulation, 1e9);
+  core::SurrogateDispatcher monitored(retrained.surrogate, simulation, 1e9);
+  monitored.enable_health_monitoring(health_config(0.01),
+                                     retrained.corpus.input_matrix());
+  const auto serve_block = [&](core::SurrogateDispatcher& d,
+                               stats::Rng& stream_rng) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int q = 0; q < kOverheadQueries; ++q) {
+    for (int q = 0; q < kBlockQueries; ++q) {
       (void)d.query(draw(stream_rng, 1.45, 2.55));
     }
     return seconds_since(t0);
   };
-  double wall_off = 1e300, wall_on_net = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    core::SurrogateDispatcher plain(retrained.surrogate, simulation, 1e9);
-    wall_off = std::min(wall_off, serve_stream(plain));
-
-    core::SurrogateDispatcher monitored(retrained.surrogate, simulation, 1e9);
-    monitored.enable_health_monitoring(health_config(0.01),
-                                       retrained.corpus.input_matrix());
+  std::vector<double> overheads, walls_off, walls_on;
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    stats::Rng plain_rng(23), monitored_rng(23);
     const double shadow_before = monitored.stats().shadow_seconds;
-    const double wall = serve_stream(monitored);
-    wall_on_net = std::min(
-        wall_on_net,
-        wall - (monitored.stats().shadow_seconds - shadow_before));
+    double wall_off = 0.0, wall_on = 0.0;
+    for (int block = 0; block < kOverheadQueries / kBlockQueries; ++block) {
+      if (block % 2 == 0) {
+        wall_off += serve_block(plain, plain_rng);
+        wall_on += serve_block(monitored, monitored_rng);
+      } else {
+        wall_on += serve_block(monitored, monitored_rng);
+        wall_off += serve_block(plain, plain_rng);
+      }
+    }
+    const double wall_on_net =
+        wall_on - (monitored.stats().shadow_seconds - shadow_before);
+    walls_off.push_back(wall_off);
+    walls_on.push_back(wall_on_net);
+    overheads.push_back(wall_on_net / wall_off - 1.0);
   }
-  const double overhead = wall_on_net / wall_off - 1.0;
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+  };
+  const double overhead = quantile(overheads, 0.5);
   const bool overhead_ok = overhead <= 0.05;
-  std::printf("plain %.4f s, monitored %.4f s (net of shadow sims): "
-              "overhead %+.2f%% (target <= 5%%) ... %s\n",
-              wall_off, wall_on_net, 100.0 * overhead,
-              overhead_ok ? "PASS" : "FAIL");
+  std::printf("%d rounds of %d queries, median plain %.4f s, monitored "
+              "%.4f s (net of shadow sims)\n",
+              kOverheadRounds, kOverheadQueries, quantile(walls_off, 0.5),
+              quantile(walls_on, 0.5));
+  std::printf("overhead median %+.2f%% [quartiles %+.2f%%, %+.2f%%] "
+              "(target <= 5%%) ... %s\n",
+              100.0 * overhead, 100.0 * quantile(overheads, 0.25),
+              100.0 * quantile(overheads, 0.75), overhead_ok ? "PASS" : "FAIL");
 
   // ---- verdict -------------------------------------------------------
   bench::print_subheading("verdict");

@@ -22,19 +22,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// The one surrogate forward of a batch over rows `rows` of `inputs`.  A
-/// single row goes through UqModel::predict, so query() keeps the exact
-/// per-query numbers (an MC-dropout model draws its masks per call, and a
-/// one-row predict_batch would answer differently) and there is no layer
-/// dispatch to amortize anyway; more rows share one predict_batch.
+/// The one surrogate forward of a batch over rows `rows` of `inputs`: one
+/// predict_batch, whatever the row count.  Every shipped UqModel answers a
+/// one-row predict_batch exactly as predict() (tests/test_uq.cpp), so
+/// query() needs no path of its own.
 std::vector<uq::Prediction> forward(uq::UqModel& model,
                                     const tensor::Matrix& inputs,
                                     std::span<const std::size_t> rows) {
-  std::vector<uq::Prediction> predictions;
-  if (rows.size() == 1) {
-    predictions.push_back(model.predict(inputs.row(rows[0])));
-    return predictions;
-  }
   tensor::Matrix packed(rows.size(), inputs.cols());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto src = inputs.row(rows[i]);

@@ -32,6 +32,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "le/net/shard_router.hpp"
@@ -66,6 +67,50 @@ struct NetAnswer {
     return source == NetAnswerSource::kShed;
   }
 };
+
+// ---------------------------------------------------------------------------
+// Shard-protocol payloads.  Each decoder throws WireError on any payload its
+// encoder could not have written (bad enum values and flags, counts the
+// bytes cannot hold, trailing bytes), so whatever decodes re-encodes to
+// exactly its own bytes.  Public so the decoders can be fuzzed directly.
+
+/// kQuery payload: u32 rows | u32 cols | f64_vec data (row-major) |
+/// u8 has_deadlines | rows x f64 remaining seconds | u64 trace_id |
+/// u64 parent span_id.
+struct QueryPayload {
+  tensor::Matrix inputs;
+  /// Empty, or one remaining budget per row in seconds (NaN = none).  The
+  /// receiver re-anchors each on its own clock.
+  std::vector<double> remaining_seconds;
+  /// The router's span, adopted as the worker's remote parent (zeros when
+  /// the router is not tracing).
+  obs::TraceContext trace;
+};
+
+[[nodiscard]] std::string encode_query(const QueryPayload& query);
+[[nodiscard]] QueryPayload decode_query(std::string_view payload);
+
+/// kAnswer payload: u32 rows | per row: u8 source | u8 shed_reason |
+/// f64 uncertainty | f64 seconds | f64_vec values | u8 has_telemetry |
+/// [a non-empty encoded TelemetryFrame to the end].  A null or empty
+/// `telemetry` attaches none; decode_answers copies an attached one into
+/// `*telemetry_out` (when given) and rejects a row count other than
+/// `expected_rows`.
+[[nodiscard]] std::string encode_answers(
+    std::span<const NetAnswer> answers,
+    const std::string* telemetry = nullptr);
+[[nodiscard]] std::vector<NetAnswer> decode_answers(
+    std::string_view payload, std::size_t expected_rows,
+    std::string* telemetry_out = nullptr);
+
+/// kHello payload, a worker's first frame: u8 recovered | meter snapshot.
+struct HelloPayload {
+  bool recovered = false;
+  obs::EffectiveSpeedupMeter::Snapshot meter;
+};
+
+[[nodiscard]] std::string encode_hello(const HelloPayload& hello);
+[[nodiscard]] HelloPayload decode_hello(std::string_view payload);
 
 /// What one shard worker actually runs: the serving stack of its shard.
 /// Implementations wrap whatever answers queries (in this repo typically a

@@ -37,42 +37,45 @@ constexpr const char* kCkptMeterSection = "net-shard-meter";
 constexpr std::size_t kMaxHarvestedSpans = std::size_t{1} << 16;
 constexpr std::size_t kMaxFlightEvents = std::size_t{1} << 16;
 
-/// kQuery payload (wire v2): u32 rows | u32 cols | f64_vec data (row-major)
-/// | u8 has_deadlines | rows x f64 remaining-budget seconds (NaN = none) |
-/// u64 trace_id | u64 parent span_id (both 0 when tracing is off).
-std::string encode_query(const tensor::Matrix& inputs,
-                         std::span<const std::size_t> row_ids,
-                         std::span<const serve::Deadline> deadlines,
-                         Clock::time_point now,
-                         const obs::TraceContext& trace) {
-  WireWriter w;
-  w.put_u32(static_cast<std::uint32_t>(row_ids.size()));
-  w.put_u32(static_cast<std::uint32_t>(inputs.cols()));
-  std::vector<double> flat;
-  flat.reserve(row_ids.size() * inputs.cols());
-  for (const std::size_t r : row_ids) {
-    const auto row = inputs.row(r);
-    flat.insert(flat.end(), row.begin(), row.end());
+/// The kQuery payload for rows `row_ids` of `inputs`: each row's deadline
+/// travels as its remaining budget, not an absolute time — the worker's
+/// clock is not the router's, and time already spent (including in flight)
+/// is gone.
+QueryPayload make_query(const tensor::Matrix& inputs,
+                        std::span<const std::size_t> row_ids,
+                        std::span<const serve::Deadline> deadlines,
+                        Clock::time_point now,
+                        const obs::TraceContext& trace) {
+  QueryPayload query;
+  query.inputs.resize(row_ids.size(), inputs.cols());
+  for (std::size_t i = 0; i < row_ids.size(); ++i) {
+    const auto row = inputs.row(row_ids[i]);
+    std::copy(row.begin(), row.end(), query.inputs.row(i).begin());
   }
-  w.put_f64_vec(flat);
-  const bool has_deadlines = !deadlines.empty();
-  w.put_u8(has_deadlines ? 1 : 0);
-  if (has_deadlines) {
+  if (!deadlines.empty()) {
     for (const std::size_t r : row_ids) {
-      // Remaining budget, not an absolute time: the worker's clock is not
-      // the router's.  Time already spent (including in flight) is gone.
       double remaining = std::numeric_limits<double>::quiet_NaN();
       if (deadlines[r].has_value()) {
         remaining = std::chrono::duration<double>(*deadlines[r] - now).count();
       }
-      w.put_f64(remaining);
+      query.remaining_seconds.push_back(remaining);
     }
   }
   // The router's span identity rides along so the worker's spans can
   // stitch under it in a merged trace.
-  w.put_u64(trace.trace_id);
-  w.put_u64(trace.span_id);
-  return w.take();
+  query.trace = trace;
+  return query;
+}
+
+/// A u8 flag that must be exactly 0 or 1, so a decoded payload re-encodes
+/// to its own bytes.
+bool read_flag(WireReader& r, const char* what) {
+  const std::uint8_t flag = r.u8();
+  if (flag > 1) {
+    throw WireError(std::string("le-net: bad ") + what + " flag " +
+                    std::to_string(flag));
+  }
+  return flag == 1;
 }
 
 serve::ShedReason decode_shed_reason(std::uint8_t raw) {
@@ -88,60 +91,6 @@ NetAnswerSource decode_source(std::uint8_t raw) {
                     std::to_string(raw));
   }
   return static_cast<NetAnswerSource>(raw);
-}
-
-/// kAnswer payload (wire v2): u32 rows | per row: u8 source |
-/// u8 shed_reason | f64 uncertainty | f64 seconds | f64_vec values |
-/// u8 has_telemetry | [TelemetryFrame payload to end].
-/// `telemetry` is the optional piggyback; nullptr/empty attaches none.
-std::string encode_answers(std::span<const NetAnswer> answers,
-                           const std::string* telemetry = nullptr) {
-  WireWriter w;
-  w.put_u32(static_cast<std::uint32_t>(answers.size()));
-  for (const NetAnswer& a : answers) {
-    w.put_u8(static_cast<std::uint8_t>(a.source));
-    w.put_u8(static_cast<std::uint8_t>(a.shed_reason));
-    w.put_f64(a.uncertainty);
-    w.put_f64(a.seconds);
-    w.put_f64_vec(a.values);
-  }
-  const bool has_telemetry = telemetry != nullptr && !telemetry->empty();
-  w.put_u8(has_telemetry ? 1 : 0);
-  if (has_telemetry) w.put_bytes(*telemetry);
-  return w.take();
-}
-
-/// Inverse of encode_answers; a piggybacked telemetry payload (if any) is
-/// copied into `*telemetry_out` for the caller to absorb.
-std::vector<NetAnswer> decode_answers(std::string_view payload,
-                                      std::size_t expected_rows,
-                                      std::string* telemetry_out = nullptr) {
-  WireReader r(payload);
-  const std::uint32_t rows = r.u32();
-  if (rows != expected_rows) {
-    throw WireError("le-net: kAnswer row count mismatch: sent " +
-                    std::to_string(expected_rows) + ", got " +
-                    std::to_string(rows));
-  }
-  std::vector<NetAnswer> answers(rows);
-  for (NetAnswer& a : answers) {
-    a.source = decode_source(r.u8());
-    a.shed_reason = decode_shed_reason(r.u8());
-    a.uncertainty = r.f64();
-    a.seconds = r.f64();
-    a.values = r.f64_vec();
-  }
-  const std::uint8_t has_telemetry = r.u8();
-  if (has_telemetry > 1) {
-    throw WireError("le-net: bad kAnswer telemetry flag " +
-                    std::to_string(has_telemetry));
-  }
-  if (has_telemetry == 1) {
-    const std::string_view blob = r.bytes(r.remaining());
-    if (telemetry_out != nullptr) telemetry_out->assign(blob);
-  }
-  r.expect_end();
-  return answers;
 }
 
 /// kParams / kSyncPush payload: one f64 vector, nothing after it.
@@ -192,6 +141,106 @@ bool try_recover_worker(const std::string& path, ShardBackend& backend) {
 
 }  // namespace
 
+std::string encode_query(const QueryPayload& query) {
+  WireWriter w;
+  w.put_u32(static_cast<std::uint32_t>(query.inputs.rows()));
+  w.put_u32(static_cast<std::uint32_t>(query.inputs.cols()));
+  w.put_f64_vec(query.inputs.flat());
+  w.put_u8(query.remaining_seconds.empty() ? 0 : 1);
+  for (const double remaining : query.remaining_seconds) w.put_f64(remaining);
+  w.put_u64(query.trace.trace_id);
+  w.put_u64(query.trace.span_id);
+  return w.take();
+}
+
+QueryPayload decode_query(std::string_view payload) {
+  WireReader r(payload);
+  const std::uint32_t rows = r.u32();
+  const std::uint32_t cols = r.u32();
+  const std::vector<double> flat = r.f64_vec();
+  if (flat.size() != static_cast<std::size_t>(rows) * cols) {
+    throw WireError("le-net: kQuery data size mismatch");
+  }
+  QueryPayload query;
+  query.inputs.resize(rows, cols);
+  std::copy(flat.begin(), flat.end(), query.inputs.data());
+  if (read_flag(r, "kQuery deadline")) {
+    // Bounded by the bytes present before anything is allocated; an
+    // empty batch has no budgets to carry, so its flag must be 0.
+    if (rows == 0 || r.remaining() / sizeof(double) < rows) {
+      throw WireError("le-net: kQuery deadline budgets do not match rows");
+    }
+    query.remaining_seconds.resize(rows);
+    for (double& remaining : query.remaining_seconds) remaining = r.f64();
+  }
+  query.trace.trace_id = r.u64();
+  query.trace.span_id = r.u64();
+  r.expect_end();
+  return query;
+}
+
+std::string encode_answers(std::span<const NetAnswer> answers,
+                           const std::string* telemetry) {
+  WireWriter w;
+  w.put_u32(static_cast<std::uint32_t>(answers.size()));
+  for (const NetAnswer& a : answers) {
+    w.put_u8(static_cast<std::uint8_t>(a.source));
+    w.put_u8(static_cast<std::uint8_t>(a.shed_reason));
+    w.put_f64(a.uncertainty);
+    w.put_f64(a.seconds);
+    w.put_f64_vec(a.values);
+  }
+  const bool has_telemetry = telemetry != nullptr && !telemetry->empty();
+  w.put_u8(has_telemetry ? 1 : 0);
+  if (has_telemetry) w.put_bytes(*telemetry);
+  return w.take();
+}
+
+std::vector<NetAnswer> decode_answers(std::string_view payload,
+                                      std::size_t expected_rows,
+                                      std::string* telemetry_out) {
+  WireReader r(payload);
+  const std::uint32_t rows = r.u32();
+  if (rows != expected_rows) {
+    throw WireError("le-net: kAnswer row count mismatch: sent " +
+                    std::to_string(expected_rows) + ", got " +
+                    std::to_string(rows));
+  }
+  std::vector<NetAnswer> answers(rows);
+  for (NetAnswer& a : answers) {
+    a.source = decode_source(r.u8());
+    a.shed_reason = decode_shed_reason(r.u8());
+    a.uncertainty = r.f64();
+    a.seconds = r.f64();
+    a.values = r.f64_vec();
+  }
+  if (read_flag(r, "kAnswer telemetry")) {
+    if (r.remaining() == 0) {
+      throw WireError("le-net: kAnswer telemetry flag set without telemetry");
+    }
+    const std::string_view blob = r.bytes(r.remaining());
+    if (telemetry_out != nullptr) telemetry_out->assign(blob);
+  }
+  r.expect_end();
+  return answers;
+}
+
+std::string encode_hello(const HelloPayload& hello) {
+  WireWriter w;
+  w.put_u8(hello.recovered ? 1 : 0);
+  obs::put_meter_snapshot(w, hello.meter);
+  return w.take();
+}
+
+HelloPayload decode_hello(std::string_view payload) {
+  WireReader r(payload);
+  HelloPayload hello;
+  hello.recovered = read_flag(r, "kHello recovered");
+  hello.meter = obs::read_meter_snapshot(r);
+  r.expect_end();
+  return hello;
+}
+
 void serve_shard_loop(Channel& channel, ShardBackend& backend,
                       const ShardLoopOptions& options) {
   bool recovered = false;
@@ -210,12 +259,8 @@ void serve_shard_loop(Channel& channel, ShardBackend& backend,
     flight.dump();
   }
 
-  {
-    WireWriter hello;
-    hello.put_u8(recovered ? 1 : 0);
-    obs::put_meter_snapshot(hello, backend.meter().snapshot());
-    channel.send_frame(MsgType::kHello, hello.bytes());
-  }
+  channel.send_frame(MsgType::kHello,
+                     encode_hello({recovered, backend.meter().snapshot()}));
 
   std::uint64_t queries = 0;
   for (;;) {
@@ -235,22 +280,14 @@ void serve_shard_loop(Channel& channel, ShardBackend& backend,
     try {
       switch (request.type) {
         case MsgType::kQuery: {
-          WireReader r(request.payload);
-          const std::uint32_t rows = r.u32();
-          const std::uint32_t cols = r.u32();
-          const std::vector<double> flat = r.f64_vec();
-          if (flat.size() != static_cast<std::size_t>(rows) * cols) {
-            throw WireError("le-net: kQuery data size mismatch");
-          }
-          tensor::Matrix inputs(rows, cols);
-          std::copy(flat.begin(), flat.end(), inputs.data());
+          const QueryPayload query = decode_query(request.payload);
+          const std::size_t rows = query.inputs.rows();
           std::vector<serve::Deadline> deadlines;
-          if (r.u8() != 0) {
+          if (!query.remaining_seconds.empty()) {
             // Re-anchor the remaining budgets on THIS process's clock.
             const Clock::time_point now = Clock::now();
             deadlines.reserve(rows);
-            for (std::uint32_t i = 0; i < rows; ++i) {
-              const double remaining = r.f64();
+            for (const double remaining : query.remaining_seconds) {
               if (std::isnan(remaining)) {
                 deadlines.emplace_back(std::nullopt);
               } else {
@@ -260,18 +297,14 @@ void serve_shard_loop(Channel& channel, ShardBackend& backend,
               }
             }
           }
-          obs::TraceContext remote;
-          remote.trace_id = r.u64();
-          remote.span_id = r.u64();
-          r.expect_end();
           // Adopt the router's span as this request's remote parent: every
           // span the backend opens below stitches under it in the merged
           // trace.  A zeroed context (router not tracing) adopts nothing.
-          const obs::TraceContextScope trace_scope(remote);
+          const obs::TraceContextScope trace_scope(query.trace);
           std::vector<NetAnswer> answers;
           {
             const obs::TraceSpan span("net.worker_query");
-            answers = backend.query_batch(inputs, deadlines);
+            answers = backend.query_batch(query.inputs, deadlines);
           }
           if (answers.size() != rows) {
             throw std::runtime_error("backend returned " +
@@ -534,12 +567,10 @@ void ShardedService::spawn_locked(std::size_t shard) {
       throw WireError("ShardedService: expected kHello, got type " +
                       std::to_string(static_cast<unsigned>(hello.type)));
     }
-    WireReader r(hello.payload);
-    const bool recovered = r.u8() != 0;
-    worker.last_meter = obs::read_meter_snapshot(r);
-    r.expect_end();
+    const HelloPayload payload = decode_hello(hello.payload);
+    worker.last_meter = payload.meter;
     worker.alive = true;
-    if (recovered) {
+    if (payload.recovered) {
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.recovered_restarts;
     }
@@ -734,7 +765,7 @@ std::vector<NetAnswer> ShardedService::query_batch(
     try {
       worker.channel.send_frame(
           MsgType::kQuery,
-          encode_query(inputs, parts[s], deadlines, now, trace));
+          encode_query(make_query(inputs, parts[s], deadlines, now, trace)));
       sent[s] = true;
     } catch (const std::exception&) {
       handle_death_locked(s);

@@ -74,6 +74,9 @@ class DenseLayer final : public Layer {
   /// Glorot-uniform initialization driven by the given stream.
   DenseLayer(std::size_t in_dim, std::size_t out_dim, stats::Rng& rng);
 
+  /// Training forward and backward run every product through
+  /// tensor::gemm_exact, so trained weights are bit-identical whichever
+  /// kernel is active.
   tensor::Matrix forward(const tensor::Matrix& input) override;
   tensor::Matrix backward(const tensor::Matrix& grad_output) override;
   /// Forward through tensor::gemm under this layer's GemmPlan (kernel +
@@ -111,6 +114,7 @@ class DenseLayer final : public Layer {
   std::vector<double> bias_;
   std::vector<double> bias_grads_;
   tensor::Matrix cached_input_;
+  tensor::Matrix dw_scratch_;  ///< backward()'s X^T * dY, reused per step
   tensor::GemmPlan infer_plan_{};
 };
 

@@ -44,7 +44,7 @@ tensor::Matrix DenseLayer::forward(const tensor::Matrix& input) {
   }
   cached_input_ = input;
   tensor::Matrix out(input.rows(), weights_.cols());
-  tensor::gemm_naive(input, weights_, out);
+  tensor::gemm_exact(input, weights_, out);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     auto row = out.row(r);
     for (std::size_t c = 0; c < row.size(); ++c) row[c] += bias_[c];
@@ -69,20 +69,22 @@ tensor::Matrix DenseLayer::backward(const tensor::Matrix& grad_output) {
       grad_output.cols() != weights_.cols()) {
     throw std::invalid_argument("DenseLayer::backward: grad shape mismatch");
   }
-  // dW += X^T * dY ; db += colsum(dY) ; dX = dY * W^T
-  tensor::Matrix xt = cached_input_.transposed();
-  tensor::Matrix dw(weights_.rows(), weights_.cols());
-  tensor::gemm_naive(xt, grad_output, dw);
-  for (std::size_t i = 0; i < dw.size(); ++i) {
-    weight_grads_.data()[i] += dw.data()[i];
+  // dW += X^T * dY ; db += colsum(dY) ; dX = dY * W^T.  Both products run
+  // on the exact kernel with the transpose folded into its operand layout,
+  // so no transposed copy is made and the gradients equal gemm_naive's on
+  // explicit transposes bit for bit.
+  shape_for_overwrite(dw_scratch_, weights_.rows(), weights_.cols());
+  tensor::gemm_exact(cached_input_, grad_output, dw_scratch_,
+                     tensor::GemmOp::kTN);
+  for (std::size_t i = 0; i < dw_scratch_.size(); ++i) {
+    weight_grads_.data()[i] += dw_scratch_.data()[i];
   }
   for (std::size_t r = 0; r < grad_output.rows(); ++r) {
     auto row = grad_output.row(r);
     for (std::size_t c = 0; c < row.size(); ++c) bias_grads_[c] += row[c];
   }
-  tensor::Matrix wt = weights_.transposed();
   tensor::Matrix dx(grad_output.rows(), weights_.rows());
-  tensor::gemm_naive(grad_output, wt, dx);
+  tensor::gemm_exact(grad_output, weights_, dx, tensor::GemmOp::kNT);
   return dx;
 }
 

@@ -1,7 +1,15 @@
 #include "le/nn/optimizer.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+
+#include "le/tensor/simd.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define LE_ADAM_AVX2 __attribute__((target("avx2")))
+#endif
 
 namespace le::nn {
 
@@ -60,24 +68,96 @@ AdamOptimizer::AdamOptimizer(double lr, double beta1, double beta2, double eps,
   }
 }
 
+namespace {
+
+/// One Adam step's constants; `decay` is the decoupled weight-decay factor
+/// 1 - lr * weight_decay, applied only when `decayed`.
+struct AdamCoeffs {
+  double lr, beta1, beta2, one_minus_beta1, one_minus_beta2;
+  double bc1, bc2, eps, decay;
+  bool decayed;
+};
+
+// The reference update of one parameter.  The AVX2 form below evaluates the
+// same expressions in the same order, and IEEE multiply, add, divide and
+// square root are correctly rounded per lane, so both give the same bits.
+inline void adam_update(double& value, double g, double& m, double& v,
+                        const AdamCoeffs& c) {
+  m = c.beta1 * m + c.one_minus_beta1 * g;
+  v = c.beta2 * v + c.one_minus_beta2 * g * g;
+  const double mhat = m / c.bc1;
+  const double vhat = v / c.bc2;
+  value -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+  if (c.decayed) value *= c.decay;
+}
+
+#if defined(LE_ADAM_AVX2)
+// Four parameters per iteration; returns how many it updated (n rounded
+// down to a multiple of 4).  Built without FMA, so nothing is contracted.
+LE_ADAM_AVX2 std::size_t adam_update_avx2(double* values, const double* grads,
+                                          double* m, double* v, std::size_t n,
+                                          const AdamCoeffs& c) {
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const __m256d beta1 = _mm256_set1_pd(c.beta1);
+  const __m256d beta2 = _mm256_set1_pd(c.beta2);
+  const __m256d omb1 = _mm256_set1_pd(c.one_minus_beta1);
+  const __m256d omb2 = _mm256_set1_pd(c.one_minus_beta2);
+  const __m256d bc1 = _mm256_set1_pd(c.bc1);
+  const __m256d bc2 = _mm256_set1_pd(c.bc2);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  const __m256d decay = _mm256_set1_pd(c.decay);
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d g = _mm256_loadu_pd(grads + j);
+    const __m256d mj =
+        _mm256_add_pd(_mm256_mul_pd(beta1, _mm256_loadu_pd(m + j)),
+                      _mm256_mul_pd(omb1, g));
+    const __m256d vj =
+        _mm256_add_pd(_mm256_mul_pd(beta2, _mm256_loadu_pd(v + j)),
+                      _mm256_mul_pd(_mm256_mul_pd(omb2, g), g));
+    _mm256_storeu_pd(m + j, mj);
+    _mm256_storeu_pd(v + j, vj);
+    const __m256d mhat = _mm256_div_pd(mj, bc1);
+    const __m256d vhat = _mm256_div_pd(vj, bc2);
+    const __m256d step = _mm256_div_pd(
+        _mm256_mul_pd(lr, mhat), _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    __m256d value = _mm256_sub_pd(_mm256_loadu_pd(values + j), step);
+    if (c.decayed) value = _mm256_mul_pd(value, decay);
+    _mm256_storeu_pd(values + j, value);
+  }
+  return j;
+}
+#endif
+
+}  // namespace
+
 void AdamOptimizer::step(const std::vector<ParamView>& params) {
   ensure_state(m_, params);
   ensure_state(v_, params);
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const AdamCoeffs coeffs{lr_,
+                          beta1_,
+                          beta2_,
+                          1.0 - beta1_,
+                          1.0 - beta2_,
+                          1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                          1.0 - std::pow(beta2_, static_cast<double>(t_)),
+                          eps_,
+                          1.0 - lr_ * weight_decay_,
+                          weight_decay_ > 0.0};
   for (std::size_t i = 0; i < params.size(); ++i) {
     const auto& p = params[i];
     auto& m = m_[i];
     auto& v = v_[i];
-    for (std::size_t j = 0; j < p.values.size(); ++j) {
-      const double g = p.grads[j];
-      m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
-      v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
-      const double mhat = m[j] / bc1;
-      const double vhat = v[j] / bc2;
-      p.values[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      if (weight_decay_ > 0.0) p.values[j] *= 1.0 - lr_ * weight_decay_;
+    std::size_t j = 0;
+#if defined(LE_ADAM_AVX2)
+    if (tensor::active_gemm_kernel() == tensor::GemmKernel::kAvx2) {
+      j = adam_update_avx2(p.values.data(), p.grads.data(), m.data(), v.data(),
+                           p.values.size(), coeffs);
+    }
+#endif
+    for (; j < p.values.size(); ++j) {
+      adam_update(p.values[j], p.grads[j], m[j], v[j], coeffs);
     }
   }
 }

@@ -59,6 +59,29 @@ void gemm_avx2(const Matrix& a, const Matrix& b, Matrix& out,
 void gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmPlan& plan = {});
 
+/// Operand layout of gemm_exact: which operand enters transposed.
+enum class GemmOp {
+  kNN,  ///< out = A * B
+  kTN,  ///< out = A^T * B, A stored k x m
+  kNT,  ///< out = A * B^T, B stored n x k
+};
+
+/// out = op(A) * op(B), bit-identical to gemm_naive on the materialized
+/// transposes on every kernel: each element starts at 0.0 and adds, for p
+/// ascending, one separately rounded product (never an FMA).  This is the
+/// training path (nn::DenseLayer forward and backward), so kernel choice
+/// never changes trained weights.  The active kernel picks the AVX2 strip
+/// kernel (no transposed copy is made) or, under kScalar, gemm_naive on
+/// explicit transposes.  `out` must already have op(A)'s rows and op(B)'s
+/// columns and must not alias an operand.
+void gemm_exact(const Matrix& a, const Matrix& b, Matrix& out,
+                GemmOp op = GemmOp::kNN);
+
+/// AVX2 form of gemm_exact (same contract; precondition
+/// cpu_has_avx2_fma()).
+void gemm_exact_avx2(const Matrix& a, const Matrix& b, Matrix& out,
+                     GemmOp op = GemmOp::kNN);
+
 /// int8 GEMM with int32 accumulation for quantized inference:
 /// c[i,j] = sum_p a[i,p] * b[p,j], row-major, no blocking (the shapes on
 /// the quantized path are single layers, small enough to stream).  The

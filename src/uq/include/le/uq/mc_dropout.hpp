@@ -23,10 +23,12 @@ class McDropoutEnsemble final : public UqModel {
 
   [[nodiscard]] Prediction predict(std::span<const double> input) override;
 
-  /// Batched MC-dropout: T stochastic matrix-matrix passes over the whole
-  /// batch instead of rows x T single-row passes.  The per-row statistics
-  /// use different (but identically distributed) mask draws than row-wise
-  /// predict(), so means/spreads agree statistically, not bitwise.
+  /// Batched MC-dropout: each row's T passes are stacked row-major (row r,
+  /// pass t at stacked row r*T+t) and run as matrix-matrix forwards of at
+  /// most ~256 stacked rows.  Every DropoutLayer owns its RNG and walks it
+  /// over the stacked rows in order, so it draws exactly the masks that
+  /// rows x predict() would: the result equals row-wise predict() bit for
+  /// bit, and leaves the RNGs in the same state.
   [[nodiscard]] std::vector<Prediction> predict_batch(
       const tensor::Matrix& inputs) override;
 

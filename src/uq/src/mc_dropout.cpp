@@ -1,11 +1,34 @@
 #include "le/uq/mc_dropout.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace le::uq {
 
 namespace {
+
+/// Upper bound on the stacked rows of one predict_batch forward: it keeps
+/// the activation buffers small (a few hundred rows x the widest layer)
+/// however large the pool.
+constexpr std::size_t kMaxStackedRows = 256;
+
+/// Mean and sample spread of T passes from their running sums; predict()
+/// and predict_batch() both finish here, so equal sums give equal bits.
+Prediction moments(std::span<const double> sum, std::span<const double> sum_sq,
+                   std::size_t passes) {
+  Prediction p;
+  p.mean.resize(sum.size());
+  p.stddev.resize(sum.size());
+  const double n = static_cast<double>(passes);
+  for (std::size_t k = 0; k < sum.size(); ++k) {
+    p.mean[k] = sum[k] / n;
+    const double var =
+        std::max(0.0, (sum_sq[k] - n * p.mean[k] * p.mean[k]) / (n - 1.0));
+    p.stddev[k] = std::sqrt(var);
+  }
+  return p;
+}
 bool has_active_dropout(nn::Network& net) {
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
     if (auto* d = dynamic_cast<nn::DropoutLayer*>(&net.layer(i))) {
@@ -43,18 +66,7 @@ Prediction McDropoutEnsemble::predict(std::span<const double> input) {
     }
   }
   network_.set_mc_dropout(false);
-
-  Prediction p;
-  p.mean.resize(out_dim);
-  p.stddev.resize(out_dim);
-  const double n = static_cast<double>(passes_);
-  for (std::size_t k = 0; k < out_dim; ++k) {
-    p.mean[k] = sum[k] / n;
-    const double var =
-        std::max(0.0, (sum_sq[k] - n * p.mean[k] * p.mean[k]) / (n - 1.0));
-    p.stddev[k] = std::sqrt(var);
-  }
-  return p;
+  return moments(sum, sum_sq, passes_);
 }
 
 std::vector<Prediction> McDropoutEnsemble::predict_batch(
@@ -67,30 +79,37 @@ std::vector<Prediction> McDropoutEnsemble::predict_batch(
   network_.set_mc_dropout(true);
   const std::size_t rows = inputs.rows();
   const std::size_t out_dim = network_.output_dim();
-  tensor::Matrix sum(rows, out_dim), sum_sq(rows, out_dim), y;
-  for (std::size_t t = 0; t < passes_; ++t) {
-    network_.predict_batch(inputs, y);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const double v = y.data()[i];
-      sum.data()[i] += v;
-      sum_sq.data()[i] += v * v;
+  const std::size_t chunk = std::max<std::size_t>(1, kMaxStackedRows / passes_);
+  std::vector<Prediction> out;
+  out.reserve(rows);
+  std::vector<double> sum(out_dim), sum_sq(out_dim);
+  tensor::Matrix stacked, y;
+  for (std::size_t r0 = 0; r0 < rows; r0 += chunk) {
+    // Row r's T passes are stacked rows r*T .. r*T+T-1, so every dropout
+    // layer walks its own RNG over them in the order predict() would.
+    const std::size_t count = std::min(chunk, rows - r0);
+    stacked.resize(count * passes_, inputs.cols());
+    for (std::size_t r = 0; r < count; ++r) {
+      const auto src = inputs.row(r0 + r);
+      for (std::size_t t = 0; t < passes_; ++t) {
+        std::copy(src.begin(), src.end(), stacked.row(r * passes_ + t).begin());
+      }
+    }
+    network_.predict_batch(stacked, y);
+    for (std::size_t r = 0; r < count; ++r) {
+      std::fill(sum.begin(), sum.end(), 0.0);
+      std::fill(sum_sq.begin(), sum_sq.end(), 0.0);
+      for (std::size_t t = 0; t < passes_; ++t) {
+        const auto pass = y.row(r * passes_ + t);
+        for (std::size_t k = 0; k < out_dim; ++k) {
+          sum[k] += pass[k];
+          sum_sq[k] += pass[k] * pass[k];
+        }
+      }
+      out.push_back(moments(sum, sum_sq, passes_));
     }
   }
   network_.set_mc_dropout(false);
-
-  std::vector<Prediction> out(rows);
-  const double n = static_cast<double>(passes_);
-  for (std::size_t r = 0; r < rows; ++r) {
-    Prediction& p = out[r];
-    p.mean.resize(out_dim);
-    p.stddev.resize(out_dim);
-    for (std::size_t k = 0; k < out_dim; ++k) {
-      p.mean[k] = sum(r, k) / n;
-      const double var =
-          std::max(0.0, (sum_sq(r, k) - n * p.mean[k] * p.mean[k]) / (n - 1.0));
-      p.stddev[k] = std::sqrt(var);
-    }
-  }
   return out;
 }
 

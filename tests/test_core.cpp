@@ -509,14 +509,15 @@ TEST(DispatcherCache, RepeatQueriesHitWithoutAForwardPass) {
   const Answer first = dispatcher.query(std::vector<double>{0.2});
   EXPECT_EQ(first.source, AnswerSource::kSurrogate);
   EXPECT_FALSE(first.from_cache);
-  EXPECT_EQ(model->predict_calls, 1u);
+  EXPECT_EQ(model->batch_calls, 1u);  // a query is a one-row batch
+  EXPECT_EQ(model->predict_calls, 0u);
 
   const Answer second = dispatcher.query(std::vector<double>{0.2});
   EXPECT_EQ(second.source, AnswerSource::kSurrogate);
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.values, first.values);
   EXPECT_DOUBLE_EQ(second.uncertainty, first.uncertainty);
-  EXPECT_EQ(model->predict_calls, 1u);  // no second forward
+  EXPECT_EQ(model->batch_calls, 1u);  // no second forward
 
   EXPECT_EQ(dispatcher.stats().surrogate_answers, 2u);
   EXPECT_EQ(dispatcher.stats().cache_hits, 1u);
@@ -663,11 +664,12 @@ TEST(DispatcherBatch, OpenBreakerShortCircuitsTheWholeBatch) {
 
   tensor::Matrix inputs(4, 1, 0.1);
   const std::size_t before = dispatcher.stats().breaker_short_circuits;
+  const std::size_t forwards_before = model->batch_calls;  // the trip query
   const std::vector<Answer> answers = dispatcher.query_batch(inputs);
   for (const Answer& answer : answers) {
     EXPECT_EQ(answer.source, AnswerSource::kSimulation);
   }
-  EXPECT_EQ(model->batch_calls, 0u);
+  EXPECT_EQ(model->batch_calls, forwards_before);
   EXPECT_EQ(dispatcher.stats().breaker_short_circuits, before + 4);
 }
 
@@ -1017,7 +1019,7 @@ TEST(DispatcherOverload, ExpiredDeadlineIsShedBeforeAnyModelWork) {
   EXPECT_EQ(shed.shed_reason, serve::ShedReason::kDeadline);
   EXPECT_TRUE(shed.values.empty());
   // "Before any model work" means exactly that: no forward, no simulation.
-  EXPECT_EQ(model->predict_calls, 0u);
+  EXPECT_EQ(model->predict_calls + model->batch_calls, 0u);
   EXPECT_EQ(sim_calls, 0u);
 
   // Shed is not an answer: it is outside total() and outside the meter —
@@ -1096,7 +1098,7 @@ TEST(DispatcherOverload, LadderShedsAllThenServesOnlyCacheHits) {
   // Prime the cache at kFull.
   const std::vector<double> warm{0.1};
   ASSERT_EQ(dispatcher.query(warm).source, AnswerSource::kSurrogate);
-  ASSERT_EQ(model->predict_calls, 1u);
+  ASSERT_EQ(model->batch_calls, 1u);
 
   // Severe pressure: straight to kShedAll — everything is refused, and the
   // model is never consulted for a refused query.
@@ -1106,7 +1108,7 @@ TEST(DispatcherOverload, LadderShedsAllThenServesOnlyCacheHits) {
   const Answer refused = dispatcher.query(warm);
   EXPECT_EQ(refused.source, AnswerSource::kShed);
   EXPECT_EQ(refused.shed_reason, serve::ShedReason::kOverload);
-  EXPECT_EQ(model->predict_calls, 1u);
+  EXPECT_EQ(model->batch_calls, 1u);
   EXPECT_EQ(dispatcher.stats().shed_overload, 1u);
 
   // Pressure eases one notch: kCacheOnly serves remembered answers as
@@ -1120,7 +1122,7 @@ TEST(DispatcherOverload, LadderShedsAllThenServesOnlyCacheHits) {
   const Answer miss = dispatcher.query(std::vector<double>{0.4});
   EXPECT_EQ(miss.source, AnswerSource::kShed);
   EXPECT_EQ(miss.shed_reason, serve::ShedReason::kOverload);
-  EXPECT_EQ(model->predict_calls, 1u);  // still only the warming forward
+  EXPECT_EQ(model->batch_calls, 1u);  // still only the warming forward
 }
 
 TEST(DispatcherOverload, QuantizedLevelServesDegradedTierWithoutFallback) {

@@ -1,6 +1,7 @@
-// Numerical-agreement suite for the inference micro-kernel layer
-// (DESIGN.md section 13): the scalar, AVX2 and int8 paths must agree on
-// serialized example networks within the documented tolerances, and the
+// Numerical-agreement suite for the micro-kernel layer (DESIGN.md section
+// 13): the scalar, AVX2 and int8 inference paths must agree on serialized
+// example networks within the documented tolerances, training must give
+// bit-identical weights on every kernel, and the
 // CPUID/LE_KERNEL dispatch must fall back cleanly when pinned to scalar.
 //
 // tests/CMakeLists.txt registers this binary twice: once normally and once
@@ -10,7 +11,9 @@
 // other test here also holds with SIMD pinned off.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -18,9 +21,13 @@
 #include <utility>
 #include <vector>
 
+#include "le/data/dataset.hpp"
+#include "le/nn/loss.hpp"
 #include "le/nn/network.hpp"
+#include "le/nn/optimizer.hpp"
 #include "le/nn/quantized.hpp"
 #include "le/nn/serialize.hpp"
+#include "le/nn/train.hpp"
 #include "le/stats/rng.hpp"
 #include "le/tensor/ops.hpp"
 #include "le/tensor/simd.hpp"
@@ -177,6 +184,56 @@ TEST(KernelAgreement, Int8AnswersAgreeAcrossKernelsWithinActivationError) {
   // The int8 GEMM itself is exact (integer accumulation); only the vector
   // tanh (< 1e-7 per activation) separates the two kernels.
   EXPECT_LT(max_abs(scalar, avx2), 1e-5);
+}
+
+/// Training runs on tensor::gemm_exact and the exact Adam update, so the
+/// kernel choice must not move one trained bit.  The learn_campaign
+/// surrogate's shape (5 -> 32 -> 32 -> 3, ReLU, dropout 0.1, Adam 1e-2,
+/// batch 8, 100 epochs) is fitted under kScalar and under the automatic
+/// pick, from the same seeds; every weight must match bitwise.  Under
+/// LE_KERNEL=scalar both fits are scalar and the test still runs.
+TEST(KernelAgreement, TrainingIsBitIdenticalAcrossKernels) {
+  KernelOverrideGuard guard;
+  Rng data_rng(77);
+  data::Dataset corpus(5, 3);
+  for (int i = 0; i < 48; ++i) {
+    std::vector<double> x(5);
+    for (double& v : x) v = data_rng.uniform(-1.0, 1.0);
+    const std::vector<double> y{std::sin(x[0]) + x[1] * x[2],
+                                x[3] - 0.5 * x[4], std::cos(x[0] * x[4])};
+    corpus.add(x, y);
+  }
+  const auto fit_weights = [&](std::optional<tensor::GemmKernel> kernel) {
+    tensor::set_gemm_kernel_override(kernel);
+    Rng rng(59);
+    nn::MlpConfig cfg;
+    cfg.input_dim = 5;
+    cfg.hidden = {32, 32};
+    cfg.output_dim = 3;
+    cfg.activation = Activation::kRelu;
+    cfg.dropout_rate = 0.1;
+    Network net = nn::make_mlp(cfg, rng);
+    nn::AdamOptimizer opt(1e-2);
+    nn::TrainConfig train;
+    train.epochs = 100;
+    train.batch_size = 8;
+    const nn::TrainResult result =
+        nn::fit(net, corpus, nn::MseLoss{}, opt, train, rng);
+    EXPECT_TRUE(std::isfinite(result.final_train_loss));
+    return std::pair{net.get_weights(), result.final_train_loss};
+  };
+  const auto [scalar_w, scalar_loss] =
+      fit_weights(tensor::GemmKernel::kScalar);
+  const auto [auto_w, auto_loss] = fit_weights(std::nullopt);
+  ASSERT_EQ(scalar_w.size(), auto_w.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < scalar_w.size(); ++i) {
+    differing += std::bit_cast<std::uint64_t>(scalar_w[i]) !=
+                 std::bit_cast<std::uint64_t>(auto_w[i]);
+  }
+  EXPECT_EQ(differing, 0u) << "of " << scalar_w.size() << " weights";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar_loss),
+            std::bit_cast<std::uint64_t>(auto_loss));
 }
 
 TEST(KernelDispatch, HonorsLeKernelEnvironment) {

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "byte_mutator.hpp"
 #include "le/ckpt/container.hpp"
 #include "le/net/shard_router.hpp"
 #include "le/net/sharded_service.hpp"
@@ -1096,6 +1097,90 @@ TEST(Telemetry, MutationFuzzDecodesOrThrowsWireError) {
   EXPECT_EQ(decoded + rejected, kCases);
   EXPECT_GT(decoded, 0);   // flips in f64 payload bytes still decode
   EXPECT_GT(rejected, 0);
+}
+
+/// Feeds 10k seeded mutations of `good` to `round_trip`, which decodes a
+/// payload and re-encodes what it got.  Every case must either re-encode
+/// to exactly its own bytes (the decoder neither lost nor invented
+/// anything) or throw WireError; no other exception may escape.
+template <typename RoundTrip>
+void fuzz_payload_decoder(const std::string& good, std::uint64_t seed,
+                          RoundTrip&& round_trip) {
+  ASSERT_EQ(round_trip(good), good);
+  testing_support::ByteMutator mutator(seed);
+  constexpr int kCases = 10000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const std::string bytes = mutator.mutate(good, c);
+    try {
+      EXPECT_EQ(round_trip(bytes), bytes) << "case " << c;
+      ++decoded;
+    } catch (const net::WireError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw a non-WireError: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "case " << c << " threw a non-exception";
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kCases);
+  EXPECT_GT(decoded, 0);  // flips in f64 bytes still decode
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(ShardPayloads, QueryMutationFuzzRoundTripsOrThrowsWireError) {
+  net::QueryPayload query;
+  query.inputs = tensor::Matrix{{2.5, 1.0, -1.0, 0.45, 0.5},
+                                {3.1, 2.0, -1.0, 0.30, 0.6},
+                                {2.9, 1.0, -1.0, 0.52, 0.47}};
+  query.remaining_seconds = {0.25, std::numeric_limits<double>::quiet_NaN(),
+                             -0.001};
+  query.trace = {0x1234ABCDULL, 0x5678ULL};
+  fuzz_payload_decoder(net::encode_query(query), 0x51EDULL,
+                       [](std::string_view bytes) {
+                         return net::encode_query(net::decode_query(bytes));
+                       });
+}
+
+TEST(ShardPayloads, AnswerMutationFuzzRoundTripsOrThrowsWireError) {
+  std::vector<net::NetAnswer> answers(3);
+  answers[0].values = {1.5, -2.25, 3.0};
+  answers[0].uncertainty = 0.01;
+  answers[0].seconds = 2e-6;
+  answers[1].source = net::NetAnswerSource::kSimulation;
+  answers[1].values = {0.5};
+  answers[1].seconds = 3e-3;
+  answers[2].source = net::NetAnswerSource::kShed;
+  answers[2].shed_reason = serve::ShedReason::kDeadline;
+  net::TelemetryFrame frame;
+  frame.pid = 42;
+  frame.process_name = "shard-1";
+  const std::string telemetry = net::encode_telemetry(frame);
+  fuzz_payload_decoder(
+      net::encode_answers(answers, &telemetry), 0xA115ULL,
+      [&](std::string_view bytes) {
+        std::string attached;
+        const std::vector<net::NetAnswer> got =
+            net::decode_answers(bytes, answers.size(), &attached);
+        return net::encode_answers(got, &attached);
+      });
+}
+
+TEST(ShardPayloads, HelloMutationFuzzRoundTripsOrThrowsWireError) {
+  net::HelloPayload hello;
+  hello.recovered = true;
+  hello.meter.n_lookup = 1200;
+  hello.meter.n_train = 34;
+  hello.meter.seq_samples = 34;
+  hello.meter.lookup_seconds = 0.012;
+  hello.meter.train_seconds = 0.25;
+  hello.meter.learn_seconds = 0.5;
+  hello.meter.seq_seconds = 0.25;
+  fuzz_payload_decoder(net::encode_hello(hello), 0x4E110ULL,
+                       [](std::string_view bytes) {
+                         return net::encode_hello(net::decode_hello(bytes));
+                       });
 }
 
 TEST(Telemetry, CollectLocalDrainsTheGlobalTraceLog) {

@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <locale>
+#include <optional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "le/nn/layer.hpp"
@@ -312,6 +315,93 @@ TEST(Optimizer, WeightDecayShrinksParameters) {
   const std::vector<ParamView> va{{std::span<double>{wa}, std::span<double>{ga}}};
   adam.step(va);
   EXPECT_LT(wa[0], 2.0);
+}
+
+/// Restores the process-wide kernel override on scope exit.
+struct KernelOverrideGuard {
+  ~KernelOverrideGuard() { tensor::set_gemm_kernel_override(std::nullopt); }
+};
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Optimizer, AdamIsBitIdenticalOnEveryKernel) {
+  // The AVX2 Adam runs four parameters per iteration and the reference
+  // update on the tail; lengths 1..9 and 37 cover 0-3 element tails, with
+  // and without decoupled weight decay, over 25 steps of mixed-magnitude
+  // gradients (zeros included).
+  KernelOverrideGuard guard;
+  for (const double decay : {0.0, 0.01}) {
+    std::vector<std::vector<double>> finals[2];
+    for (int pass = 0; pass < 2; ++pass) {
+      tensor::set_gemm_kernel_override(pass == 0 ? tensor::GemmKernel::kScalar
+                                                 : tensor::GemmKernel::kAvx2);
+      std::vector<std::vector<double>> values, grads;
+      for (std::size_t len : {1, 2, 3, 4, 5, 6, 7, 8, 9, 37}) {
+        values.emplace_back(len);
+        grads.emplace_back(len);
+        for (std::size_t j = 0; j < len; ++j) {
+          values.back()[j] = std::sin(static_cast<double>(len * 7 + j));
+        }
+      }
+      std::vector<ParamView> views;
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        views.push_back({std::span<double>{values[i]}, std::span<double>{grads[i]}});
+      }
+      AdamOptimizer adam(1e-2, 0.9, 0.999, 1e-8, decay);
+      for (int step = 0; step < 25; ++step) {
+        for (std::size_t i = 0; i < grads.size(); ++i) {
+          for (std::size_t j = 0; j < grads[i].size(); ++j) {
+            const double phase = static_cast<double>(step * 31 + i * 5 + j);
+            grads[i][j] = (j + static_cast<std::size_t>(step)) % 5 == 0
+                              ? 0.0
+                              : std::pow(10.0, std::fmod(phase, 9.0) - 6.0) *
+                                    std::cos(phase);
+          }
+        }
+        adam.step(views);
+      }
+      finals[pass] = values;
+    }
+    for (std::size_t i = 0; i < finals[0].size(); ++i) {
+      EXPECT_TRUE(same_bits(finals[0][i], finals[1][i]))
+          << "tensor " << i << " decay " << decay;
+    }
+  }
+}
+
+TEST(DenseLayer, ForwardAndBackwardAreBitIdenticalOnEveryKernel) {
+  // Batch 7 and 8 through a 32 -> 3 and a 5 -> 32 layer: the forward, the
+  // X^T * dY weight gradient and the dY * W^T input gradient each hit the
+  // exact kernel's masked 1-3 column strip and its 8-row tiles.
+  KernelOverrideGuard guard;
+  for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{32, 3},
+                               std::pair<std::size_t, std::size_t>{5, 32}}) {
+    for (const std::size_t batch : {std::size_t{7}, std::size_t{8}}) {
+      Rng data_rng(17);
+      tensor::Matrix x(batch, in), dy(batch, out);
+      for (double& v : x.flat()) v = data_rng.uniform(-1.0, 1.0);
+      for (double& v : dy.flat()) v = data_rng.uniform(-1.0, 1.0);
+      tensor::Matrix y[2], dx[2];
+      std::vector<double> dw[2];
+      for (int pass = 0; pass < 2; ++pass) {
+        tensor::set_gemm_kernel_override(pass == 0
+                                             ? tensor::GemmKernel::kScalar
+                                             : tensor::GemmKernel::kAvx2);
+        Rng init(19);
+        DenseLayer layer(in, out, init);
+        y[pass] = layer.forward(x);
+        dx[pass] = layer.backward(dy);
+        const auto grads = layer.parameters().front().grads;
+        dw[pass].assign(grads.begin(), grads.end());
+      }
+      EXPECT_TRUE(same_bits(y[0].flat(), y[1].flat())) << in << "->" << out;
+      EXPECT_TRUE(same_bits(dx[0].flat(), dx[1].flat())) << in << "->" << out;
+      EXPECT_TRUE(same_bits(dw[0], dw[1])) << in << "->" << out;
+    }
+  }
 }
 
 Dataset make_regression_data(std::size_t n, Rng& rng) {

@@ -3,8 +3,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "le/tensor/matrix.hpp"
@@ -227,6 +229,74 @@ TEST(GemmProperty, TailAndDegenerateShapesMatchNaiveUnderRandomBlockings) {
             << blocking.mc << " kc=" << blocking.kc << " nc=" << blocking.nc;
       }
     }
+  }
+}
+
+/// True when two equal-shaped matrices hold the same bits (unlike ==, which
+/// equates -0.0 with 0.0).
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Property: gemm_exact equals gemm_naive on explicitly transposed operands
+/// bit for bit, for the NN, TN and NT layouts, under every runnable kernel
+/// and through the AVX2 entry point directly.  Random m, k, n in 1..40
+/// cover the 8-row tiles and their 1-7 row remainders; every fourth case
+/// forces n = 1..3 (the masked strip alone) and every fourth m = 1.  The
+/// output starts as NaN, so an element the kernel skips cannot pass.
+TEST(GemmExact, EveryLayoutIsBitIdenticalToNaiveOnExplicitTransposes) {
+  KernelOverrideGuard guard;
+  std::mt19937 gen(1909);
+  std::uniform_int_distribution<std::size_t> dim(1, 40);
+  for (int trial = 0; trial < 240; ++trial) {
+    std::size_t m = dim(gen), k = dim(gen), n = dim(gen);
+    if (trial % 4 == 1) n = 1 + static_cast<std::size_t>(trial / 4 % 3);
+    if (trial % 4 == 2) m = 1;
+    const Matrix a = random_matrix(m, k, gen);
+    const Matrix b = random_matrix(k, n, gen);
+    const Matrix at = a.transposed(), bt = b.transposed();
+    Matrix expected(m, n);
+    gemm_naive(a, b, expected);
+    const auto check = [&](const char* path, auto&& run) {
+      for (const auto& [op, lhs, rhs] :
+           {std::tuple{GemmOp::kNN, &a, &b}, std::tuple{GemmOp::kTN, &at, &b},
+            std::tuple{GemmOp::kNT, &a, &bt}}) {
+        Matrix actual(m, n, std::nan(""));
+        run(*lhs, *rhs, actual, op);
+        EXPECT_TRUE(same_bits(expected, actual))
+            << path << " op=" << static_cast<int>(op) << " " << m << "x" << k
+            << "x" << n;
+      }
+    };
+    for (GemmKernel kernel : {GemmKernel::kScalar, GemmKernel::kAvx2}) {
+      set_gemm_kernel_override(kernel);
+      check(kernel == GemmKernel::kScalar ? "scalar" : "auto-avx2",
+            [](const Matrix& x, const Matrix& y, Matrix& out, GemmOp op) {
+              gemm_exact(x, y, out, op);
+            });
+    }
+    if (cpu_has_avx2_fma()) {
+      check("avx2", [](const Matrix& x, const Matrix& y, Matrix& out,
+                       GemmOp op) { gemm_exact_avx2(x, y, out, op); });
+    }
+  }
+}
+
+TEST(GemmExact, ShapeMismatchAndAliasingThrowOnEveryLayout) {
+  KernelOverrideGuard guard;
+  const Matrix a(4, 3, 1.0), b(3, 5, 1.0);
+  for (GemmKernel kernel : {GemmKernel::kScalar, GemmKernel::kAvx2}) {
+    set_gemm_kernel_override(kernel);
+    Matrix out(4, 5);
+    EXPECT_NO_THROW(gemm_exact(a, b, out, GemmOp::kNN));
+    EXPECT_THROW(gemm_exact(a, b, out, GemmOp::kTN), std::invalid_argument);
+    EXPECT_THROW(gemm_exact(a, b, out, GemmOp::kNT), std::invalid_argument);
+    Matrix wrong(5, 4);
+    EXPECT_THROW(gemm_exact(a, b, wrong, GemmOp::kNN), std::invalid_argument);
+    Matrix sq(3, 3, 1.0);
+    EXPECT_THROW(gemm_exact(sq, sq, sq, GemmOp::kTN), std::invalid_argument);
+    EXPECT_THROW(gemm_exact(sq, sq, sq, GemmOp::kNT), std::invalid_argument);
   }
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -365,9 +366,9 @@ TEST(DeepEnsemble, PredictBatchMatchesRowWisePredict) {
 }
 
 TEST(McDropout, PredictBatchSamplesAllRows) {
-  // MC dropout draws fresh masks per stochastic pass, so the batched path
-  // is statistically — not bitwise — equivalent to row-wise predict: every
-  // row must carry a finite mean and a strictly positive spread.
+  // Every row of a batch gets its own T stochastic passes: each must carry
+  // a finite mean and a strictly positive spread.  (Bitwise agreement with
+  // row-wise predict is PredictBatchEqualsRowWisePredictBitwise below.)
   Rng rng(41);
   McDropoutEnsemble ens(make_dropout_net(rng), 24);
 
@@ -385,6 +386,42 @@ TEST(McDropout, PredictBatchSamplesAllRows) {
     ASSERT_EQ(p.stddev.size(), 1u);
     EXPECT_TRUE(std::isfinite(p.mean[0]));
     EXPECT_GT(p.stddev[0], 0.0);
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(McDropout, PredictBatchEqualsRowWisePredictBitwise) {
+  // Two identically seeded ensembles: one scores the rows one predict() at
+  // a time, the other in one predict_batch.  Row r's passes are stacked at
+  // r*T..r*T+T-1, so each dropout layer's own RNG draws the same masks in
+  // the same order.  T = 24 over 23 rows spans three 240-row chunks; T =
+  // 300 exceeds the chunk bound, so each chunk is one row.  A predict()
+  // after the batch then proves the RNGs were left in the same state.
+  for (const std::size_t passes : {std::size_t{24}, std::size_t{300}}) {
+    Rng rng_a(41), rng_b(41);
+    McDropoutEnsemble row_wise(make_dropout_net(rng_a, 2, 3), passes);
+    McDropoutEnsemble batched(make_dropout_net(rng_b, 2, 3), passes);
+    const std::size_t rows = passes == 24 ? 23 : 3;
+    tensor::Matrix inputs(rows, 2);
+    Rng data_rng(43);
+    for (double& v : inputs.flat()) v = data_rng.uniform(-1.0, 1.0);
+
+    const std::vector<Prediction> batch = batched.predict_batch(inputs);
+    ASSERT_EQ(batch.size(), rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const Prediction single = row_wise.predict(inputs.row(r));
+      EXPECT_TRUE(same_bits(single.mean, batch[r].mean)) << "row " << r;
+      EXPECT_TRUE(same_bits(single.stddev, batch[r].stddev)) << "row " << r;
+    }
+    const std::vector<double> probe{0.3, -0.2};
+    const Prediction after_a = row_wise.predict(probe);
+    const Prediction after_b = batched.predict(probe);
+    EXPECT_TRUE(same_bits(after_a.mean, after_b.mean));
+    EXPECT_TRUE(same_bits(after_a.stddev, after_b.stddev));
   }
 }
 
@@ -454,6 +491,49 @@ TEST(QuantizedSurrogate, ValidatesConstruction) {
   EXPECT_THROW(QuantizedSurrogate(
                    net, std::numeric_limits<double>::quiet_NaN()),
                std::invalid_argument);
+}
+
+TEST(UqModels, OneRowPredictBatchEqualsPredictBitwise) {
+  // The dispatcher sends a one-row batch through predict_batch like any
+  // other, so for every shipped model a one-row predict_batch must answer
+  // exactly what predict() answers from the same state.
+  const std::vector<double> probe{0.35, -0.6};
+  tensor::Matrix one(1, 2);
+  one(0, 0) = probe[0];
+  one(0, 1) = probe[1];
+  const auto expect_same = [&](UqModel& by_predict, UqModel& by_batch,
+                               const char* model) {
+    for (int call = 0; call < 3; ++call) {
+      const Prediction p = by_predict.predict(probe);
+      const std::vector<Prediction> b = by_batch.predict_batch(one);
+      ASSERT_EQ(b.size(), 1u) << model;
+      EXPECT_TRUE(same_bits(p.mean, b[0].mean)) << model << " call " << call;
+      EXPECT_TRUE(same_bits(p.stddev, b[0].stddev))
+          << model << " call " << call;
+    }
+  };
+  {
+    Rng rng_a(61), rng_b(61);
+    McDropoutEnsemble a(make_dropout_net(rng_a, 2, 2), 16);
+    McDropoutEnsemble b(make_dropout_net(rng_b, 2, 2), 16);
+    expect_same(a, b, "McDropoutEnsemble");
+  }
+  {
+    const auto members = [] {
+      std::vector<nn::Network> nets;
+      for (unsigned m = 0; m < 3; ++m) {
+        Rng member_rng(70 + m);
+        nets.push_back(make_dropout_net(member_rng, 2, 2));
+      }
+      return nets;
+    };
+    DeepEnsemble a(members()), b(members());
+    expect_same(a, b, "DeepEnsemble");
+  }
+  {
+    QuantizedSurrogate q(make_quantized_net(79), 0.05);
+    expect_same(q, q, "QuantizedSurrogate");
+  }
 }
 
 }  // namespace
