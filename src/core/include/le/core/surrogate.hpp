@@ -255,38 +255,12 @@ class SurrogateDispatcher {
   /// rollback.
   [[nodiscard]] std::shared_ptr<uq::UqModel> current_surrogate() const;
 
-  /// Switches serving to an int8 quantized snapshot (uq::QuantizedSurrogate
-  /// over an nn::QuantizedNetwork calibrated on the retraining corpus).
-  /// Admission is bounded by the existing UQ gate: `added_error` — the
-  /// quantization residual the model reports as its spread — must fit
-  /// inside the current threshold, otherwise the quantized model could
-  /// never answer a query and the call throws std::invalid_argument
-  /// instead of silently serving 100% fallback.  The incumbent fp
-  /// surrogate is retained for disable_quantized_serving(); the swap
-  /// behaves like replace_surrogate() (model lock, cache clear, breaker
-  /// reset), so stale-era cache inserts from in-flight fp queries are
-  /// dropped by the epoch check.
-  void enable_quantized_serving(std::shared_ptr<uq::UqModel> quantized,
-                                double added_error);
-
-  /// Restores the fp surrogate retained by enable_quantized_serving();
-  /// no-op when quantized serving is not active.
-  void disable_quantized_serving();
-
-  /// True while a quantized surrogate is answering queries.
-  [[nodiscard]] bool quantized_serving() const noexcept;
-
   /// Attaches the graceful-degradation ladder (serve/degradation.hpp).
   /// The ladder is shared: a serve::BatchQueue in front of this dispatcher
-  /// typically feeds it queue waits (BatchQueue::set_degradation) while the
-  /// dispatcher enforces its level.  When `feed_answer_latency` is true the
-  /// dispatcher also records every served answer's wall time as pressure —
-  /// for direct-dispatch deployments with no queue in front (leave it off
-  /// behind a BatchQueue, where queue wait is the honest overload signal
-  /// and sub-microsecond cache hits would dilute the window).  Wire-up
-  /// time only; pass nullptr to detach.
-  void attach_degradation(std::shared_ptr<serve::DegradationLadder> ladder,
-                          bool feed_answer_latency = false);
+  /// feeds it queue waits (BatchQueue::set_degradation) while the
+  /// dispatcher enforces its level; the dispatcher itself records no
+  /// pressure.  Wire-up time only; pass nullptr to detach.
+  void attach_degradation(std::shared_ptr<serve::DegradationLadder> ladder);
 
   /// The attached ladder, or nullptr.
   [[nodiscard]] serve::DegradationLadder* degradation_ladder() const noexcept {
@@ -295,9 +269,11 @@ class SurrogateDispatcher {
 
   /// Registers the cheaper surrogate (typically an int8
   /// uq::QuantizedSurrogate of the incumbent) the ladder serves at
-  /// ServiceLevel::kQuantized.  Same admission rule as
-  /// enable_quantized_serving: `added_error` must fit inside the current
-  /// UQ-gate threshold.  Degraded answers are flagged (Answer::degraded),
+  /// ServiceLevel::kQuantized.  Admission is bounded by the UQ gate:
+  /// `added_error`, the quantization residual the model reports as its
+  /// spread, must fit inside the current threshold, otherwise the tier
+  /// could never answer and the call throws std::invalid_argument.
+  /// Degraded answers are flagged (Answer::degraded),
   /// counted in stats().degraded_answers, never inserted into the lookup
   /// cache (the cache stores full-fidelity answers only) and never shadow
   /// sampled.  replace_surrogate() clears the registration — a quantized
@@ -404,9 +380,6 @@ class SurrogateDispatcher {
   /// monitor) is internally synchronized.
   mutable std::mutex model_mutex_;
   std::shared_ptr<uq::UqModel> surrogate_;
-  /// The fp surrogate displaced by enable_quantized_serving(); null while
-  /// serving fp.  Guarded by model_mutex_.
-  std::shared_ptr<uq::UqModel> quantized_fp_backup_;
   SimulationFn simulation_;
   double threshold_;
   /// Guards buffer_ and buffered_uncertainty_sum_: the serving path
@@ -423,7 +396,6 @@ class SurrogateDispatcher {
   std::unique_ptr<obs::SurrogateHealthMonitor> health_;
   /// Brownout policy (shared with the queue edge); null when detached.
   std::shared_ptr<serve::DegradationLadder> ladder_;
-  bool ladder_feed_latency_ = false;
   /// The ladder's kQuantized tier; guarded by model_mutex_.
   std::shared_ptr<uq::UqModel> degraded_surrogate_;
 

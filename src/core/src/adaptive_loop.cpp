@@ -1,53 +1,15 @@
 #include "le/core/adaptive_loop.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
-#include <unordered_set>
 
-#include "le/ckpt/campaign_checkpoint.hpp"
-#include "le/nn/loss.hpp"
-#include "le/nn/optimizer.hpp"
-#include "le/nn/serialize.hpp"
+#include "campaign_core.hpp"
 #include "le/obs/health.hpp"
 #include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/uq/acquisition.hpp"
 
 namespace le::core {
-
-namespace {
-
-/// CampaignState::kind written by run_adaptive_loop snapshots.
-constexpr const char* kAdaptiveLoopKind = "adaptive_loop";
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Trains a fresh dropout MLP on the corpus and wraps it for MC-dropout.
-std::shared_ptr<uq::McDropoutEnsemble> train_surrogate(
-    const data::Dataset& corpus, std::size_t input_dim, std::size_t output_dim,
-    const AdaptiveLoopConfig& config, stats::Rng& rng) {
-  nn::MlpConfig mlp;
-  mlp.input_dim = input_dim;
-  mlp.hidden = config.hidden;
-  mlp.output_dim = output_dim;
-  mlp.activation = nn::Activation::kRelu;
-  mlp.dropout_rate = config.dropout_rate;
-  stats::Rng net_rng = rng.split(corpus.size());
-  nn::Network net = nn::make_mlp(mlp, net_rng);
-  nn::AdamOptimizer opt(1e-2);
-  const nn::MseLoss loss;
-  stats::Rng fit_rng = rng.split(corpus.size() + 100000);
-  nn::fit(net, corpus, loss, opt, config.train, fit_rng);
-  return std::make_shared<uq::McDropoutEnsemble>(std::move(net),
-                                                 config.mc_passes);
-}
-
-}  // namespace
 
 AdaptiveLoopResult run_adaptive_loop(const data::ParamSpace& space,
                                      const SimulationFn& simulation,
@@ -56,15 +18,10 @@ AdaptiveLoopResult run_adaptive_loop(const data::ParamSpace& space,
   if (config.initial_samples == 0) {
     throw std::invalid_argument("run_adaptive_loop: need initial samples");
   }
-  stats::Rng rng(config.seed);
+  CampaignCore core("adaptive_loop", space.dims(), output_dim, simulation,
+                    config.retry, config.seed, config.speedup_meter,
+                    config.checkpointer);
   AdaptiveLoopResult result;
-  result.corpus = data::Dataset(space.dims(), output_dim);
-
-  // All real runs go through the resilient wrapper: transient throws and
-  // corrupted outputs are retried, permanent failures skip the point.
-  ValidationSpec validation;
-  validation.expected_dim = output_dim;
-  ResilientSimulation resilient(simulation, config.retry, validation);
 
   // Observability: per-simulation latency and run counters go to the
   // global registry; training-set wall time feeds the live speedup meter.
@@ -81,24 +38,24 @@ AdaptiveLoopResult run_adaptive_loop(const data::ParamSpace& space,
   }
 
   const auto run_point = [&](std::span<const double> point) {
-    const auto t0 = std::chrono::steady_clock::now();
-    if (auto output = resilient.try_run(point)) {
-      const double seconds = seconds_since(t0);
-      result.corpus.add(point, *output);
-      ++result.simulations_run;
-      if (config.speedup_meter) config.speedup_meter->record_train(seconds);
-      if (sim_seconds) sim_seconds->record(seconds);
+    if (const auto seconds = core.run(point)) {
+      if (config.speedup_meter) config.speedup_meter->record_train(*seconds);
+      if (sim_seconds) sim_seconds->record(*seconds);
       if (sims_run) sims_run->add();
-    } else {
-      ++result.simulations_failed;
-      if (sims_failed) sims_failed->add();
+    } else if (sims_failed) {
+      sims_failed->add();
     }
   };
 
+  // A fresh MC-dropout surrogate; its streams are pure in (seed, corpus).
   const auto train_timed = [&] {
     const auto t0 = std::chrono::steady_clock::now();
-    auto surrogate = train_surrogate(result.corpus, space.dims(), output_dim,
-                                     config, rng);
+    stats::Rng net_rng = core.rng.split(core.dataset.size());
+    stats::Rng fit_rng = core.rng.split(core.dataset.size() + 100000);
+    auto surrogate =
+        uq::train_mc_dropout(core.dataset, config.hidden, config.dropout_rate,
+                             config.mc_passes, config.train, net_rng, fit_rng)
+            .model;
     const double seconds = seconds_since(t0);
     if (config.speedup_meter) config.speedup_meter->record_learn(seconds);
     if (learn_seconds) learn_seconds->record(seconds);
@@ -106,88 +63,40 @@ AdaptiveLoopResult run_adaptive_loop(const data::ParamSpace& space,
   };
 
   // ---- Resume from the newest valid checkpoint, when one exists -------
-  std::unordered_set<std::uint64_t> initial_done;
+  // scalars: {converged}; series: (round, corpus_size, mean, max) records.
   std::size_t start_round = 0;
-  if (config.checkpointer) {
-    if (auto snap = config.checkpointer->load_latest()) {
-      if (snap->kind != kAdaptiveLoopKind) {
-        throw std::runtime_error(
-            "run_adaptive_loop: checkpoint kind '" + snap->kind +
-            "' belongs to a different campaign driver");
-      }
-      if (snap->dataset.input_dim() != space.dims() ||
-          snap->dataset.target_dim() != output_dim) {
-        throw std::runtime_error(
-            "run_adaptive_loop: checkpoint dimensions do not match this "
-            "loop");
-      }
-      result.corpus = std::move(snap->dataset);
-      result.simulations_run = snap->simulations_run;
-      result.simulations_failed = snap->simulations_failed;
-      result.converged = !snap->scalars.empty() && snap->scalars[0] != 0.0;
-      if (snap->series.size() % 4 != 0) {
-        throw std::runtime_error(
-            "run_adaptive_loop: checkpoint round history malformed");
-      }
-      for (std::size_t i = 0; i < snap->series.size(); i += 4) {
-        AdaptiveRound record;
-        record.round = static_cast<std::size_t>(snap->series[i]);
-        record.corpus_size = static_cast<std::size_t>(snap->series[i + 1]);
-        record.mean_uncertainty = snap->series[i + 2];
-        record.max_uncertainty = snap->series[i + 3];
-        result.rounds.push_back(record);
-      }
-      initial_done.insert(snap->completed_tasks.begin(),
-                          snap->completed_tasks.end());
-      start_round = static_cast<std::size_t>(snap->progress);
-      if (config.speedup_meter) config.speedup_meter->restore(snap->meter);
+  if (auto snap = core.resume()) {
+    result.converged = !snap->scalars.empty() && snap->scalars[0] != 0.0;
+    if (snap->series.size() % 4 != 0) {
+      throw std::runtime_error(
+          "run_adaptive_loop: checkpoint round history malformed");
     }
+    for (std::size_t i = 0; i < snap->series.size(); i += 4) {
+      result.rounds.push_back({core.count_from(snap->series[i]),
+                               core.count_from(snap->series[i + 1]),
+                               snap->series[i + 2], snap->series[i + 3]});
+    }
+    start_round = snap->progress;
   }
 
   const auto snapshot_now = [&](std::uint64_t rounds_completed) {
-    ckpt::CampaignState state;
-    state.kind = kAdaptiveLoopKind;
-    state.progress = rounds_completed;
-    state.simulations_run = result.simulations_run;
-    state.simulations_failed = result.simulations_failed;
-    state.completed_tasks.assign(initial_done.begin(), initial_done.end());
-    std::sort(state.completed_tasks.begin(), state.completed_tasks.end());
-    state.dataset = result.corpus;
-    state.rng_state = ckpt::encode_rng(rng);
-    if (result.surrogate) {
-      std::ostringstream net;
-      nn::save_network(net, result.surrogate->network());
-      state.network_text = std::move(net).str();
-    }
+    ckpt::CampaignState state = core.snapshot(
+        rounds_completed,
+        result.surrogate ? &result.surrogate->network() : nullptr);
     state.scalars = {result.converged ? 1.0 : 0.0};
-    state.series.reserve(result.rounds.size() * 4);
     for (const AdaptiveRound& record : result.rounds) {
-      state.series.push_back(static_cast<double>(record.round));
-      state.series.push_back(static_cast<double>(record.corpus_size));
-      state.series.push_back(record.mean_uncertainty);
-      state.series.push_back(record.max_uncertainty);
+      state.series.insert(state.series.end(),
+                          {static_cast<double>(record.round),
+                           static_cast<double>(record.corpus_size),
+                           record.mean_uncertainty, record.max_uncertainty});
     }
-    if (config.speedup_meter) state.meter = config.speedup_meter->snapshot();
     (void)config.checkpointer->save(state);
   };
 
-  // Round 0: Latin-hypercube corpus.  The point set is a deterministic
-  // function of the seed, so a restart regenerates it and runs only the
-  // ids not yet attempted.
-  stats::Rng lhs_rng = rng.split(1);
-  const auto initial_points =
-      data::latin_hypercube_sample(space, config.initial_samples, lhs_rng);
-  for (std::size_t i = 0; i < initial_points.size(); ++i) {
-    if (initial_done.count(i) != 0) continue;
-    run_point(initial_points[i]);
-    initial_done.insert(i);
-    if (config.checkpointer &&
-        config.checkpointer->due(result.simulations_run +
-                                 result.simulations_failed)) {
-      snapshot_now(0);
-    }
-  }
-  if (result.corpus.size() == 0) {
+  // Round 0: Latin-hypercube corpus.
+  core.warm_up(space, config.initial_samples, 1, run_point,
+               [&] { snapshot_now(0); });
+  if (core.dataset.size() == 0) {
     throw std::runtime_error(
         "run_adaptive_loop: every initial simulation failed permanently");
   }
@@ -197,40 +106,29 @@ AdaptiveLoopResult run_adaptive_loop(const data::ParamSpace& space,
     result.surrogate = train_timed();
 
     // Survey uncertainty over a fresh candidate pool.
-    stats::Rng pool_rng = rng.split(100 + round);
+    stats::Rng pool_rng = core.rng.split(100 + round);
     const auto pool =
         data::uniform_sample(space, config.candidate_pool, pool_rng);
     const uq::UncertaintySurvey survey =
         uq::survey_uncertainty(*result.surrogate, pool);
+    result.rounds.push_back({round, core.dataset.size(), survey.mean_score,
+                             survey.max_score});
 
-    AdaptiveRound record;
-    record.round = round;
-    record.corpus_size = result.corpus.size();
-    record.mean_uncertainty = survey.mean_score;
-    record.max_uncertainty = survey.max_score;
-    result.rounds.push_back(record);
-
-    if (survey.mean_score <= config.uncertainty_threshold) {
-      result.converged = true;
-      if (config.checkpointer) snapshot_now(round + 1);
-      break;
-    }
-
-    // Acquire the most uncertain candidates and simulate them.
-    const auto picks = uq::select_most_uncertain(*result.surrogate, pool,
-                                                 config.samples_per_round);
-    for (std::size_t idx : picks) {
-      run_point(pool[idx]);
+    result.converged = survey.mean_score <= config.uncertainty_threshold;
+    if (!result.converged) {
+      // Acquire the most uncertain candidates and simulate them.
+      for (std::size_t idx : uq::select_most_uncertain(
+               *result.surrogate, pool, config.samples_per_round)) {
+        run_point(pool[idx]);
+      }
     }
     // A round is the natural consistency boundary: corpus and history
     // agree here, and resume retrains rather than replaying the round.
     if (config.checkpointer) snapshot_now(round + 1);
   }
 
-  if (!result.surrogate) {
-    result.surrogate = train_timed();
-  }
-  result.fault_stats = resilient.stats();
+  if (!result.surrogate) result.surrogate = train_timed();
+  core.hand_over(result, &AdaptiveLoopResult::corpus);
   // Retraining restores trust: rebase the health monitor's drift reference
   // on what the new surrogate was actually trained on.
   if (config.health_monitor) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "campaign_core.hpp"
 #include "le/core/resilient.hpp"
 #include "le/obs/health.hpp"
 #include "le/obs/metrics.hpp"
@@ -16,11 +17,6 @@
 namespace le::core {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// The one surrogate forward of a batch over rows `rows` of `inputs`: one
 /// predict_batch, whatever the row count.  Every shipped UqModel answers a
@@ -254,7 +250,6 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
       answer.source = AnswerSource::kSurrogate;
       answer.seconds = owed[r];
       account_surrogate_answer(answer);
-      if (ladder_ && ladder_feed_latency_) ladder_->record(answer.seconds);
       continue;
     }
     if (level != serve::ServiceLevel::kFull) {
@@ -280,7 +275,6 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
       metrics_.simulation_seconds->record(answer.seconds);
       publish_gauges();
     }
-    if (ladder_ && ladder_feed_latency_) ladder_->record(answer.seconds);
   }
   return answers;
 }
@@ -474,11 +468,8 @@ void SurrogateDispatcher::replace_surrogate(
       throw std::invalid_argument("replace_surrogate: shape mismatch");
     }
     surrogate_ = std::move(surrogate);
-    // A promotion (or rollback) supersedes any quantized snapshot of the
-    // previous model; quantized serving must be re-enabled against the new
-    // incumbent explicitly — and likewise the ladder's degraded tier: a
+    // A promotion (or rollback) supersedes the ladder's degraded tier: a
     // quantized snapshot of a retired model must not serve the new era.
-    quantized_fp_backup_.reset();
     degraded_surrogate_.reset();
   }
   // Cached answers came from the old surrogate; a hit must always reflect
@@ -489,58 +480,9 @@ void SurrogateDispatcher::replace_surrogate(
   if (breaker_) breaker_->reset();
 }
 
-void SurrogateDispatcher::enable_quantized_serving(
-    std::shared_ptr<uq::UqModel> quantized, double added_error) {
-  if (!quantized) {
-    throw std::invalid_argument("enable_quantized_serving: null model");
-  }
-  if (!std::isfinite(added_error) || added_error < 0.0) {
-    throw std::invalid_argument("enable_quantized_serving: bad added_error");
-  }
-  // The existing UQ gate bounds quantization error: a residual wider than
-  // the threshold means the quantized model could never answer, so refuse
-  // loudly instead of serving 100% fallback.
-  if (added_error > threshold_) {
-    throw std::invalid_argument(
-        "enable_quantized_serving: quantization residual exceeds the UQ "
-        "gate threshold");
-  }
-  {
-    std::lock_guard lock(model_mutex_);
-    if (quantized->input_dim() != surrogate_->input_dim() ||
-        quantized->output_dim() != surrogate_->output_dim()) {
-      throw std::invalid_argument("enable_quantized_serving: shape mismatch");
-    }
-    if (!quantized_fp_backup_) quantized_fp_backup_ = surrogate_;
-    surrogate_ = std::move(quantized);
-  }
-  // Same invalidation discipline as replace_surrogate(): cached fp answers
-  // must not survive into the quantized era (and vice versa on disable).
-  if (cache_) cache_->clear();
-  if (breaker_) breaker_->reset();
-}
-
-void SurrogateDispatcher::disable_quantized_serving() {
-  {
-    std::lock_guard lock(model_mutex_);
-    if (!quantized_fp_backup_) return;
-    surrogate_ = std::move(quantized_fp_backup_);
-    quantized_fp_backup_.reset();
-  }
-  if (cache_) cache_->clear();
-  if (breaker_) breaker_->reset();
-}
-
-bool SurrogateDispatcher::quantized_serving() const noexcept {
-  std::lock_guard lock(model_mutex_);
-  return quantized_fp_backup_ != nullptr;
-}
-
 void SurrogateDispatcher::attach_degradation(
-    std::shared_ptr<serve::DegradationLadder> ladder,
-    bool feed_answer_latency) {
+    std::shared_ptr<serve::DegradationLadder> ladder) {
   ladder_ = std::move(ladder);
-  ladder_feed_latency_ = ladder_ ? feed_answer_latency : false;
 }
 
 void SurrogateDispatcher::set_degraded_surrogate(
@@ -553,9 +495,8 @@ void SurrogateDispatcher::set_degraded_surrogate(
   if (!std::isfinite(added_error) || added_error < 0.0) {
     throw std::invalid_argument("set_degraded_surrogate: bad added_error");
   }
-  // Same admission rule as enable_quantized_serving: a degraded tier whose
-  // residual exceeds the UQ gate could never answer a query, so at
-  // kQuantized every miss would shed — refuse loudly instead.
+  // A degraded tier whose residual exceeds the UQ gate could never answer
+  // a query, so at kQuantized every miss would shed — refuse loudly.
   if (added_error > threshold_) {
     throw std::invalid_argument(
         "set_degraded_surrogate: quantization residual exceeds the UQ gate "

@@ -191,11 +191,10 @@ struct ShardedServiceConfig {
   /// Directory for per-shard checkpoint files ("<dir>/shard<k>.ckpt");
   /// empty disables checkpointing AND recovery.
   std::string checkpoint_dir;
-  /// Respawn a dead worker (recovering from its checkpoint) instead of
-  /// leaving the shard black-holed.
-  bool restart_dead_workers = true;
-  /// Per-shard restart budget; beyond it the shard stays down and its
-  /// rows shed (a crash-looping worker must not burn the host forever).
+  /// Per-shard restart budget: a dead worker is respawned (recovering from
+  /// its checkpoint) up to this many times; beyond it the shard stays down
+  /// and its rows shed (a crash-looping worker must not burn the host
+  /// forever).  0 never restarts.
   std::size_t max_restarts_per_shard = 4;
   /// recv timeout on every router<->worker exchange: a wedged worker
   /// becomes a typed failure, never a hung router.  0 = block forever.

@@ -607,10 +607,7 @@ bool ShardedService::handle_death_locked(std::size_t shard) {
   // Postmortem first: the dead worker's flight-recorder dump is the only
   // witness of its final moments, and the respawn will overwrite the file.
   harvest_flight_locked(shard);
-  if (!config_.restart_dead_workers ||
-      worker.restarts >= config_.max_restarts_per_shard) {
-    return false;
-  }
+  if (worker.restarts >= config_.max_restarts_per_shard) return false;
   ++worker.restarts;
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);

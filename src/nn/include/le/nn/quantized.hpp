@@ -18,7 +18,7 @@
 /// one multiply per output.  The calibration residual (max |fp - int8| over
 /// the calibration set) is measured at build time and reported; the serving
 /// dispatcher admits the quantized model only if that residual fits inside
-/// the UQ acceptance gate (core::SurrogateDispatcher::enable_quantized_serving).
+/// the UQ acceptance gate (core::SurrogateDispatcher::set_degraded_surrogate).
 #pragma once
 
 #include <cstdint>

@@ -79,8 +79,8 @@ enum class ServiceState {
 
 [[nodiscard]] std::string to_string(ServiceState state);
 
-/// Trains a candidate model from a corpus.  The default trainer builds a
-/// dropout MLP (make_mlp + Adam + MSE, mirroring the adaptive loop); tests
+/// Trains a candidate model from a corpus.  The default trainer is
+/// uq::train_mc_dropout, the adaptive loop's trainer; tests
 /// substitute poisoned trainers to prove rejection paths.  Must throw on
 /// failure or return a non-null model plus the final training loss.
 struct TrainedCandidate {

@@ -9,9 +9,7 @@
 #include <utility>
 
 #include "le/ckpt/campaign_checkpoint.hpp"
-#include "le/nn/loss.hpp"
 #include "le/nn/network.hpp"
-#include "le/nn/optimizer.hpp"
 #include "le/nn/serialize.hpp"
 #include "le/obs/health.hpp"
 #include "le/obs/metrics.hpp"
@@ -388,22 +386,13 @@ TrainedCandidate RetrainingService::train_candidate_checked() {
   if (config_.trainer) {
     candidate = config_.trainer(corpus, attempt_rng);
   } else {
-    nn::MlpConfig mlp;
-    mlp.input_dim = corpus.input_dim();
-    mlp.hidden = config_.hidden;
-    mlp.output_dim = corpus.target_dim();
-    mlp.activation = nn::Activation::kRelu;
-    mlp.dropout_rate = config_.dropout_rate;
     stats::Rng net_rng = attempt_rng.split(1);
-    nn::Network net = nn::make_mlp(mlp, net_rng);
-    nn::AdamOptimizer opt(1e-2);
-    const nn::MseLoss loss;
     stats::Rng fit_rng = attempt_rng.split(2);
-    const nn::TrainResult result =
-        nn::fit(net, corpus, loss, opt, config_.train, fit_rng);
-    candidate.final_loss = result.final_train_loss;
-    candidate.model = std::make_shared<uq::McDropoutEnsemble>(
-        std::move(net), config_.mc_passes);
+    uq::McDropoutFit fit = uq::train_mc_dropout(
+        corpus, config_.hidden, config_.dropout_rate, config_.mc_passes,
+        config_.train, net_rng, fit_rng);
+    candidate.model = std::move(fit.model);
+    candidate.final_loss = fit.final_loss;
   }
 
   // Trainer fault injection: the configured injector corrupts the reported

@@ -93,10 +93,12 @@ struct BatchQueueStats {
   /// not here).
   std::uint64_t shed = 0;
   /// Rows whose deadline had already passed when the batched forward
-  /// started, yet were forwarded anyway.  The pre-forward shed pass keeps
-  /// this at exactly 0 (a request can only land here by expiring in the
-  /// nanoseconds between that pass and the forward call); bench_overload
-  /// (E17) asserts it.
+  /// started, yet were answered by it.  Rows a shed-aware forward shed are
+  /// not counted: they never reached its model.  The pre-forward shed pass
+  /// keeps this at 0 (a request can only land here by expiring in the
+  /// microseconds between that pass and the forward call, and then only
+  /// through a forward that does not check deadlines itself);
+  /// bench_overload (E17) asserts it.
   std::uint64_t dead_request_forwards = 0;
   /// Queue-wait (submit to dispatch) distribution in seconds — the latency
   /// cost of coalescing, per request.

@@ -231,20 +231,7 @@ void BatchQueue::dispatch(std::vector<Pending> batch) {
     metric_batch_fill_->set(static_cast<double>(rows));
   }
 
-  // The zero-dead-forwards instrument: any row already expired at this
-  // instant slipped through the gap between the shed pass and here.  The
-  // gap is a few microseconds of matrix packing, so this stays 0 for any
-  // realistic deadline; E17 asserts it.
   const auto forward_start = std::chrono::steady_clock::now();
-  std::size_t dead = 0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (deadlines[r] && *deadlines[r] <= forward_start) ++dead;
-  }
-  if (dead > 0) {
-    dead_request_forwards_.fetch_add(dead, std::memory_order_relaxed);
-    if (metric_dead_forwards_) metric_dead_forwards_->add(dead);
-  }
-
   std::vector<ShedReason> row_shed(rows, ShedReason::kNone);
   tensor::Matrix outputs;
   try {
@@ -266,14 +253,28 @@ void BatchQueue::dispatch(std::vector<Pending> batch) {
         std::chrono::duration<double>(t1 - forward_start).count());
   }
 
+  // The zero-dead-forwards instrument: a row the forward answered although
+  // its deadline had passed when the forward started slipped through the
+  // gap between the shed pass and the forward.  Rows the forward shed
+  // itself (the dispatcher's own deadline check) never reached a GEMM and
+  // are not counted.  E17 asserts this stays 0.
   std::size_t n_row_shed = 0;
+  std::size_t dead = 0;
   for (std::size_t r = 0; r < rows; ++r) {
-    if (row_shed[r] != ShedReason::kNone) ++n_row_shed;
+    if (row_shed[r] != ShedReason::kNone) {
+      ++n_row_shed;
+    } else if (deadlines[r] && *deadlines[r] <= forward_start) {
+      ++dead;
+    }
   }
   // Same ordering rule as the expiry pass: stats first, promises second.
   if (n_row_shed > 0) {
     shed_.fetch_add(n_row_shed, std::memory_order_relaxed);
     if (metric_shed_) metric_shed_->add(n_row_shed);
+  }
+  if (dead > 0) {
+    dead_request_forwards_.fetch_add(dead, std::memory_order_relaxed);
+    if (metric_dead_forwards_) metric_dead_forwards_->add(dead);
   }
   if (admission_) admission_->release(rows);
   for (std::size_t r = 0; r < rows; ++r) {

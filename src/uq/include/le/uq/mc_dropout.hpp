@@ -6,8 +6,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <vector>
 
+#include "le/data/dataset.hpp"
 #include "le/nn/network.hpp"
+#include "le/nn/train.hpp"
+#include "le/stats/rng.hpp"
 #include "le/uq/uq_model.hpp"
 
 namespace le::uq {
@@ -52,5 +57,21 @@ class McDropoutEnsemble final : public UqModel {
   nn::Network network_;
   std::size_t passes_;
 };
+
+/// A trained MC-dropout surrogate and its final training loss.
+struct McDropoutFit {
+  std::shared_ptr<McDropoutEnsemble> model;
+  double final_loss = 0.0;
+};
+
+/// Trains the surrogate the adaptive loop and the retraining service both
+/// serve: a ReLU MLP (corpus dims, `hidden` widths, `dropout_rate`) fitted
+/// with Adam(1e-2) on MSE, wrapped with `forward_passes` MC passes.  Both
+/// streams come from the caller: `init_rng` draws the weights and the
+/// dropout layers' seeds, `fit_rng` the epoch shuffles.
+[[nodiscard]] McDropoutFit train_mc_dropout(
+    const data::Dataset& corpus, const std::vector<std::size_t>& hidden,
+    double dropout_rate, std::size_t forward_passes,
+    const nn::TrainConfig& train, stats::Rng& init_rng, stats::Rng& fit_rng);
 
 }  // namespace le::uq

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "le/nn/loss.hpp"
+#include "le/nn/optimizer.hpp"
+
 namespace le::uq {
 
 namespace {
@@ -122,6 +125,26 @@ std::vector<double> McDropoutEnsemble::predict_mean_only(
   network_.set_training(false);
   network_.set_mc_dropout(false);
   return network_.predict(input);
+}
+
+McDropoutFit train_mc_dropout(const data::Dataset& corpus,
+                              const std::vector<std::size_t>& hidden,
+                              double dropout_rate, std::size_t forward_passes,
+                              const nn::TrainConfig& train,
+                              stats::Rng& init_rng, stats::Rng& fit_rng) {
+  nn::MlpConfig mlp;
+  mlp.input_dim = corpus.input_dim();
+  mlp.hidden = hidden;
+  mlp.output_dim = corpus.target_dim();
+  mlp.activation = nn::Activation::kRelu;
+  mlp.dropout_rate = dropout_rate;
+  nn::Network net = nn::make_mlp(mlp, init_rng);
+  nn::AdamOptimizer opt(1e-2);
+  const nn::MseLoss loss;
+  const nn::TrainResult result =
+      nn::fit(net, corpus, loss, opt, train, fit_rng);
+  return {std::make_shared<McDropoutEnsemble>(std::move(net), forward_passes),
+          result.final_train_loss};
 }
 
 }  // namespace le::uq

@@ -727,6 +727,40 @@ TEST(CampaignResume, MeterCountersSurviveRestart) {
   EXPECT_GE(after.train_seconds, before.train_seconds);
 }
 
+TEST(CampaignResume, MalformedRoundHistoryIsRefusedBeforeTheCast) {
+  // A CRC-valid snapshot can carry any double where a count belongs;
+  // casting NaN, a negative, a fraction or anything >= 2^64 to size_t is
+  // undefined, so resume must refuse each of them first.
+  ScratchDir dir("le_ckpt_bad_rounds");
+  ckpt::CheckpointerConfig ck;
+  ck.directory = dir.str();
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -1.0,
+                        0.5,
+                        18446744073709551616.0};  // 2^64
+  for (std::size_t field = 0; field < 2; ++field) {  // round, corpus_size
+    for (const double value : bad) {
+      ckpt::CampaignState state;
+      state.kind = "adaptive_loop";
+      state.progress = 1;
+      state.dataset = data::Dataset(1, 1);
+      state.dataset.add(std::vector<double>{0.5}, std::vector<double>{0.1});
+      state.scalars = {0.0};
+      state.series = {0.0, 12.0, 0.2, 0.4};
+      state.series[field] = value;
+      ckpt::CampaignCheckpointer writer(ck);
+      (void)writer.save(state);
+
+      core::AdaptiveLoopConfig cfg = loop_config();
+      ckpt::CampaignCheckpointer reader(ck);
+      cfg.checkpointer = &reader;
+      EXPECT_THROW((void)run_loop(cfg), std::runtime_error)
+          << "field " << field << " = " << value;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kill-and-resume smoke test: a real SIGKILL mid-checkpoint, then restart.
 

@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "le/core/adaptive_loop.hpp"
-#include "le/core/campaign.hpp"
 #include "le/core/effective_speedup.hpp"
 #include "le/core/ml_control.hpp"
 #include "le/core/network_problem.hpp"
@@ -419,52 +418,6 @@ TEST(NetworkProblem, TrainsUnderAllreduceEngine) {
   EXPECT_LT(result.loss_per_epoch.back(), result.loss_per_epoch.front());
 }
 
-TEST(Campaign, SerialAndParallelProduceSameDataset) {
-  const SimulationFn sim = [](std::span<const double> x) {
-    return std::vector<double>{x[0] + x[1], x[0] * x[1]};
-  };
-  std::vector<std::vector<double>> points;
-  Rng rng(40);
-  for (int i = 0; i < 24; ++i) {
-    points.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1)});
-  }
-  CampaignRunStats serial_stats, parallel_stats;
-  const data::Dataset serial =
-      run_campaign(points, sim, 2, nullptr, &serial_stats);
-  runtime::ThreadPool pool(3);
-  const data::Dataset parallel =
-      run_campaign(points, sim, 2, &pool, &parallel_stats);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.target(i)[0], parallel.target(i)[0]);
-    EXPECT_DOUBLE_EQ(serial.input(i)[1], parallel.input(i)[1]);
-  }
-  EXPECT_EQ(serial_stats.runs, 24u);
-  EXPECT_GT(serial_stats.wall_seconds, 0.0);
-}
-
-TEST(Campaign, PreservesSubmissionOrder) {
-  const SimulationFn sim = [](std::span<const double> x) {
-    return std::vector<double>{x[0]};
-  };
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 50; ++i) points.push_back({static_cast<double>(i)});
-  runtime::ThreadPool pool(4);
-  const data::Dataset ds = run_campaign(points, sim, 1, &pool);
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ds.target(i)[0], static_cast<double>(i));
-  }
-}
-
-TEST(Campaign, ValidatesInput) {
-  const SimulationFn sim = [](std::span<const double>) {
-    return std::vector<double>{0.0};
-  };
-  EXPECT_THROW(run_campaign({}, sim, 1), std::invalid_argument);
-  // Output-dim mismatch is detected.
-  EXPECT_THROW(run_campaign({{1.0}}, sim, 2), std::runtime_error);
-}
-
 // FakeUq with call counters and a poison switch, for the serving tests:
 // uncertainty = |x|, so the 0.5-threshold gate accepts small inputs.
 class CountingUq final : public uq::UqModel {
@@ -861,11 +814,6 @@ TEST(AdaptiveLoop, NotifiesHealthMonitorOnRetrain) {
   EXPECT_EQ(monitor.transitions().back().reason, "retrained");
 }
 
-// ---------------------------------------------------------------------------
-// Quantized serving: the int8 model swap rides the UQ gate, and rollback
-// never serves answers cached from a retired model's era.
-// ---------------------------------------------------------------------------
-
 /// Constant-answer surrogate with a controllable uncertainty, so tests can
 /// distinguish which model produced an answer (by value) and steer the
 /// gate (by sigma).
@@ -882,100 +830,6 @@ class TaggedUq final : public uq::UqModel {
   double value_;
   double sigma_;
 };
-
-TEST(DispatcherQuantized, EnableValidatesModelMarginAndShape) {
-  SurrogateDispatcher dispatcher(std::make_shared<TaggedUq>(1.0, 0.1),
-                                 identity_sim(), 0.5);
-  EXPECT_THROW(dispatcher.enable_quantized_serving(nullptr, 0.1),
-               std::invalid_argument);
-  EXPECT_THROW(dispatcher.enable_quantized_serving(
-                   std::make_shared<TaggedUq>(2.0, 0.1), -0.1),
-               std::invalid_argument);
-  EXPECT_THROW(dispatcher.enable_quantized_serving(
-                   std::make_shared<TaggedUq>(2.0, 0.1),
-                   std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  /// Shape guard: a quantized model of a different signature cannot stand
-  /// in for the serving surrogate.
-  class WideUq final : public uq::UqModel {
-   public:
-    uq::Prediction predict(std::span<const double>) override {
-      return {{0.0}, {0.0}};
-    }
-    std::size_t input_dim() const override { return 2; }
-    std::size_t output_dim() const override { return 1; }
-  };
-  EXPECT_THROW(dispatcher.enable_quantized_serving(
-                   std::make_shared<WideUq>(), 0.1),
-               std::invalid_argument);
-  EXPECT_FALSE(dispatcher.quantized_serving());
-}
-
-TEST(DispatcherQuantized, ResidualWiderThanTheGateIsRefusedLoudly) {
-  // added_error > threshold means the quantized model could never pass the
-  // gate — that must be a hard error, not silent 100% fallback.
-  SurrogateDispatcher dispatcher(std::make_shared<TaggedUq>(1.0, 0.1),
-                                 identity_sim(), 0.5);
-  EXPECT_THROW(dispatcher.enable_quantized_serving(
-                   std::make_shared<TaggedUq>(2.0, 0.6), 0.6),
-               std::invalid_argument);
-  EXPECT_FALSE(dispatcher.quantized_serving());
-  // Within the gate it is accepted and actually serves.
-  dispatcher.enable_quantized_serving(std::make_shared<TaggedUq>(2.0, 0.4),
-                                      0.4);
-  EXPECT_TRUE(dispatcher.quantized_serving());
-  const Answer served = dispatcher.query(std::vector<double>{0.0});
-  EXPECT_EQ(served.source, AnswerSource::kSurrogate);
-  EXPECT_DOUBLE_EQ(served.values[0], 2.0);
-}
-
-TEST(DispatcherQuantized, RollbackNeverServesHitsFromTheRetiredEra) {
-  // fp model answers 1.0, quantized answers 2.0.  Enable -> query (caches
-  // a quantized-era answer) -> disable (rollback).  The rolled-back fp
-  // model must never serve the 2.0 cached during the quantized era, and
-  // re-enabling must never serve the fp 1.0 cached after rollback.
-  SurrogateDispatcher dispatcher(std::make_shared<TaggedUq>(1.0, 0.1),
-                                 identity_sim(), 0.5);
-  dispatcher.enable_lookup_cache(serve::LookupCacheConfig{});
-  const std::vector<double> probe{0.25};
-
-  auto quantized = std::make_shared<TaggedUq>(2.0, 0.1);
-  dispatcher.enable_quantized_serving(quantized, 0.1);
-  EXPECT_DOUBLE_EQ(dispatcher.query(probe).values[0], 2.0);
-  ASSERT_EQ(dispatcher.lookup_cache()->size(), 1u);  // quantized-era entry
-
-  dispatcher.disable_quantized_serving();
-  EXPECT_FALSE(dispatcher.quantized_serving());
-  const Answer rolled_back = dispatcher.query(probe);
-  EXPECT_FALSE(rolled_back.from_cache);
-  EXPECT_DOUBLE_EQ(rolled_back.values[0], 1.0);  // fp answer, not stale 2.0
-
-  dispatcher.enable_quantized_serving(quantized, 0.1);
-  const Answer re_enabled = dispatcher.query(probe);
-  EXPECT_FALSE(re_enabled.from_cache);
-  EXPECT_DOUBLE_EQ(re_enabled.values[0], 2.0);
-  // Idempotence: disabling twice is harmless, and the second disable does
-  // not resurrect an older model.
-  dispatcher.disable_quantized_serving();
-  dispatcher.disable_quantized_serving();
-  EXPECT_DOUBLE_EQ(dispatcher.query(probe).values[0], 1.0);
-}
-
-TEST(DispatcherQuantized, PromotionSupersedesTheQuantizedSnapshot) {
-  // replace_surrogate() (retrain promotion) while quantized serving is
-  // active installs the NEW fp model and drops the stale fp backup: a
-  // later disable must not roll back to the pre-promotion model.
-  SurrogateDispatcher dispatcher(std::make_shared<TaggedUq>(1.0, 0.1),
-                                 identity_sim(), 0.5);
-  dispatcher.enable_quantized_serving(std::make_shared<TaggedUq>(2.0, 0.1),
-                                      0.1);
-  ASSERT_TRUE(dispatcher.quantized_serving());
-  dispatcher.replace_surrogate(std::make_shared<TaggedUq>(3.0, 0.1));
-  EXPECT_FALSE(dispatcher.quantized_serving());
-  EXPECT_DOUBLE_EQ(dispatcher.query(std::vector<double>{0.0}).values[0], 3.0);
-  dispatcher.disable_quantized_serving();  // no backup left: a no-op
-  EXPECT_DOUBLE_EQ(dispatcher.query(std::vector<double>{0.0}).values[0], 3.0);
-}
 
 // ---------------------------------------------------------------------------
 // Overload robustness (DESIGN.md section 14): per-request deadlines and the

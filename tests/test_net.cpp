@@ -759,7 +759,7 @@ TEST(ShardedService, KilledWorkerShedsTypedThenRecoversFromCheckpoint) {
 TEST(ShardedService, RestartDisabledShardStaysDownAndKeepsShedding) {
   LE_SKIP_UNDER_TSAN();
   auto config = make_config(2);
-  config.restart_dead_workers = false;
+  config.max_restarts_per_shard = 0;
   net::ShardedService service(std::move(config), scale_factory(1.0));
   service.start();
 

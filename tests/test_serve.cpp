@@ -1353,6 +1353,83 @@ TEST(BatchQueueOverload, ShedAwareForwardFailsMarkedRowsOnly) {
   EXPECT_EQ(queue.stats().shed, 1u);
 }
 
+TEST(BatchQueueOverload, RowsTheForwardShedsAreNoDeadForwards) {
+  // A forward that checks deadlines itself, as SurrogateDispatcher's
+  // query_batch does, sheds every row that expired between the queue's
+  // shed pass and the forward call: those rows never reach its model, so
+  // they are no dead-request forwards.  Wide rows stretch that gap (the
+  // queue packs them into the batch matrix), and deadlines 1 ms apart,
+  // released into the queue around the middle of their span, land rows
+  // inside it.  A stalled host can miss the span, so the scenario repeats
+  // until the forward has shed a row; every round must charge none.
+  constexpr std::size_t kDim = std::size_t{1} << 13;
+  constexpr std::size_t kRows = 256;
+  BatchQueueConfig config;
+  config.max_batch = kRows;
+  config.max_wait = std::chrono::milliseconds(1);
+  config.input_dim = kDim;
+  const std::vector<double> input(kDim, 1.0);
+  std::uint64_t forward_shed_total = 0;
+  for (int round = 0; round < 5 && forward_shed_total == 0; ++round) {
+    std::atomic<bool> head_started{false};
+    std::atomic<bool> release{false};
+    std::atomic<std::uint64_t> forward_shed{0};
+    BatchQueue queue(
+        [&](const le::tensor::Matrix& inputs,
+            std::span<const le::serve::Deadline> deadlines,
+            std::span<ShedReason> shed) {
+          if (!deadlines[0]) {  // the head request holds the serving thread
+            head_started.store(true);
+            while (!release.load()) std::this_thread::yield();
+          }
+          const auto entry = std::chrono::steady_clock::now();
+          le::tensor::Matrix out(inputs.rows(), 1);
+          for (std::size_t r = 0; r < inputs.rows(); ++r) {
+            if (deadlines[r] && *deadlines[r] <= entry) {
+              shed[r] = ShedReason::kDeadline;
+              ++forward_shed;
+            }
+            out(r, 0) = inputs(r, 0);
+          }
+          return out;
+        },
+        config);
+
+    auto head = queue.submit(input);
+    while (!head_started.load()) std::this_thread::yield();
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto deadline_of = [&](std::size_t i) {
+      return t0 + std::chrono::milliseconds(50 + i);
+    };
+    std::vector<std::future<std::vector<double>>> futures;
+    for (std::size_t i = 0; i < kRows; ++i) {
+      try {
+        futures.push_back(queue.submit(input, deadline_of(i)));
+      } catch (const DeadlineExceededError&) {
+        // Expired on arrival on a stalled host: counted in `expired`.
+      }
+    }
+    std::this_thread::sleep_until(deadline_of(kRows / 2));
+    release.store(true);
+    (void)head.get();
+
+    std::size_t answered = 0;
+    for (auto& fut : futures) {
+      try {
+        (void)fut.get();
+        ++answered;
+      } catch (const DeadlineExceededError&) {
+      }
+    }
+    const BatchQueueStats stats = queue.stats();
+    EXPECT_EQ(stats.dead_request_forwards, 0u);
+    EXPECT_EQ(stats.shed, forward_shed.load());
+    EXPECT_EQ(answered + stats.shed + stats.expired, kRows);
+    forward_shed_total += forward_shed.load();
+  }
+  EXPECT_GT(forward_shed_total, 0u);
+}
+
 TEST(BatchQueueOverload, ConcurrentExpiringSubmittersVsStopAllResolve) {
   // The race the TSan tier exists for: submitter threads with a mix of
   // live, tight and already-expired deadlines vs concurrent stop() vs the
