@@ -35,7 +35,7 @@
 /// explicit outcome distinct from model failure: it feeds neither the
 /// breaker nor the speedup meter.  attach_degradation() wires a
 /// serve::DegradationLadder brownout policy over the serving tiers: under
-/// rising pressure the dispatcher serves the registered quantized surrogate
+/// rising pressure the dispatcher serves the registered degraded surrogate
 /// (set_degraded_surrogate), then cache hits only, then sheds — and at any
 /// degraded level the simulation fallback is disabled, because running the
 /// most expensive path under overload is exactly the collapse mode the
@@ -103,8 +103,8 @@ struct Answer {
   /// True when the answer came from the learned-lookup cache (a previously
   /// gate-accepted surrogate answer) rather than a fresh forward pass.
   bool from_cache = false;
-  /// True when the answer came from the registered degraded (quantized)
-  /// surrogate because the degradation ladder held kQuantized or worse.
+  /// True when the answer came from the registered degraded surrogate
+  /// because the degradation ladder held kDegraded.
   bool degraded = false;
   /// Why the request was shed; kNone unless source == kShed.
   serve::ShedReason shed_reason = serve::ShedReason::kNone;
@@ -141,8 +141,8 @@ struct DispatcherStats {
   /// Requests shed by the degradation ladder (kShedAll, a cache miss at
   /// kCacheOnly, or a gate rejection at a degraded level).
   std::size_t shed_overload = 0;
-  /// Surrogate answers produced by the registered degraded (quantized)
-  /// surrogate rather than the full model (a subset of surrogate_answers).
+  /// Surrogate answers produced by the registered degraded surrogate
+  /// rather than the full model (a subset of surrogate_answers).
   std::size_t degraded_answers = 0;
 
   [[nodiscard]] std::size_t total() const noexcept {
@@ -267,17 +267,18 @@ class SurrogateDispatcher {
     return ladder_.get();
   }
 
-  /// Registers the cheaper surrogate (typically an int8
-  /// uq::QuantizedSurrogate of the incumbent) the ladder serves at
-  /// ServiceLevel::kQuantized.  Admission is bounded by the UQ gate:
-  /// `added_error`, the quantization residual the model reports as its
-  /// spread, must fit inside the current threshold, otherwise the tier
-  /// could never answer and the call throws std::invalid_argument.
+  /// Registers the cheaper surrogate the ladder serves at
+  /// ServiceLevel::kDegraded (typically a lower-fidelity cut of the
+  /// incumbent, such as an MC-dropout ensemble with fewer passes).
+  /// Admission is bounded by the UQ gate: `added_error`, the model's
+  /// measured added error against the full model, must fit inside the
+  /// current threshold, otherwise the tier could never answer and the call
+  /// throws std::invalid_argument.
   /// Degraded answers are flagged (Answer::degraded),
   /// counted in stats().degraded_answers, never inserted into the lookup
   /// cache (the cache stores full-fidelity answers only) and never shadow
-  /// sampled.  replace_surrogate() clears the registration — a quantized
-  /// snapshot of a retired model must not serve the new era.  Pass nullptr
+  /// sampled.  replace_surrogate() clears the registration — a degraded
+  /// cut of a retired model must not serve the new era.  Pass nullptr
   /// to deregister.
   void set_degraded_surrogate(std::shared_ptr<uq::UqModel> degraded,
                               double added_error);
@@ -350,7 +351,7 @@ class SurrogateDispatcher {
                                         double seconds);
 
   /// The model serving at `level`, copied under model_mutex_: the
-  /// registered degraded surrogate at kQuantized (sets `degraded`), the
+  /// registered degraded surrogate at kDegraded (sets `degraded`), the
   /// incumbent otherwise.  A concurrent replace_surrogate() affects the
   /// next batch, never a half-answered one.
   [[nodiscard]] std::shared_ptr<uq::UqModel> serving_surrogate(
@@ -396,7 +397,7 @@ class SurrogateDispatcher {
   std::unique_ptr<obs::SurrogateHealthMonitor> health_;
   /// Brownout policy (shared with the queue edge); null when detached.
   std::shared_ptr<serve::DegradationLadder> ladder_;
-  /// The ladder's kQuantized tier; guarded by model_mutex_.
+  /// The ladder's kDegraded tier; guarded by model_mutex_.
   std::shared_ptr<uq::UqModel> degraded_surrogate_;
 
   /// Refreshes the acceptance and breaker gauges (metrics enabled only).

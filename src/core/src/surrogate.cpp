@@ -216,7 +216,7 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
       // Only gate-accepted answers are remembered, so a later hit inherits
       // this acceptance; the epoch drops the insert if this model has been
       // retired meanwhile.  Degraded answers are never cached (the cache
-      // stores full-fidelity answers only, and a quantized answer must not
+      // stores full-fidelity answers only, and a degraded answer must not
       // keep serving after the brownout lifts) and never shadow sampled (a
       // shadow run is a full simulation — exactly the cost the ladder is
       // shedding).
@@ -282,7 +282,7 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
 std::shared_ptr<uq::UqModel> SurrogateDispatcher::serving_surrogate(
     serve::ServiceLevel level, bool& degraded) const {
   std::lock_guard lock(model_mutex_);
-  degraded = level == serve::ServiceLevel::kQuantized && degraded_surrogate_;
+  degraded = level == serve::ServiceLevel::kDegraded && degraded_surrogate_;
   return degraded ? degraded_surrogate_ : surrogate_;
 }
 
@@ -469,7 +469,7 @@ void SurrogateDispatcher::replace_surrogate(
     }
     surrogate_ = std::move(surrogate);
     // A promotion (or rollback) supersedes the ladder's degraded tier: a
-    // quantized snapshot of a retired model must not serve the new era.
+    // degraded cut of a retired model must not serve the new era.
     degraded_surrogate_.reset();
   }
   // Cached answers came from the old surrogate; a hit must always reflect
@@ -495,12 +495,12 @@ void SurrogateDispatcher::set_degraded_surrogate(
   if (!std::isfinite(added_error) || added_error < 0.0) {
     throw std::invalid_argument("set_degraded_surrogate: bad added_error");
   }
-  // A degraded tier whose residual exceeds the UQ gate could never answer
-  // a query, so at kQuantized every miss would shed — refuse loudly.
+  // A degraded tier whose added error exceeds the UQ gate could never
+  // answer a query, so at kDegraded every miss would shed — refuse loudly.
   if (added_error > threshold_) {
     throw std::invalid_argument(
-        "set_degraded_surrogate: quantization residual exceeds the UQ gate "
-        "threshold");
+        "set_degraded_surrogate: added error against the full model exceeds "
+        "the UQ gate threshold");
   }
   std::lock_guard lock(model_mutex_);
   if (degraded->input_dim() != surrogate_->input_dim() ||

@@ -124,11 +124,6 @@ enum class Activation { kIdentity, kRelu, kLeakyRelu, kTanh, kSigmoid };
 [[nodiscard]] std::string to_string(Activation a);
 [[nodiscard]] Activation activation_from_string(const std::string& s);
 
-/// Scalar reference for one activation value (what forward() applies
-/// elementwise).  Public so the quantized-inference path can share the exact
-/// same nonlinearity definition.
-[[nodiscard]] double activation_apply(Activation kind, double x);
-
 /// Pointwise activation layer.
 class ActivationLayer final : public Layer {
  public:

@@ -128,6 +128,10 @@ Activation activation_from_string(const std::string& s) {
   throw std::invalid_argument("unknown activation: " + s);
 }
 
+namespace {
+
+/// Scalar reference for one activation value (what forward() applies
+/// elementwise).
 double activation_apply(Activation kind, double x) {
   switch (kind) {
     case Activation::kIdentity: return x;
@@ -138,8 +142,6 @@ double activation_apply(Activation kind, double x) {
   }
   return x;
 }
-
-namespace {
 
 double activation_grad(Activation kind, double x) {
   switch (kind) {

@@ -109,7 +109,9 @@ class FlightRecorder {
 
  private:
   struct Slot {
-    std::atomic<std::uint64_t> seq{0};  ///< seqlock: odd = write in progress
+    /// Seqlock stamp, odd while a write is in progress.  Mutable because
+    /// readers re-check it with a read-modify-write (see dump()).
+    mutable std::atomic<std::uint64_t> seq{0};
     FlightEvent event;
   };
 

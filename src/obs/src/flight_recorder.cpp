@@ -115,8 +115,10 @@ bool FlightRecorder::dump() noexcept {
     const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
     if (seq1 & 1) continue;  // mid-write: skip rather than tear
     FlightEvent copy = slot.event;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != seq1) continue;
+    // Adding 0 with release order keeps the copy before the re-check and
+    // reads the newest stamp.  An acquire fence would also do, but
+    // ThreadSanitizer cannot model fences.
+    if (slot.seq.fetch_add(0, std::memory_order_acq_rel) != seq1) continue;
     serialize_event(payload + len, copy);
     len += kFlightEntryBytes;
     ++count;
@@ -149,8 +151,7 @@ std::vector<FlightEvent> FlightRecorder::events() const {
     const std::uint64_t seq1 = slot.seq.load(std::memory_order_acquire);
     if (seq1 & 1) continue;
     FlightEvent copy = slot.event;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != seq1) continue;
+    if (slot.seq.fetch_add(0, std::memory_order_acq_rel) != seq1) continue;
     out.push_back(copy);
   }
   return out;

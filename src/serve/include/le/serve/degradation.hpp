@@ -4,13 +4,14 @@
 ///
 /// The taxonomy paper (arXiv:1909.13340) classifies ML+HPC integrations as
 /// a spectrum of fidelities; this repo has grown four ways to answer a
-/// query, ordered by cost: the learned-lookup cache (O(1)), the int8
-/// quantized surrogate (PR 7), the full fp surrogate, and the real
-/// simulation.  Under overload that ordering IS the brownout policy: as
-/// measured latency rises, walk DOWN the cost ladder deliberately —
+/// query, ordered by cost: the learned-lookup cache (O(1)), a degraded
+/// surrogate (a lower-fidelity cut of the full model, e.g. fewer MC-dropout
+/// passes), the full surrogate, and the real simulation.  Under overload
+/// that ordering IS the brownout policy: as measured latency rises, walk
+/// DOWN the cost ladder deliberately —
 ///
-///   kFull      -> every tier available (fp surrogate, sim fallback)
-///   kQuantized -> serve the cheaper quantized surrogate; no sim fallback
+///   kFull      -> every tier available (full surrogate, sim fallback)
+///   kDegraded  -> serve the cheaper degraded surrogate; no sim fallback
 ///   kCacheOnly -> serve remembered answers only; misses are shed
 ///   kShedAll   -> refuse everything until pressure releases
 ///
@@ -41,17 +42,17 @@ namespace le::serve {
 /// Service levels, ordered by increasing degradation.
 enum class ServiceLevel : int {
   kFull = 0,       ///< all tiers available
-  kQuantized = 1,  ///< serve the registered degraded (quantized) surrogate
+  kDegraded = 1,   ///< serve the registered degraded surrogate
   kCacheOnly = 2,  ///< cache hits only; misses shed
   kShedAll = 3,    ///< refuse everything
 };
 
-/// Human-readable level label ("full", "quantized", ...).
+/// Human-readable level label ("full", "degraded", ...).
 [[nodiscard]] constexpr const char* service_level_name(
     ServiceLevel level) noexcept {
   switch (level) {
     case ServiceLevel::kFull: return "full";
-    case ServiceLevel::kQuantized: return "quantized";
+    case ServiceLevel::kDegraded: return "degraded";
     case ServiceLevel::kCacheOnly: return "cache_only";
     case ServiceLevel::kShedAll: return "shed_all";
   }
@@ -64,7 +65,7 @@ struct DegradationConfig {
   std::size_t window = 64;
   /// Which quantile of the window drives the ladder (default p95).
   double quantile = 0.95;
-  /// Engage thresholds in seconds for kQuantized / kCacheOnly / kShedAll:
+  /// Engage thresholds in seconds for kDegraded / kCacheOnly / kShedAll:
   /// level L engages while the window quantile exceeds engage[L-1].
   /// Must be strictly increasing.
   std::array<double, 3> engage{2e-3, 8e-3, 20e-3};

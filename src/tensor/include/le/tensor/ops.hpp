@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "le/tensor/matrix.hpp"
@@ -81,25 +80,6 @@ void gemm_exact(const Matrix& a, const Matrix& b, Matrix& out,
 /// cpu_has_avx2_fma()).
 void gemm_exact_avx2(const Matrix& a, const Matrix& b, Matrix& out,
                      GemmOp op = GemmOp::kNN);
-
-/// int8 GEMM with int32 accumulation for quantized inference:
-/// c[i,j] = sum_p a[i,p] * b[p,j], row-major, no blocking (the shapes on
-/// the quantized path are single layers, small enough to stream).  The
-/// active kernel picks a SIMD implementation when available; the scalar
-/// form is the reference.  Exact: integer accumulation is order-invariant,
-/// so every kernel returns bit-identical results.
-void gemm_s8_s32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-                 std::size_t m, std::size_t k, std::size_t n);
-
-/// Reference scalar int8 GEMM (same contract as gemm_s8_s32).
-void gemm_s8_s32_scalar(const std::int8_t* a, const std::int8_t* b,
-                        std::int32_t* c, std::size_t m, std::size_t k,
-                        std::size_t n);
-
-/// AVX2 int8 GEMM (same contract; precondition cpu_has_avx2_fma()).
-void gemm_s8_s32_avx2(const std::int8_t* a, const std::int8_t* b,
-                      std::int32_t* c, std::size_t m, std::size_t k,
-                      std::size_t n);
 
 /// Elementwise y = tanh(x) through the active kernel.  The scalar kernel is
 /// std::tanh exactly; the AVX2 kernel uses a clamped rational minimax

@@ -194,36 +194,6 @@ void gemm_avx2(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-void gemm_s8_s32_avx2(const std::int8_t* a, const std::int8_t* b,
-                      std::int32_t* c, std::size_t m, std::size_t k,
-                      std::size_t n) {
-  // Vectorized over the output columns: widen 8 int8 weights to int32 and
-  // FMA-like accumulate against the broadcast activation.  int32
-  // accumulation is exact and order-invariant, so this is bit-identical to
-  // the scalar reference.
-  for (std::size_t i = 0; i < m; ++i) {
-    std::int32_t* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = 0;
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t aip = a[i * k + p];
-      const __m256i va = _mm256_set1_epi32(aip);
-      const std::int8_t* brow = b + p * n;
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m128i b8 =
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(brow + j));
-        const __m256i vb = _mm256_cvtepi8_epi32(b8);
-        const __m256i prod = _mm256_mullo_epi32(va, vb);
-        __m256i acc =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(crow + j));
-        acc = _mm256_add_epi32(acc, prod);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + j), acc);
-      }
-      for (; j < n; ++j) crow[j] += aip * static_cast<std::int32_t>(brow[j]);
-    }
-  }
-}
-
 void vtanh_avx2(std::span<const double> x, std::span<double> y) {
   // Rational minimax approximation (numerator degree 13 odd / denominator
   // degree 6 even, the widely used fast-tanh form) with input clamped to
@@ -303,12 +273,6 @@ namespace le::tensor {
 void gemm_avx2(const Matrix& a, const Matrix& b, Matrix& out,
                const GemmBlocking& blocking) {
   gemm_blocked(a, b, out, blocking);
-}
-
-void gemm_s8_s32_avx2(const std::int8_t* a, const std::int8_t* b,
-                      std::int32_t* c, std::size_t m, std::size_t k,
-                      std::size_t n) {
-  gemm_s8_s32_scalar(a, b, c, m, k, n);
 }
 
 void vtanh_avx2(std::span<const double> x, std::span<double> y) {

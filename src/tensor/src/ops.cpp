@@ -90,31 +90,6 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-void gemm_s8_s32_scalar(const std::int8_t* a, const std::int8_t* b,
-                        std::int32_t* c, std::size_t m, std::size_t k,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    std::int32_t* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = 0;
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t aip = a[i * k + p];
-      const std::int8_t* brow = b + p * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        crow[j] += aip * static_cast<std::int32_t>(brow[j]);
-      }
-    }
-  }
-}
-
-void gemm_s8_s32(const std::int8_t* a, const std::int8_t* b, std::int32_t* c,
-                 std::size_t m, std::size_t k, std::size_t n) {
-  if (active_gemm_kernel() == GemmKernel::kAvx2) {
-    gemm_s8_s32_avx2(a, b, c, m, k, n);
-  } else {
-    gemm_s8_s32_scalar(a, b, c, m, k, n);
-  }
-}
-
 Matrix matmul(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   gemm_naive(a, b, out);

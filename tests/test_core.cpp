@@ -90,14 +90,14 @@ TEST(EffectiveSpeedup, RatioToReachFraction) {
   // At the found ratio the speedup is at least half the limit.
   EXPECT_GE(effective_speedup(t, static_cast<std::size_t>(ratio), 1),
             0.5 * lookup_limit(t));
-  EXPECT_THROW(ratio_to_reach_fraction(t, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)ratio_to_reach_fraction(t, 1.5), std::invalid_argument);
 }
 
 TEST(EffectiveSpeedup, ValidatesInput) {
   SpeedupTimes t;
-  EXPECT_THROW(effective_speedup(t, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)effective_speedup(t, 0, 0), std::invalid_argument);
   t.t_lookup = 0.0;
-  EXPECT_THROW(lookup_limit(t), std::invalid_argument);
+  EXPECT_THROW((void)lookup_limit(t), std::invalid_argument);
 }
 
 /// Fake UQ model with controllable spread: sigma = |x| (certain near 0).
@@ -979,7 +979,7 @@ TEST(DispatcherOverload, LadderShedsAllThenServesOnlyCacheHits) {
   EXPECT_EQ(model->batch_calls, 1u);  // still only the warming forward
 }
 
-TEST(DispatcherOverload, QuantizedLevelServesDegradedTierWithoutFallback) {
+TEST(DispatcherOverload, DegradedLevelServesDegradedTierWithoutFallback) {
   std::size_t sim_calls = 0;
   auto ladder = std::make_shared<serve::DegradationLadder>(tiny_ladder());
   SurrogateDispatcher dispatcher(
@@ -997,9 +997,9 @@ TEST(DispatcherOverload, QuantizedLevelServesDegradedTierWithoutFallback) {
                                     0.2);
 
   feed_window(*ladder, 1.5e-3);
-  ASSERT_EQ(ladder->level(), serve::ServiceLevel::kQuantized);
+  ASSERT_EQ(ladder->level(), serve::ServiceLevel::kDegraded);
 
-  // The degraded tier answers (by value: 2.0 is the quantized model),
+  // The degraded tier answers (by value: 2.0 is the degraded model),
   // flagged and counted — and honestly metered as a lookup, because it IS
   // one: a cheaper model really did answer.
   const Answer degraded = dispatcher.query(std::vector<double>{0.7});
@@ -1028,7 +1028,7 @@ TEST(DispatcherOverload, DegradedRegistrationValidatesAndPromotionClearsIt) {
                                  identity_sim(), 0.5);
   dispatcher.attach_degradation(ladder);
 
-  // Residual wider than the gate could never answer — refuse loudly.
+  // Added error wider than the gate could never answer — refuse loudly.
   EXPECT_THROW(dispatcher.set_degraded_surrogate(
                    std::make_shared<TaggedUq>(2.0, 0.6), 0.6),
                std::invalid_argument);
@@ -1039,11 +1039,11 @@ TEST(DispatcherOverload, DegradedRegistrationValidatesAndPromotionClearsIt) {
                                     0.2);
 
   feed_window(*ladder, 1.5e-3);
-  ASSERT_EQ(ladder->level(), serve::ServiceLevel::kQuantized);
+  ASSERT_EQ(ladder->level(), serve::ServiceLevel::kDegraded);
   EXPECT_DOUBLE_EQ(dispatcher.query(std::vector<double>{0.7}).values[0], 2.0);
 
-  // A retrain promotion clears the registration: a quantized snapshot of a
-  // retired model must not serve the new era.  Still at kQuantized, the
+  // A retrain promotion clears the registration: a degraded cut of a
+  // retired model must not serve the new era.  Still at kDegraded, the
   // dispatcher falls back to the (new) full model, unflagged.
   dispatcher.replace_surrogate(std::make_shared<TaggedUq>(3.0, 0.1));
   const Answer after = dispatcher.query(std::vector<double>{0.7});
@@ -1160,10 +1160,10 @@ TEST(DispatcherBatch, QueryIsABatchOfOne) {
     feed_window(*rig.ladder, 1.0e-3);
     ASSERT_EQ(rig.ladder->level(), serve::ServiceLevel::kCacheOnly);
   };
-  const auto quantized = [](DispatcherRig& rig) {
+  const auto degraded = [](DispatcherRig& rig) {
     arm_ladder(rig, 1.5e-3);
     rig.dispatcher.set_degraded_surrogate(std::make_shared<CountingUq>(), 0.2);
-    ASSERT_EQ(rig.ladder->level(), serve::ServiceLevel::kQuantized);
+    ASSERT_EQ(rig.ladder->level(), serve::ServiceLevel::kDegraded);
   };
   const std::vector<Scenario> scenarios{
       {"cache hit",
@@ -1203,8 +1203,8 @@ TEST(DispatcherBatch, QueryIsABatchOfOne) {
        0.1},
       {"ladder kCacheOnly hit", cache_only, 0.1},
       {"ladder kCacheOnly miss", cache_only, 0.4},
-      {"ladder kQuantized accept", quantized, 0.1},
-      {"ladder kQuantized reject", quantized, 0.7},
+      {"ladder kDegraded accept", degraded, 0.1},
+      {"ladder kDegraded reject", degraded, 0.7},
       {"shadow sample",
        [](DispatcherRig& rig) {
          rig.dispatcher.enable_health_monitoring(every_answer_shadowed(),

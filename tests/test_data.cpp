@@ -258,7 +258,7 @@ std::filesystem::path write_temp_csv(const char* name, const std::string& text) 
 TEST(Csv, RejectsTrailingGarbageAfterNumber) {
   const auto path = write_temp_csv("le_test_garbage.csv", "1.0,2.0\n3.0,4.0x\n");
   try {
-    read_csv(path.string());
+    (void)read_csv(path.string());
     FAIL() << "expected trailing-garbage error";
   } catch (const std::runtime_error& e) {
     // The error must locate the bad cell: line 2, column 2.
@@ -271,7 +271,7 @@ TEST(Csv, RejectsTrailingGarbageAfterNumber) {
 TEST(Csv, RejectsNonNumericCellWithLocation) {
   const auto path = write_temp_csv("le_test_nan.csv", "1.0,2.0\nfoo,4.0\n");
   try {
-    read_csv(path.string());
+    (void)read_csv(path.string());
     FAIL() << "expected not-a-number error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
@@ -307,7 +307,7 @@ TEST(Csv, AcceptsPaddedCells) {
 TEST(Csv, RaggedRowErrorNamesLine) {
   const auto path = write_temp_csv("le_test_ragged.csv", "1.0,2.0\n3.0\n");
   try {
-    read_csv(path.string());
+    (void)read_csv(path.string());
     FAIL() << "expected ragged-row error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();

@@ -1,5 +1,5 @@
 // Numerical-agreement suite for the micro-kernel layer (DESIGN.md section
-// 13): the scalar, AVX2 and int8 inference paths must agree on serialized
+// 13): the scalar and AVX2 inference paths must agree on serialized
 // example networks within the documented tolerances, training must give
 // bit-identical weights on every kernel, and the
 // CPUID/LE_KERNEL dispatch must fall back cleanly when pinned to scalar.
@@ -25,7 +25,6 @@
 #include "le/nn/loss.hpp"
 #include "le/nn/network.hpp"
 #include "le/nn/optimizer.hpp"
-#include "le/nn/quantized.hpp"
 #include "le/nn/serialize.hpp"
 #include "le/nn/train.hpp"
 #include "le/stats/rng.hpp"
@@ -149,41 +148,6 @@ TEST(KernelAgreement, ServedShapeAgreesAtBatch64OnEveryKernel) {
   if (per_kernel.size() == 2) {
     EXPECT_LT(max_abs(per_kernel[0], per_kernel[1]), 1e-5);
   }
-}
-
-TEST(KernelAgreement, Int8PathStaysWithinItsReportedResidual) {
-  Network net = serialized_example(Activation::kTanh, 121);
-  const tensor::Matrix calib = example_inputs(128, 5, 122);
-  const nn::QuantizedNetwork quantized(net, calib);
-  const double bound = quantized.report().max_abs_residual;
-  EXPECT_GT(bound, 0.0);
-
-  const tensor::Matrix probe = example_inputs(31, 5, 123);
-  const tensor::Matrix fp = net.predict_batch(probe);
-  tensor::Matrix q;
-  quantized.predict_batch(probe, q);
-  // Out-of-sample slack: the calibration residual estimates the
-  // quantization-grid error, it is not a hard envelope.
-  EXPECT_LT(max_abs(fp, q), 4.0 * bound + 1e-6);
-}
-
-TEST(KernelAgreement, Int8AnswersAgreeAcrossKernelsWithinActivationError) {
-  if (!tensor::cpu_has_avx2_fma()) {
-    GTEST_SKIP() << "no AVX2+FMA on this host";
-  }
-  KernelOverrideGuard guard;
-  Network net = serialized_example(Activation::kTanh, 131);
-  const nn::QuantizedNetwork quantized(net, example_inputs(64, 5, 132));
-  const tensor::Matrix probe = example_inputs(9, 5, 133);
-
-  tensor::Matrix scalar, avx2;
-  tensor::set_gemm_kernel_override(tensor::GemmKernel::kScalar);
-  quantized.predict_batch(probe, scalar);
-  tensor::set_gemm_kernel_override(tensor::GemmKernel::kAvx2);
-  quantized.predict_batch(probe, avx2);
-  // The int8 GEMM itself is exact (integer accumulation); only the vector
-  // tanh (< 1e-7 per activation) separates the two kernels.
-  EXPECT_LT(max_abs(scalar, avx2), 1e-5);
 }
 
 /// Training runs on tensor::gemm_exact and the exact Adam update, so the

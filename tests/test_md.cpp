@@ -381,7 +381,7 @@ TEST(IonCounts, ScalesWithConcentration) {
 TEST(IonCounts, RejectsBadValencies) {
   NanoconfinementParams p = tiny_params();
   p.z_p = -1;
-  EXPECT_THROW(ion_counts(p), std::invalid_argument);
+  EXPECT_THROW((void)ion_counts(p), std::invalid_argument);
 }
 
 TEST(DebyeKappa, IncreasesWithConcentration) {

@@ -272,7 +272,9 @@ TEST(ShardRouter, PartitionCoversEveryRowExactlyOnce) {
       ASSERT_LT(row, inputs.rows());
       ++seen[row];
       EXPECT_EQ(router.shard_for(inputs.row(row)), s);
-      if (!first) EXPECT_GT(row, prev);  // row order preserved within shard
+      if (!first) {
+        EXPECT_GT(row, prev);  // row order preserved within shard
+      }
       prev = row;
       first = false;
     }

@@ -13,7 +13,6 @@
 #include "le/nn/layer.hpp"
 #include "le/nn/loss.hpp"
 #include "le/nn/network.hpp"
-#include "le/nn/quantized.hpp"
 #include "le/nn/optimizer.hpp"
 #include "le/nn/serialize.hpp"
 #include "le/nn/train.hpp"
@@ -117,7 +116,7 @@ TEST(Activation, StringRoundTrip) {
                        Activation::kSigmoid}) {
     EXPECT_EQ(activation_from_string(to_string(a)), a);
   }
-  EXPECT_THROW(activation_from_string("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)activation_from_string("bogus"), std::invalid_argument);
 }
 
 TEST(Dropout, EvalModeIsIdentity) {
@@ -783,72 +782,6 @@ TEST(AutotuneInference, ValidatesArguments) {
   Network net = small_mlp(43);
   EXPECT_THROW((void)net.autotune_inference(0), std::invalid_argument);
   EXPECT_THROW((void)net.autotune_inference(8, {}, 0), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Int8 post-training quantization.
-// ---------------------------------------------------------------------------
-
-tensor::Matrix calibration_inputs(std::size_t rows, std::size_t cols,
-                                  unsigned seed) {
-  Rng rng(seed);
-  tensor::Matrix m(rows, cols);
-  for (double& v : m.flat()) v = rng.uniform(-2.0, 2.0);
-  return m;
-}
-
-TEST(QuantizedNetwork, ReportsBoundedResidualAndAgreesRowWise) {
-  Network net = small_mlp(51);
-  const tensor::Matrix calib = calibration_inputs(128, 5, 52);
-  QuantizedNetwork q(net, calib);
-
-  const QuantizationReport& report = q.report();
-  EXPECT_EQ(report.layers, 3u);
-  EXPECT_EQ(report.calibration_rows, 128u);
-  EXPECT_GT(report.max_abs_residual, 0.0);
-  EXPECT_LT(report.max_abs_residual, 0.2);  // int8 on a tame tanh MLP
-  EXPECT_LE(report.rms_residual, report.max_abs_residual);
-
-  // predict == the matching row of predict_batch (same scratch path).
-  const tensor::Matrix probe = calibration_inputs(7, 5, 53);
-  tensor::Matrix batched;
-  q.predict_batch(probe, batched);
-  ASSERT_EQ(batched.rows(), 7u);
-  ASSERT_EQ(batched.cols(), 3u);
-  for (std::size_t r = 0; r < probe.rows(); ++r) {
-    const auto single = q.predict(probe.row(r));
-    ASSERT_EQ(single.size(), 3u);
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(batched(r, c), single[c]) << "row " << r << " col " << c;
-    }
-  }
-
-  // The report's bound holds out of sample at modest slack: quantization
-  // error is bounded by the grid, not by the calibration set.
-  const tensor::Matrix fp = net.predict_batch(probe);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < fp.size(); ++i) {
-    worst = std::max(worst, std::abs(fp.data()[i] - batched.data()[i]));
-  }
-  EXPECT_LT(worst, 4.0 * report.max_abs_residual + 1e-6);
-}
-
-TEST(QuantizedNetwork, ValidatesCalibrationAndLayerSupport) {
-  Network net = small_mlp(55);
-  EXPECT_THROW(QuantizedNetwork(net, tensor::Matrix(0, 5)),
-               std::invalid_argument);
-  EXPECT_THROW(QuantizedNetwork(net, tensor::Matrix(8, 4)),
-               std::invalid_argument);
-}
-
-TEST(QuantizedNetwork, PredictValidatesInputWidth) {
-  Network net = small_mlp(56);
-  QuantizedNetwork q(net, calibration_inputs(16, 5, 57));
-  EXPECT_THROW((void)q.predict(std::vector<double>{1.0}),
-               std::invalid_argument);
-  tensor::Matrix out;
-  EXPECT_THROW(q.predict_batch(tensor::Matrix(2, 4), out),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -302,7 +302,8 @@ TEST(ObsTrace, RingDropsOldestBeyondCapacity) {
   obs::TraceLog log(4);
   for (int i = 0; i < 6; ++i) {
     obs::SpanRecord r;
-    r.name = "s" + std::to_string(i);
+    r.name = "s";
+    r.name += std::to_string(i);
     log.record(std::move(r));
   }
   const auto spans = log.snapshot();

@@ -221,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(nn::Activation::kIdentity, nn::Activation::kRelu,
                       nn::Activation::kLeakyRelu, nn::Activation::kTanh,
                       nn::Activation::kSigmoid),
-    [](const auto& info) { return nn::to_string(info.param); });
+    [](const auto& test_info) { return nn::to_string(test_info.param); });
 
 // ---------------------------------------------------------------------------
 // Optimizers reject a changed parameter list between steps (state safety).

@@ -270,7 +270,9 @@ INSTANTIATE_TEST_SUITE_P(AllModels, SyncModelConvergence,
                                            SyncModel::kRotation,
                                            SyncModel::kAllreduce,
                                            SyncModel::kAsynchronous),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& test_info) {
+                           return to_string(test_info.param);
+                         });
 
 TEST(SyncEngine, SingleWorkerMatchesAcrossModels) {
   // With one worker every model degenerates to serial SGD from the same
@@ -336,7 +338,9 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SchedulerPolicies,
                          ::testing::Values(SchedulePolicy::kSharedQueue,
                                            SchedulePolicy::kSeparateQueues,
                                            SchedulePolicy::kShortestFirst),
-                         [](const auto& info) { return to_string(info.param); });
+                         [](const auto& test_info) {
+                           return to_string(test_info.param);
+                         });
 
 TEST(Scheduler, SeparateQueuesImproveLookupLatency) {
   // With a big cost disparity, dedicating workers to the cheap class must

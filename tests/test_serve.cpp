@@ -973,7 +973,7 @@ TEST(DegradationLadder, EngagesTheLevelTheQuantileCrosses) {
   EXPECT_EQ(ladder.level(), ServiceLevel::kFull);
 
   feed_window(ladder, 1.5e-3);  // above engage[0], below engage[1]
-  EXPECT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
   EXPECT_EQ(ladder.stats().engages, 1u);
   EXPECT_DOUBLE_EQ(registry.gauge("test.ladder.level").value(), 1.0);
   EXPECT_EQ(registry.counter("test.ladder.engages").value(), 1u);
@@ -996,10 +996,10 @@ TEST(DegradationLadder, ReleasesOneLevelPerDwellOfCalmWindows) {
   feed_window(ladder, 0.5e-3);
   EXPECT_EQ(ladder.level(), ServiceLevel::kCacheOnly);  // dwell not met yet
   feed_window(ladder, 0.5e-3);
-  EXPECT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
   EXPECT_EQ(ladder.stats().releases, 1u);
 
-  // From kQuantized the release threshold is engage[0] * 0.5 = 0.5e-3:
+  // From kDegraded the release threshold is engage[0] * 0.5 = 0.5e-3:
   // 0.4e-3 qualifies; two more calm windows reach kFull.
   feed_window(ladder, 0.4e-3);
   feed_window(ladder, 0.4e-3);
@@ -1010,17 +1010,17 @@ TEST(DegradationLadder, ReleasesOneLevelPerDwellOfCalmWindows) {
 TEST(DegradationLadder, HysteresisHoldsBetweenReleaseAndEngage) {
   DegradationLadder ladder(tiny_ladder());
   feed_window(ladder, 1.5e-3);
-  ASSERT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  ASSERT_EQ(ladder.level(), ServiceLevel::kDegraded);
 
   // In the hysteresis gap (above release 0.5e-3, below engage 1e-3) the
   // ladder holds its level indefinitely — and an interleaved gap window
   // resets the calm dwell, so no release sneaks through.
   for (int i = 0; i < 4; ++i) feed_window(ladder, 0.8e-3);
-  EXPECT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
   feed_window(ladder, 0.4e-3);  // one calm window...
   feed_window(ladder, 0.8e-3);  // ...reset by a gap window
   feed_window(ladder, 0.4e-3);
-  EXPECT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
   EXPECT_EQ(ladder.stats().releases, 0u);
 }
 
@@ -1035,7 +1035,7 @@ TEST(DegradationLadder, EngageAtLeastEscalatesAndReleasesNormally) {
   EXPECT_EQ(ladder.stats().engages, 1u);
 
   // At-or-below the current level is a no-op, not a downgrade.
-  ladder.engage_at_least(ServiceLevel::kQuantized);
+  ladder.engage_at_least(ServiceLevel::kDegraded);
   ladder.engage_at_least(ServiceLevel::kCacheOnly);
   EXPECT_EQ(ladder.level(), ServiceLevel::kCacheOnly);
   EXPECT_EQ(ladder.stats().engages, 1u);
@@ -1044,7 +1044,7 @@ TEST(DegradationLadder, EngageAtLeastEscalatesAndReleasesNormally) {
   // calm windows below engage[1] * 0.5 step down one level per dwell.
   feed_window(ladder, 0.5e-3);
   feed_window(ladder, 0.5e-3);
-  EXPECT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
   EXPECT_EQ(ladder.stats().releases, 1u);
 }
 
@@ -1060,11 +1060,11 @@ TEST(DegradationLadder, SloAlertCallbackDrivesTheLadder) {
   slo.slow_burn = 3.0;
   le::obs::SloTracker tracker(slo);
   tracker.set_alert_callback([&ladder](const le::obs::SloAlert& alert) {
-    if (alert.firing) ladder.engage_at_least(ServiceLevel::kQuantized);
+    if (alert.firing) ladder.engage_at_least(ServiceLevel::kDegraded);
   });
   for (int i = 0; i < 4; ++i) tracker.record(false);  // burn the budget
   EXPECT_TRUE(tracker.firing());
-  EXPECT_EQ(ladder.level(), ServiceLevel::kQuantized);
+  EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
 }
 
 TEST(DegradationLadder, ConstructorValidatesConfig) {

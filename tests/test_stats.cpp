@@ -89,7 +89,7 @@ TEST(Descriptive, EmptyAndSingleton) {
   std::vector<double> empty;
   EXPECT_DOUBLE_EQ(mean(empty), 0.0);
   EXPECT_DOUBLE_EQ(variance(std::vector<double>{3.0}), 0.0);
-  EXPECT_THROW(min(empty), std::invalid_argument);
+  EXPECT_THROW((void)min(empty), std::invalid_argument);
 }
 
 TEST(Descriptive, QuantileInterpolates) {
@@ -97,7 +97,7 @@ TEST(Descriptive, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 4.0);
   EXPECT_DOUBLE_EQ(median(xs), 2.5);
-  EXPECT_THROW(quantile(xs, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile(xs, 1.5), std::invalid_argument);
 }
 
 TEST(Descriptive, CorrelationSigns) {
@@ -198,7 +198,7 @@ TEST(Metrics, MapeSkipsZeroTargets) {
 
 TEST(Metrics, EmptyThrows) {
   std::vector<double> empty;
-  EXPECT_THROW(rmse(empty, empty), std::invalid_argument);
+  EXPECT_THROW((void)rmse(empty, empty), std::invalid_argument);
 }
 
 TEST(Histogram, BinsAndDensity) {
@@ -235,7 +235,7 @@ TEST(Histogram, BinCenters) {
   Histogram h(0.0, 1.0, 2);
   EXPECT_DOUBLE_EQ(h.bin_center(0), 0.25);
   EXPECT_DOUBLE_EQ(h.bin_center(1), 0.75);
-  EXPECT_THROW(h.bin_center(2), std::out_of_range);
+  EXPECT_THROW((void)h.bin_center(2), std::out_of_range);
 }
 
 TEST(Histogram, InvalidConstruction) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
 #include <cstring>
 #include <random>
 #include <span>
@@ -152,7 +151,7 @@ TEST(VectorOps, AxpyDotNorm) {
 
 TEST(VectorOps, LengthMismatchThrows) {
   std::vector<double> x{1.0}, y{1.0, 2.0};
-  EXPECT_THROW(dot(x, y), std::invalid_argument);
+  EXPECT_THROW((void)dot(x, y), std::invalid_argument);
   EXPECT_THROW(axpy(1.0, x, y), std::invalid_argument);
 }
 
@@ -174,7 +173,7 @@ TEST(ElementWise, FrobeniusAndMaxDiff) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernel layer: dispatch, tail shapes, int8 GEMM, vector activations.
+// Micro-kernel layer: dispatch, tail shapes, vector activations.
 // Tolerances are the DESIGN.md section 13 contract.
 // ---------------------------------------------------------------------------
 
@@ -349,31 +348,6 @@ TEST(GemmDispatch, ForcedOverrideWinsOverAnExplicitPlanKernel) {
   // per-layer plan, so the explicit kAvx2 request runs scalar — bitwise.
   gemm(a, b, pinned, GemmPlan{GemmKernel::kAvx2, {}});
   EXPECT_EQ(max_abs_diff(reference, pinned), 0.0);
-}
-
-TEST(GemmS8, KernelsAreBitIdenticalIncludingExtremes) {
-  std::mt19937 gen(31);
-  std::uniform_int_distribution<int> dist(-128, 127);
-  for (const GemmShape& s : {GemmShape{1, 1, 1}, GemmShape{3, 5, 7},
-                             GemmShape{4, 17, 8}, GemmShape{9, 64, 13},
-                             GemmShape{2, 33, 16}}) {
-    std::vector<std::int8_t> a(s.m * s.k), b(s.k * s.n);
-    for (std::int8_t& v : a) v = static_cast<std::int8_t>(dist(gen));
-    for (std::int8_t& v : b) v = static_cast<std::int8_t>(dist(gen));
-    // Worst-case magnitudes: the accumulator must take k * 128 * 128.
-    if (!a.empty()) a.front() = -128;
-    if (!b.empty()) b.front() = -128;
-    a.back() = 127;
-    b.back() = 127;
-    std::vector<std::int32_t> ref(s.m * s.n), got(s.m * s.n);
-    gemm_s8_s32_scalar(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-    gemm_s8_s32(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-    EXPECT_EQ(ref, got);  // integer accumulation is order-invariant: exact
-    if (cpu_has_avx2_fma()) {
-      gemm_s8_s32_avx2(a.data(), b.data(), got.data(), s.m, s.k, s.n);
-      EXPECT_EQ(ref, got);
-    }
-  }
 }
 
 TEST(VTanh, WithinDocumentedToleranceOfStdTanh) {

@@ -3,18 +3,14 @@
 
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "le/nn/loss.hpp"
 #include "le/nn/optimizer.hpp"
-#include "le/nn/quantized.hpp"
 #include "le/uq/acquisition.hpp"
 #include "le/uq/calibration.hpp"
 #include "le/uq/deep_ensemble.hpp"
 #include "le/uq/mc_dropout.hpp"
-#include "le/uq/quantized_surrogate.hpp"
 
 namespace le::uq {
 namespace {
@@ -232,7 +228,7 @@ TEST(Calibration, ShapeMismatchThrows) {
   Dataset ds(1, 1);
   const double x[1] = {0.0}, y[1] = {0.0};
   ds.add(std::span<const double>{x, 1}, std::span<const double>{y, 1});
-  EXPECT_THROW(calibrate(model, ds), std::invalid_argument);
+  EXPECT_THROW((void)calibrate(model, ds), std::invalid_argument);
 }
 
 TEST(ReliabilityCurve, CalibratedModelTracksTheDiagonal) {
@@ -425,74 +421,6 @@ TEST(McDropout, PredictBatchEqualsRowWisePredictBitwise) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// QuantizedSurrogate: int8 serving behind the standard UqModel interface.
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<const nn::QuantizedNetwork> make_quantized_net(unsigned seed) {
-  Rng rng(seed);
-  nn::MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.hidden = {16};
-  cfg.output_dim = 1;
-  cfg.activation = nn::Activation::kTanh;
-  nn::Network net = nn::make_mlp(cfg, rng);
-  tensor::Matrix calib(64, 2);
-  Rng data_rng(seed + 1);
-  for (double& v : calib.flat()) v = data_rng.uniform(-2.0, 2.0);
-  return std::make_shared<const nn::QuantizedNetwork>(net, calib);
-}
-
-TEST(QuantizedSurrogate, ReportsConstantStddevEqualToAddedError) {
-  const auto net = make_quantized_net(71);
-  QuantizedSurrogate surrogate(net, 0.05);
-  EXPECT_DOUBLE_EQ(surrogate.added_error(), 0.05);
-  EXPECT_EQ(surrogate.input_dim(), 2u);
-  EXPECT_EQ(surrogate.output_dim(), 1u);
-
-  const std::vector<double> probe{0.4, -0.7};
-  const Prediction p = surrogate.predict(probe);
-  ASSERT_EQ(p.mean.size(), 1u);
-  ASSERT_EQ(p.stddev.size(), 1u);
-  EXPECT_DOUBLE_EQ(p.stddev[0], 0.05);
-  EXPECT_DOUBLE_EQ(p.mean[0], net->predict(probe)[0]);
-
-  tensor::Matrix inputs(3, 2);
-  inputs(0, 0) = 0.4;
-  inputs(0, 1) = -0.7;
-  inputs(1, 0) = -1.0;
-  inputs(1, 1) = 1.0;
-  inputs(2, 0) = 0.0;
-  inputs(2, 1) = 0.0;
-  const auto batch = surrogate.predict_batch(inputs);
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].mean[0], p.mean[0]);
-  for (const auto& pred : batch) EXPECT_DOUBLE_EQ(pred.stddev[0], 0.05);
-}
-
-TEST(QuantizedSurrogate, DefaultMarginIsTheCalibrationResidual) {
-  const auto net = make_quantized_net(73);
-  QuantizedSurrogate surrogate(net);  // -1 sentinel: use the report bound
-  EXPECT_DOUBLE_EQ(surrogate.added_error(), net->report().max_abs_residual);
-  EXPECT_DOUBLE_EQ(
-      surrogate.predict(std::vector<double>{0.1, 0.2}).stddev[0],
-      net->report().max_abs_residual);
-}
-
-TEST(QuantizedSurrogate, ValidatesConstruction) {
-  EXPECT_THROW(QuantizedSurrogate(nullptr, 0.1), std::invalid_argument);
-  const auto net = make_quantized_net(75);
-  // Any negative margin is the "use the report" sentinel, not an error.
-  EXPECT_DOUBLE_EQ(QuantizedSurrogate(net, -0.5).added_error(),
-                   net->report().max_abs_residual);
-  EXPECT_THROW(QuantizedSurrogate(
-                   net, std::numeric_limits<double>::infinity()),
-               std::invalid_argument);
-  EXPECT_THROW(QuantizedSurrogate(
-                   net, std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-}
-
 TEST(UqModels, OneRowPredictBatchEqualsPredictBitwise) {
   // The dispatcher sends a one-row batch through predict_batch like any
   // other, so for every shipped model a one-row predict_batch must answer
@@ -529,10 +457,6 @@ TEST(UqModels, OneRowPredictBatchEqualsPredictBitwise) {
     };
     DeepEnsemble a(members()), b(members());
     expect_same(a, b, "DeepEnsemble");
-  }
-  {
-    QuantizedSurrogate q(make_quantized_net(79), 0.05);
-    expect_same(q, q, "QuantizedSurrogate");
   }
 }
 
