@@ -32,8 +32,9 @@ namespace le::ckpt {
 
 /// Serializes an Rng (seed + engine position) for exact stream resume.
 [[nodiscard]] std::string encode_rng(const stats::Rng& rng);
-/// Rebuilds an Rng from encode_rng output (throws CheckpointError on
-/// malformed state).
+/// Rebuilds an Rng from encode_rng output.  Throws CheckpointError on
+/// malformed state: a missing or unparsable number, a position index above
+/// 312, or anything but whitespace after it.
 [[nodiscard]] stats::Rng decode_rng(const std::string& text);
 
 /// One restartable campaign snapshot.  `kind` guards against resuming a

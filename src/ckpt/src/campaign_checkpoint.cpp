@@ -76,11 +76,10 @@ data::Dataset decode_dataset(obs::ByteReader& r) {
 
 std::string encode_rng(const stats::Rng& rng) {
   std::ostringstream out;
-  // mt19937_64 streams its full 312-word state; seed_ is carried
-  // separately because split() derives children from it, not the engine.
-  out << rng.seed() << ' ';
-  stats::Rng copy = rng;  // operator<< on the engine is non-const
-  out << copy.engine();
+  // The engine streams its full 312-word state and position index; seed_ is
+  // carried separately because split() derives children from it, not the
+  // engine.
+  out << rng.seed() << ' ' << rng.engine();
   return std::move(out).str();
 }
 
@@ -89,7 +88,9 @@ stats::Rng decode_rng(const std::string& text) {
   std::uint64_t seed = 0;
   if (!(in >> seed)) throw CheckpointError("checkpoint: bad rng state");
   stats::Rng rng(seed);
-  if (!(in >> rng.engine())) {
+  // The engine rejects a position index above 312, so every accepted text
+  // names exactly one generator; anything after it but whitespace is junk.
+  if (!(in >> rng.engine()) || !(in >> std::ws).eof()) {
     throw CheckpointError("checkpoint: bad rng engine state");
   }
   return rng;

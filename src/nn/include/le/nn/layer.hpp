@@ -165,6 +165,8 @@ class DropoutLayer final : public Layer {
   void set_mc_mode(bool on) noexcept { mc_mode_ = on; }
   [[nodiscard]] bool mc_mode() const noexcept { return mc_mode_; }
   [[nodiscard]] double rate() const noexcept { return rate_; }
+  /// The mask stream, as it stands after the masks drawn so far.
+  [[nodiscard]] const stats::Rng& rng() const noexcept { return rng_; }
 
   [[nodiscard]] std::size_t input_dim() const override { return dim_; }
   [[nodiscard]] std::size_t output_dim() const override { return dim_; }
@@ -177,6 +179,9 @@ class DropoutLayer final : public Layer {
   double rate_;
   std::size_t dim_;
   stats::Rng rng_;
+  // Keeps a unit with probability 1 - rate: the same draws, from the same
+  // single engine output each, as std::bernoulli_distribution(1 - rate).
+  stats::BernoulliCut keep_;
   bool mc_mode_ = false;
   tensor::Matrix mask_;
 };

@@ -55,6 +55,17 @@ class AdamOptimizer final : public Optimizer {
   [[nodiscard]] double learning_rate() const override { return lr_; }
   [[nodiscard]] const char* name() const override { return "adam"; }
 
+  /// The first and second moment estimates, one vector per parameter view in
+  /// step() order; empty before the first step.
+  [[nodiscard]] const std::vector<std::vector<double>>& first_moments()
+      const noexcept {
+    return m_;
+  }
+  [[nodiscard]] const std::vector<std::vector<double>>& second_moments()
+      const noexcept {
+    return v_;
+  }
+
  private:
   double lr_;
   double beta1_;

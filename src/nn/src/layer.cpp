@@ -215,12 +215,19 @@ tensor::Matrix ActivationLayer::backward(const tensor::Matrix& grad_output) {
 // ---------------------------------------------------------------------------
 // DropoutLayer
 
-DropoutLayer::DropoutLayer(double rate, std::size_t dim, stats::Rng rng)
-    : rate_(rate), dim_(dim), rng_(rng) {
+namespace {
+
+double checked_keep(double rate) {
   if (rate < 0.0 || rate >= 1.0) {
     throw std::invalid_argument("DropoutLayer: rate must be in [0,1)");
   }
+  return 1.0 - rate;
 }
+
+}  // namespace
+
+DropoutLayer::DropoutLayer(double rate, std::size_t dim, stats::Rng rng)
+    : rate_(rate), dim_(dim), rng_(rng), keep_(checked_keep(rate)) {}
 
 tensor::Matrix DropoutLayer::forward(const tensor::Matrix& input) {
   if (input.cols() != dim_) {
@@ -230,11 +237,12 @@ tensor::Matrix DropoutLayer::forward(const tensor::Matrix& input) {
     mask_ = tensor::Matrix();  // identity pass; backward passes grads through
     return input;
   }
-  const double keep = 1.0 - rate_;
+  const double scale = 1.0 / (1.0 - rate_);
+  stats::Mt19937_64& engine = rng_.engine();
   mask_.resize(input.rows(), input.cols());
   tensor::Matrix out(input.rows(), input.cols());
   for (std::size_t i = 0; i < input.size(); ++i) {
-    const double m = rng_.bernoulli(keep) ? 1.0 / keep : 0.0;
+    const double m = keep_(engine) ? scale : 0.0;
     mask_.data()[i] = m;
     out.data()[i] = input.data()[i] * m;
   }
@@ -250,9 +258,10 @@ void DropoutLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
     std::copy(input.data(), input.data() + input.size(), out.data());
     return;
   }
-  const double keep = 1.0 - rate_;
+  const double scale = 1.0 / (1.0 - rate_);
+  stats::Mt19937_64& engine = rng_.engine();
   for (std::size_t i = 0; i < input.size(); ++i) {
-    out.data()[i] = input.data()[i] * (rng_.bernoulli(keep) ? 1.0 / keep : 0.0);
+    out.data()[i] = input.data()[i] * (keep_(engine) ? scale : 0.0);
   }
 }
 

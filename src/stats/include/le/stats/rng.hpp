@@ -8,13 +8,131 @@
 /// streams are statistically independent.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <istream>
+#include <ostream>
 #include <random>
 #include <span>
 
 namespace le::stats {
 
-/// Seeded random stream: a thin, value-semantic wrapper over mt19937_64
+/// MT19937-64, written out inline.  Its seeding, outputs and stream text are
+/// those of std::mt19937_64 as libstdc++ implements it (312 state words, then
+/// the position index), so checkpointed streams read back either way.  It
+/// exists because libstdc++ declares std::mt19937_64 an extern template:
+/// every draw through it is an out-of-line library call, which costs several
+/// times the draw itself (DESIGN.md section 13).
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t state_size = 312;
+  static constexpr result_type default_seed = 5489U;
+
+  explicit Mt19937_64(result_type seed = default_seed) noexcept {
+    x_[0] = seed;
+    for (std::size_t i = 1; i < state_size; ++i) {
+      x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+  }
+
+  static constexpr result_type min() noexcept { return 0; }
+  static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (p_ >= state_size) refill();
+    result_type z = x_[p_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+  friend std::ostream& operator<<(std::ostream& os, const Mt19937_64& e) {
+    const std::ios_base::fmtflags flags = os.flags();
+    const char fill = os.fill();
+    os.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
+    os.fill(' ');
+    for (const result_type word : e.x_) os << word << ' ';
+    os << e.p_;
+    os.flags(flags);
+    os.fill(fill);
+    return os;
+  }
+
+  /// Reads what operator<< writes.  A position index above state_size
+  /// (which no engine can hold) sets failbit; on failure the engine is left
+  /// unchanged.
+  friend std::istream& operator>>(std::istream& is, Mt19937_64& e) {
+    const std::ios_base::fmtflags flags = is.flags();
+    is.flags(std::ios_base::dec | std::ios_base::skipws);
+    Mt19937_64 read;
+    for (result_type& word : read.x_) is >> word;
+    is >> read.p_;
+    if (is && read.p_ > state_size) is.setstate(std::ios_base::failbit);
+    if (is) e = read;
+    is.flags(flags);
+    return is;
+  }
+
+ private:
+  static constexpr std::size_t kShift = 156;
+  static constexpr result_type kUpper = ~result_type{0} << 31;
+  static constexpr result_type kLower = ~kUpper;
+  static constexpr result_type kMatrix = 0xb5026f5aa96619e9ULL;
+
+  static result_type twist(result_type upper, result_type lower,
+                           result_type shifted) noexcept {
+    const result_type y = (upper & kUpper) | (lower & kLower);
+    // Branch-free: the low bit is a coin flip, so a branch on it
+    // mispredicts every other word.
+    return shifted ^ (y >> 1) ^ (kMatrix & (0 - (y & 1U)));
+  }
+
+  void refill() noexcept {
+    std::size_t k = 0;
+    for (; k < state_size - kShift; ++k) {
+      x_[k] = twist(x_[k], x_[k + 1], x_[k + kShift]);
+    }
+    for (; k < state_size - 1; ++k) {
+      x_[k] = twist(x_[k], x_[k + 1], x_[k + kShift - state_size]);
+    }
+    x_[state_size - 1] = twist(x_[state_size - 1], x_[0], x_[kShift - 1]);
+    p_ = 0;
+  }
+
+  std::array<result_type, state_size> x_{};
+  std::size_t p_ = state_size;
+};
+
+/// std::bernoulli_distribution(p) over Mt19937_64 as one integer compare.
+/// The library draw turns one engine output into a double in [0, 1) and
+/// compares it with p, so it is monotone in that output: true exactly up to
+/// some cut.  The constructor finds the cut by bisection over the library's
+/// own distribution; operator() then consumes the same single output and
+/// returns the same answer.
+class BernoulliCut {
+ public:
+  /// Throws std::invalid_argument unless p lies in (0, 1], and
+  /// std::logic_error if the library draw does not take exactly one engine
+  /// output.
+  explicit BernoulliCut(double p);
+
+  [[nodiscard]] bool operator()(Mt19937_64& engine) const noexcept {
+    return engine() <= last_true_;
+  }
+
+  /// The largest engine output for which the draw is true.
+  [[nodiscard]] std::uint64_t last_true() const noexcept { return last_true_; }
+
+ private:
+  std::uint64_t last_true_;
+};
+
+/// Seeded random stream: a thin, value-semantic wrapper over Mt19937_64
 /// with the draw helpers the rest of the codebase needs.
 class Rng {
  public:
@@ -41,7 +159,8 @@ class Rng {
         std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_));
   }
 
-  /// Bernoulli trial with success probability p.
+  /// Bernoulli trial with success probability p.  A caller that draws
+  /// many times at one p gets the same answers faster from BernoulliCut.
   [[nodiscard]] bool bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);
   }
@@ -80,10 +199,11 @@ class Rng {
 
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
+  [[nodiscard]] Mt19937_64& engine() noexcept { return engine_; }
+  [[nodiscard]] const Mt19937_64& engine() const noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uint64_t seed_;
 };
 

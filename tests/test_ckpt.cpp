@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -174,6 +175,69 @@ TEST(CkptState, RngRoundTripContinuesStreamExactly) {
 
 TEST(CkptState, DecodeRejectsMalformedRng) {
   EXPECT_THROW((void)ckpt::decode_rng("not numbers"), ckpt::CheckpointError);
+}
+
+TEST(CkptState, EncodedRngIsTheLibraryEngineText) {
+  // The stream text is std::mt19937_64's, so checkpoint bytes do not depend
+  // on which of the two engines wrote them.  A fresh stream (index 312) and
+  // one part way through a block.
+  for (const int drawn : {0, 100}) {
+    stats::Rng rng(4321);
+    std::mt19937_64 library(4321);
+    for (int i = 0; i < drawn; ++i) {
+      (void)rng.uniform();
+      (void)std::uniform_real_distribution<double>(0.0, 1.0)(library);
+    }
+    std::ostringstream expected;
+    expected << 4321 << ' ' << library;
+    EXPECT_EQ(ckpt::encode_rng(rng), expected.str()) << drawn;
+  }
+}
+
+TEST(CkptState, DecodeRngRejectsABadIndexAndTrailingBytes) {
+  // Every index above 312 would decode to the same generator as 312, so
+  // one is rejected; so is anything after the index but whitespace.
+  const std::string good = ckpt::encode_rng(stats::Rng(99));
+  ASSERT_EQ(good.substr(good.size() - 4), " 312");
+  const std::string words = good.substr(0, good.size() - 3);
+  EXPECT_NO_THROW((void)ckpt::decode_rng(words + "0"));
+  EXPECT_NO_THROW((void)ckpt::decode_rng(words + "311"));
+  EXPECT_NO_THROW((void)ckpt::decode_rng(good + " \n\t"));
+  for (const std::string& bad :
+       {words + "313", words + "999", good + " junk", good + "x", good + " 5",
+        good.substr(0, good.size() - 4)}) {
+    EXPECT_THROW((void)ckpt::decode_rng(bad), ckpt::CheckpointError)
+        << bad.substr(bad.size() - 8);
+  }
+}
+
+TEST(CkptState, MutatedRngTextDecodesToAStableStateOrThrows) {
+  // The rng text mutated 10k ways: decode either throws CheckpointError or
+  // yields a state that encode -> decode reproduces exactly.
+  stats::Rng rng(2718);
+  for (int i = 0; i < 100; ++i) (void)rng.uniform();
+  const std::string good = ckpt::encode_rng(rng);
+  testing_support::ByteMutator mutator(0x2718281828ULL);
+  constexpr int kCases = 10000;
+  int decoded = 0;
+  int rejected = 0;
+  for (int c = 0; c < kCases; ++c) {
+    try {
+      const stats::Rng got = ckpt::decode_rng(mutator.mutate(good, c));
+      const stats::Rng again = ckpt::decode_rng(ckpt::encode_rng(got));
+      EXPECT_EQ(again.seed(), got.seed()) << "case " << c;
+      EXPECT_TRUE(again.engine() == got.engine()) << "case " << c;
+      ++decoded;
+    } catch (const ckpt::CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << c << " threw a non-CheckpointError: "
+                    << e.what();
+    }
+  }
+  EXPECT_EQ(decoded + rejected, kCases);
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 ckpt::CampaignState make_state() {

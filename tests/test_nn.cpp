@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <locale>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -368,6 +370,61 @@ TEST(Optimizer, AdamIsBitIdenticalOnEveryKernel) {
       EXPECT_TRUE(same_bits(finals[0][i], finals[1][i]))
           << "tensor " << i << " decay " << decay;
     }
+  }
+}
+
+TEST(Optimizer, DeadReluMomentsFlushToZeroOnEveryKernel) {
+  // Hidden unit 0 of a 3 -> 4 -> 1 ReLU net trains for a few steps, is then
+  // killed by a large negative bias, and gets 20k zero-gradient steps.  Its
+  // moments decay geometrically.  The first (x0.9 a step) must end exactly 0:
+  // unflushed it would sink into the subnormals by ~6.8k steps and stick
+  // there, since 0.9 times a few ulps rounds back up.  The second (x0.999)
+  // is still normal.  Every bit must match under the scalar kernel and the
+  // default one.
+  KernelOverrideGuard guard;
+  std::vector<std::vector<double>> values[2], first[2], second[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    tensor::set_gemm_kernel_override(
+        pass == 0 ? std::optional{tensor::GemmKernel::kScalar} : std::nullopt);
+    Rng rng(51);
+    Network net;
+    net.add(std::make_unique<DenseLayer>(3, 4, rng));
+    net.add(std::make_unique<ActivationLayer>(Activation::kRelu, 4));
+    net.add(std::make_unique<DenseLayer>(4, 1, rng));
+    net.set_training(true);
+    tensor::Matrix x(8, 3), y(8, 1);
+    for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+    for (double& v : y.flat()) v = rng.uniform(-1.0, 1.0);
+    const MseLoss loss;
+    AdamOptimizer adam(1e-2);
+    const auto step = [&] {
+      net.zero_grad();
+      net.backward(loss.evaluate(net.forward(x), y).grad);
+      adam.step(net.parameters());
+    };
+    for (int i = 0; i < 5; ++i) step();
+    // Unit 0: column 0 of W1 (3 x 4, row-major), b1[0] and W2[0].
+    const std::pair<std::size_t, std::size_t> unit[] = {
+        {0, 0}, {0, 4}, {0, 8}, {1, 0}, {2, 0}};
+    for (const auto& [view, j] : unit) {
+      ASSERT_NE(adam.first_moments()[view][j], 0.0) << view << "," << j;
+    }
+    net.parameters()[1].values[0] = -100.0;
+    for (int i = 0; i < 20'000; ++i) step();
+    for (const auto& [view, j] : unit) {
+      EXPECT_EQ(adam.first_moments()[view][j], 0.0) << view << "," << j;
+      EXPECT_GE(adam.second_moments()[view][j], DBL_MIN) << view << "," << j;
+    }
+    for (const auto& p : net.parameters()) {
+      values[pass].emplace_back(p.values.begin(), p.values.end());
+    }
+    first[pass] = adam.first_moments();
+    second[pass] = adam.second_moments();
+  }
+  for (std::size_t i = 0; i < values[0].size(); ++i) {
+    EXPECT_TRUE(same_bits(values[0][i], values[1][i])) << "tensor " << i;
+    EXPECT_TRUE(same_bits(first[0][i], first[1][i])) << "tensor " << i;
+    EXPECT_TRUE(same_bits(second[0][i], second[1][i])) << "tensor " << i;
   }
 }
 
@@ -736,6 +793,41 @@ TEST(Dropout, InferDrawsSameMasksAsForward) {
     const tensor::Matrix forwarded = by_forward.forward(x);
     by_infer.infer(x, inferred);
     EXPECT_EQ(forwarded, inferred) << "pass " << pass;
+  }
+}
+
+TEST(Dropout, MasksAndStreamMatchTheLibraryDraw) {
+  // The layer draws each mask element as one integer compare; the reference
+  // draws it through std::bernoulli_distribution(1 - rate) over
+  // std::mt19937_64, element by element in row order.  Training forwards and
+  // MC-mode inferences alternate; masks and the stream left behind must be
+  // the same.
+  for (const double rate : {0.1, 0.5, 0.9}) {
+    DropoutLayer layer(rate, 37, Rng(91));
+    std::mt19937_64 reference(91);
+    std::bernoulli_distribution keep(1.0 - rate);
+    const double scale = 1.0 / (1.0 - rate);
+    const tensor::Matrix ones(5, 37, 1.0);
+    tensor::Matrix masks;
+    for (int pass = 0; pass < 40; ++pass) {
+      if (pass % 2 == 0) {
+        layer.set_training(true);
+        layer.set_mc_mode(false);
+        masks = layer.forward(ones);
+      } else {
+        layer.set_training(false);
+        layer.set_mc_mode(true);
+        layer.infer(ones, masks);
+      }
+      for (std::size_t i = 0; i < masks.size(); ++i) {
+        ASSERT_EQ(masks.data()[i], keep(reference) ? scale : 0.0)
+            << "rate " << rate << " pass " << pass << " element " << i;
+      }
+    }
+    std::ostringstream ours, library;
+    ours << layer.rng().engine();
+    library << reference;
+    EXPECT_EQ(ours.str(), library.str()) << "rate " << rate;
   }
 }
 

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "le/stats/autocorr.hpp"
@@ -77,6 +82,121 @@ TEST(Rng, ShufflePermutes) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, orig);
+}
+
+// ---------------------------------------------------------------------------
+// Mt19937_64 against the library's std::mt19937_64, and BernoulliCut against
+// the library's std::bernoulli_distribution: equal outputs, draws, state and
+// stream text, so masks, weights and checkpoints do not change bit for bit.
+
+template <typename Engine>
+std::string stream_text(const Engine& engine) {
+  std::ostringstream out;
+  out << engine;
+  return std::move(out).str();
+}
+
+TEST(Mt19937_64, MatchesTheLibraryEngine) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+        std::uint64_t{0x9e3779b97f4a7c15ULL},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 library(seed);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 2'000'000; ++i) mismatches += ours() != library();
+    EXPECT_EQ(mismatches, 0U) << "seed " << seed;
+    EXPECT_EQ(stream_text(ours), stream_text(library)) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, StandardCheckValue) {
+  // [rand.predef]: the 10000th output of a default-constructed engine.
+  Mt19937_64 engine;
+  for (int i = 1; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(Mt19937_64, StreamTextReadsBackEitherWay) {
+  // Block boundaries (0, 1, 311, 312 words drawn) and a later position.
+  for (const int drawn : {0, 1, 311, 312, 1000}) {
+    std::mt19937_64 library(77);
+    library.discard(static_cast<unsigned long long>(drawn));
+    Mt19937_64 ours;
+    std::istringstream(stream_text(library)) >> ours;
+    EXPECT_EQ(stream_text(ours), stream_text(library)) << drawn;
+
+    std::mt19937_64 library_back;
+    std::istringstream(stream_text(ours)) >> library_back;
+    EXPECT_EQ(library_back, library) << drawn;
+    for (int i = 0; i < 700; ++i) ASSERT_EQ(ours(), library()) << drawn;
+  }
+}
+
+TEST(Mt19937_64, StreamReadRejectsAnIndexNoEngineHolds) {
+  std::string text = stream_text(Mt19937_64(3));
+  ASSERT_EQ(text.substr(text.size() - 4), " 312");
+  text.replace(text.size() - 3, 3, "313");
+  Mt19937_64 engine(4);
+  const Mt19937_64 before = engine;
+  std::istringstream in(text);
+  in >> engine;
+  EXPECT_TRUE(in.fail());
+  EXPECT_EQ(engine, before);  // a failed read leaves the engine as it was
+}
+
+TEST(Mt19937_64, LibraryDistributionsDrawTheSame) {
+  // Every Rng helper is a library distribution over the engine; over either
+  // engine the draws must agree exactly.
+  Mt19937_64 ours(2024);
+  std::mt19937_64 library(2024);
+  for (int i = 0; i < 20'000; ++i) {
+    ASSERT_EQ(std::uniform_real_distribution<double>(-1.0, 3.0)(ours),
+              std::uniform_real_distribution<double>(-1.0, 3.0)(library));
+    ASSERT_EQ(std::normal_distribution<double>(0.5, 2.0)(ours),
+              std::normal_distribution<double>(0.5, 2.0)(library));
+    ASSERT_EQ(std::uniform_int_distribution<std::int64_t>(-7, 1000)(ours),
+              std::uniform_int_distribution<std::int64_t>(-7, 1000)(library));
+    ASSERT_EQ(std::bernoulli_distribution(0.3)(ours),
+              std::bernoulli_distribution(0.3)(library));
+    const double mean = i % 2 == 0 ? 3.5 : 40.0;  // both poisson algorithms
+    ASSERT_EQ(std::poisson_distribution<int>(mean)(ours),
+              std::poisson_distribution<int>(mean)(library));
+    ASSERT_EQ(std::exponential_distribution<double>(1.5)(ours),
+              std::exponential_distribution<double>(1.5)(library));
+    ASSERT_EQ(std::geometric_distribution<int>(0.2)(ours),
+              std::geometric_distribution<int>(0.2)(library));
+  }
+  EXPECT_EQ(stream_text(ours), stream_text(library));
+}
+
+TEST(BernoulliCut, DrawsLikeTheLibraryDistribution) {
+  for (const double p : {1e-9, 0.05, 0.5, 0.9, 0.95, 1.0 - 1e-12}) {
+    const BernoulliCut cut(p);
+    Mt19937_64 ours(31);
+    std::mt19937_64 library(31);
+    std::bernoulli_distribution draw(p);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      mismatches += cut(ours) != draw(library);
+    }
+    EXPECT_EQ(mismatches, 0U) << "p " << p;
+    EXPECT_EQ(stream_text(ours), stream_text(library)) << "p " << p;
+  }
+}
+
+TEST(BernoulliCut, CutIsTheLibraryBoundary) {
+  // The library draw maps one output u to u / 2^64 and compares it with p,
+  // so the cut sits where that double crosses p.
+  for (const double p : {0.05, 0.5, 0.9}) {
+    const std::uint64_t cut = BernoulliCut(p).last_true();
+    EXPECT_LT(std::ldexp(static_cast<double>(cut), -64), p) << p;
+    EXPECT_GE(std::ldexp(static_cast<double>(cut + 1), -64), p) << p;
+  }
+  EXPECT_EQ(BernoulliCut(1.0).last_true(), Mt19937_64::max());
+  EXPECT_THROW(BernoulliCut(0.0), std::invalid_argument);
+  EXPECT_THROW(BernoulliCut(1.5), std::invalid_argument);
+  EXPECT_THROW(BernoulliCut(std::nan("")), std::invalid_argument);
 }
 
 TEST(Descriptive, MeanVarianceKnown) {
