@@ -30,7 +30,9 @@
 //   - the baseline collapses: its p99 completion latency blows through
 //     the deadline budget and almost nothing finishes in time;
 //   - the protected stack retains >= 70% of measured full-fidelity
-//     capacity as goodput (answers delivered within their deadline);
+//     capacity as goodput (answers delivered within their deadline): the
+//     median of five consecutive blocks of the run, each against the
+//     capacity probed just before and just after it;
 //   - protected p99 completion latency stays bounded (<= 2x budget);
 //   - zero dead-request forwards: no GEMM row is ever burned on a
 //     request whose deadline had already expired;
@@ -368,21 +370,24 @@ int main() {
     }
   }
 
-  double t_batch = 0.0;
-  {
-    core::SurrogateDispatcher probe_dispatcher(
-        full,
-        [](std::span<const double>) { return std::vector<double>(3, 0.0); },
-        0.5);
-    (void)probe_dispatcher.query_batch(probe);  // warm
+  // The dispatcher's batch time, best of 5: it sizes every threshold below
+  // and, probed again around each block of the protected run, prices the
+  // capacity that block's goodput is held against.
+  core::SurrogateDispatcher probe_dispatcher(
+      full,
+      [](std::span<const double>) { return std::vector<double>(3, 0.0); },
+      0.5);
+  (void)probe_dispatcher.query_batch(probe);  // warm
+  const auto probe_batch_seconds = [&] {
     double best = 1e300;
     for (int i = 0; i < 5; ++i) {
       const auto t0 = Clock::now();
       (void)probe_dispatcher.query_batch(probe);
       best = std::min(best, seconds_since(t0));
     }
-    t_batch = best;
-  }
+    return best;
+  };
+  const double t_batch = probe_batch_seconds();
   const double capacity_qps = static_cast<double>(kMaxBatch) / t_batch;
   const double budget = 5.0 * t_batch;  // per-request deadline budget
   std::printf("full tier: MC dropout, %zu passes, batch-%zu forward %.2f ms; "
@@ -471,8 +476,10 @@ int main() {
 
   // ---- protected: admission + deadlines + ladder ----------------------
   bench::print_subheading("protected: admission + deadlines + ladder at 10x");
+  constexpr int kBlocks = 5;
   ReplayResult prot_result;
   ServeTally prot_tally;
+  std::vector<double> block_retained;  ///< goodput / adjacent capacity
   serve::BatchQueueStats prot_qstats;
   serve::AdmissionStats admission_stats;
   serve::DegradationStats ladder_stats;
@@ -532,8 +539,42 @@ int main() {
     queue.set_admission(admission);
     queue.set_degradation(ladder);
 
-    prot_result = replay_schedule(queue, make_schedule(1.5, 42), hot, cold,
-                                  hot.rows(), budget);
+    // The 1.5-s schedule is replayed as kBlocks consecutive windows with a
+    // capacity probe before each and after the last, so each window's
+    // goodput is held against the capacity measured on either side of it.
+    // One capacity taken before the baseline ran let a slow stretch of a
+    // shared host, landing on the protected run alone, fail the check.
+    const std::vector<serve::Arrival> schedule = make_schedule(1.5, 42);
+    const double block_seconds = 1.5 / kBlocks;
+    double probe_before = probe_batch_seconds();
+    std::size_t next = 0;
+    for (int b = 0; b < kBlocks; ++b) {
+      const double start = b * block_seconds;
+      std::vector<serve::Arrival> block;
+      for (; next < schedule.size() &&
+             (b == kBlocks - 1 || schedule[next].t < start + block_seconds);
+           ++next) {
+        block.push_back({schedule[next].t - start, schedule[next].key});
+      }
+      const std::size_t in_time_before = prot_tally.served_in_time;
+      const ReplayResult r =
+          replay_schedule(queue, block, hot, cold, hot.rows(), budget);
+      prot_result.offered += r.offered;
+      prot_result.door_shed += r.door_shed;
+      prot_result.resolved += r.resolved;
+      prot_result.future_shed += r.future_shed;
+      prot_result.failed += r.failed;
+      prot_result.elapsed += r.elapsed;
+      // Every future of the block has resolved, so the serving thread has
+      // booked all of its answers.
+      const double probe_after = probe_batch_seconds();
+      const double block_capacity = static_cast<double>(kMaxBatch) /
+                                    std::min(probe_before, probe_after);
+      block_retained.push_back(
+          static_cast<double>(prot_tally.served_in_time - in_time_before) /
+          r.elapsed / block_capacity);
+      probe_before = probe_after;
+    }
     queue.stop();
     prot_qstats = queue.stats();
     admission_stats = admission->stats();
@@ -574,9 +615,14 @@ int main() {
              frac(prot_result.door_shed)});
   table.row({"shed resolved", bench::fmt_int(prot_result.future_shed),
              frac(prot_result.future_shed)});
-  std::printf("goodput: %.0f q/s (%.0f%% of %.0f q/s full-fidelity "
-              "capacity)\n",
-              goodput_qps, 100.0 * goodput_qps / capacity_qps, capacity_qps);
+  std::vector<double> retained_sorted = block_retained;
+  std::sort(retained_sorted.begin(), retained_sorted.end());
+  const double retained_median = retained_sorted[kBlocks / 2];
+  std::printf("goodput: %.0f q/s; per block, %% of the capacity probed "
+              "around it:",
+              goodput_qps);
+  for (const double r : block_retained) std::printf(" %.0f%%", 100.0 * r);
+  std::printf(" (median %.0f%%)\n", 100.0 * retained_median);
   std::printf("completion latency: p50 %.1f  p99 %.1f ms (budget %.1f ms)\n",
               prot_tally.latency.quantile(0.5) * 1e3, prot_p99 * 1e3,
               budget * 1e3);
@@ -600,7 +646,7 @@ int main() {
   bench::print_subheading("acceptance");
   const bool baseline_collapsed =
       base_p99 >= 3.0 * budget && base_in_time_fraction < 0.3;
-  const bool goodput_ok = goodput_qps >= 0.7 * capacity_qps;
+  const bool goodput_ok = retained_median >= 0.7;
   const bool p99_ok = prot_p99 <= 2.0 * budget;
   const std::size_t dead_forwards =
       base_qstats.dead_request_forwards + prot_qstats.dead_request_forwards;
@@ -623,9 +669,9 @@ int main() {
               "%.1f%% in time < 30%%) ... %s\n",
               base_p99 * 1e3, 100.0 * base_in_time_fraction,
               baseline_collapsed ? "PASS" : "FAIL");
-  std::printf("check: protected goodput %.0f q/s >= 70%% of capacity "
-              "(%.0f q/s) ... %s\n",
-              goodput_qps, 0.7 * capacity_qps, goodput_ok ? "PASS" : "FAIL");
+  std::printf("check: protected goodput >= 70%% of capacity (median block "
+              "%.0f%%) ... %s\n",
+              100.0 * retained_median, goodput_ok ? "PASS" : "FAIL");
   std::printf("check: protected p99 %.1f ms <= 2x budget (%.1f ms) ... %s\n",
               prot_p99 * 1e3, 2.0 * budget * 1e3, p99_ok ? "PASS" : "FAIL");
   std::printf("check: zero dead-request forwards (got %zu) ... %s\n",
@@ -646,7 +692,7 @@ int main() {
     auto& reg = obs::MetricsRegistry::global();
     reg.gauge("e17.capacity_qps").set(capacity_qps);
     reg.gauge("e17.goodput_qps").set(goodput_qps);
-    reg.gauge("e17.goodput_retained_fraction").set(goodput_qps / capacity_qps);
+    reg.gauge("e17.goodput_retained_fraction").set(retained_median);
     reg.gauge("e17.p99_over_budget").set(prot_p99 / budget);
     reg.gauge("e17.baseline_p99_over_budget").set(base_p99 / budget);
     reg.gauge("e17.baseline_collapsed").set(baseline_collapsed ? 1.0 : 0.0);

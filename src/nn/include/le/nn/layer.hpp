@@ -124,7 +124,12 @@ enum class Activation { kIdentity, kRelu, kLeakyRelu, kTanh, kSigmoid };
 [[nodiscard]] std::string to_string(Activation a);
 [[nodiscard]] Activation activation_from_string(const std::string& s);
 
-/// Pointwise activation layer.
+/// Pointwise activation layer.  Training forward caches the output, not the
+/// input: every supported derivative is a function of the output with the
+/// same bits (DESIGN.md section 13), so backward() evaluates no
+/// transcendental.  ReLU runs as compare-and-mask kernels (AVX2 when
+/// tensor::active_gemm_kernel() is kAvx2) equal to the scalar reference bit
+/// for bit.
 class ActivationLayer final : public Layer {
  public:
   ActivationLayer(Activation kind, std::size_t dim)
@@ -145,12 +150,19 @@ class ActivationLayer final : public Layer {
  private:
   Activation kind_;
   std::size_t dim_;
-  tensor::Matrix cached_input_;
+  tensor::Matrix cached_output_;
 };
 
 /// Inverted dropout.  Active in training mode; in evaluation mode it is the
 /// identity unless mc_mode is set, which keeps the stochastic masks on so
 /// repeated forward passes form an MC-dropout ensemble (Section III-B).
+///
+/// Each mask element takes one engine word, in row order, and keeps the unit
+/// exactly when std::bernoulli_distribution(1 - rate) would on that word.
+/// Under tensor::GemmKernel::kAvx2 the words come a block at a time from
+/// Mt19937_64::generate() and the compare, mask and product run on four
+/// lanes; otherwise each element is one engine call and one compare.  Both
+/// give the same masks, products and stream state.
 class DropoutLayer final : public Layer {
  public:
   DropoutLayer(double rate, std::size_t dim, stats::Rng rng);
@@ -175,6 +187,9 @@ class DropoutLayer final : public Layer {
 
  private:
   [[nodiscard]] bool stochastic() const noexcept { return training_ || mc_mode_; }
+  /// Draws input.size() masks and writes out = input * mask, and the masks
+  /// to `mask` unless it is null; forward() and infer() both draw here.
+  void apply_masks(const tensor::Matrix& input, double* out, double* mask);
 
   double rate_;
   std::size_t dim_;

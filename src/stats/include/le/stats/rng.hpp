@@ -18,12 +18,14 @@
 
 namespace le::stats {
 
-/// MT19937-64, written out inline.  Its seeding, outputs and stream text are
+/// MT19937-64, written out here.  Its seeding, outputs and stream text are
 /// those of std::mt19937_64 as libstdc++ implements it (312 state words, then
 /// the position index), so checkpointed streams read back either way.  It
 /// exists because libstdc++ declares std::mt19937_64 an extern template:
 /// every draw through it is an out-of-line library call, which costs several
-/// times the draw itself (DESIGN.md section 13).
+/// times the draw itself.  operator() is inline; only the refill, once per
+/// 312 words, and the block draw generate() are out of line, where they run
+/// on four AVX2 lanes when mt19937_avx2_active() (DESIGN.md section 13).
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -42,12 +44,15 @@ class Mt19937_64 {
 
   result_type operator()() noexcept {
     if (p_ >= state_size) refill();
-    result_type z = x_[p_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71d67fffeda60000ULL;
-    z ^= (z << 37) & 0xfff7eee000000000ULL;
-    return z ^ (z >> 43);
+    return temper(x_[p_++]);
   }
+
+  /// Writes the next out.size() outputs: the words that many calls of
+  /// operator() would return, leaving the same state (and stream text)
+  /// behind.  Under AVX2 it tempers four words per instruction; a caller
+  /// that needs a block of draws gets them at a fraction of the per-call
+  /// cost (DESIGN.md section 13).
+  void generate(std::span<result_type> out) noexcept;
 
   friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
 
@@ -79,34 +84,32 @@ class Mt19937_64 {
   }
 
  private:
-  static constexpr std::size_t kShift = 156;
-  static constexpr result_type kUpper = ~result_type{0} << 31;
-  static constexpr result_type kLower = ~kUpper;
-  static constexpr result_type kMatrix = 0xb5026f5aa96619e9ULL;
-
-  static result_type twist(result_type upper, result_type lower,
-                           result_type shifted) noexcept {
-    const result_type y = (upper & kUpper) | (lower & kLower);
-    // Branch-free: the low bit is a coin flip, so a branch on it
-    // mispredicts every other word.
-    return shifted ^ (y >> 1) ^ (kMatrix & (0 - (y & 1U)));
+  /// The MT19937-64 output transform of one state word.
+  static constexpr result_type temper(result_type z) noexcept {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
   }
 
-  void refill() noexcept {
-    std::size_t k = 0;
-    for (; k < state_size - kShift; ++k) {
-      x_[k] = twist(x_[k], x_[k + 1], x_[k + kShift]);
-    }
-    for (; k < state_size - 1; ++k) {
-      x_[k] = twist(x_[k], x_[k + 1], x_[k + kShift - state_size]);
-    }
-    x_[state_size - 1] = twist(x_[state_size - 1], x_[0], x_[kShift - 1]);
-    p_ = 0;
-  }
+  /// Regenerates all 312 state words and rewinds the position; the one
+  /// twist under both operator() and generate(), four words at a time
+  /// under AVX2 (src/stats/src/rng.cpp).
+  void refill() noexcept;
 
   std::array<result_type, state_size> x_{};
   std::size_t p_ = state_size;
 };
+
+/// Whether Mt19937_64's refill and generate() run four words per AVX2
+/// instruction: true when the CPU has AVX2, the LE_KERNEL environment
+/// variable is not "scalar" and set_mt19937_scalar(true) is not in force.
+/// Both paths give the same words and leave the same state.
+[[nodiscard]] bool mt19937_avx2_active() noexcept;
+
+/// Pins Mt19937_64 to its scalar refill and tempering (true), or returns
+/// it to the default choice (false), so tests can run both paths.
+void set_mt19937_scalar(bool scalar) noexcept;
 
 /// std::bernoulli_distribution(p) over Mt19937_64 as one integer compare.
 /// The library draw turns one engine output into a double in [0, 1) and

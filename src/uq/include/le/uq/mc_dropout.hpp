@@ -33,7 +33,9 @@ class McDropoutEnsemble final : public UqModel {
   /// most ~256 stacked rows.  Every DropoutLayer owns its RNG and walks it
   /// over the stacked rows in order, so it draws exactly the masks that
   /// rows x predict() would: the result equals row-wise predict() bit for
-  /// bit, and leaves the RNGs in the same state.
+  /// bit, and leaves the RNGs in the same state.  Each layer draws a whole
+  /// stacked matrix's masks as block draws of at most 312 engine words
+  /// (nn::DropoutLayer), the same words in the same order.
   [[nodiscard]] std::vector<Prediction> predict_batch(
       const tensor::Matrix& inputs) override;
 

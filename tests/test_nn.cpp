@@ -5,6 +5,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <locale>
 #include <optional>
 #include <random>
@@ -326,6 +327,156 @@ struct KernelOverrideGuard {
 bool same_bits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// Inputs at the edges of the compare-and-mask kernels: both zeros, NaN,
+// both infinities, subnormals, the smallest normals, and ordinary values.
+std::vector<double> edge_values() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  return {-0.0, 0.0,  nan,     -nan,         inf,    -inf,   tiny,
+          -tiny, DBL_MIN / 2, -DBL_MIN / 2, DBL_MIN, -DBL_MIN, 1e-300, -1e-300,
+          0.25, -0.25, 3.0,   -3.0,         20.0,   -20.0,  710.0,
+          -710.0, 1e308, -1e308};
+}
+
+// One row of `n` elements cycling through `values` from `start`.
+tensor::Matrix edge_row(const std::vector<double>& values, std::size_t n,
+                        std::size_t start) {
+  tensor::Matrix row(1, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    row.data()[i] = values[(start + i) % values.size()];
+  }
+  return row;
+}
+
+constexpr std::size_t kTailLengths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 37};
+
+TEST(Activation, BackwardFromOutputMatchesTheInputFormula) {
+  // backward() reads the cached output; the gradient must carry the bits of
+  // the formula on the input that it replaced, for every kind and kernel.
+  const auto input_formula = [](Activation kind, double x) {
+    switch (kind) {
+      case Activation::kIdentity: return 1.0;
+      case Activation::kRelu: return x > 0.0 ? 1.0 : 0.0;
+      case Activation::kLeakyRelu: return x > 0.0 ? 1.0 : 0.01;
+      case Activation::kTanh: {
+        const double t = std::tanh(x);
+        return 1.0 - t * t;
+      }
+      case Activation::kSigmoid: {
+        const double s = 1.0 / (1.0 + std::exp(-x));
+        return s * (1.0 - s);
+      }
+    }
+    return 1.0;
+  };
+  std::vector<double> xs = edge_values();
+  for (int i = -400; i <= 400; ++i) xs.push_back(i / 40.0 + 1e-3 * i * i);
+  std::vector<double> gs{2.5, -1.0, 0.0, -0.0, 1e-310, 7.0, -3.25};
+  KernelOverrideGuard guard;
+  for (const tensor::GemmKernel kernel :
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+    tensor::set_gemm_kernel_override(kernel);
+    for (const Activation kind :
+         {Activation::kIdentity, Activation::kRelu, Activation::kLeakyRelu,
+          Activation::kTanh, Activation::kSigmoid}) {
+      ActivationLayer layer(kind, xs.size());
+      const tensor::Matrix x = edge_row(xs, xs.size(), 0);
+      const tensor::Matrix g = edge_row(gs, xs.size(), 0);
+      (void)layer.forward(x);
+      const tensor::Matrix dx = layer.backward(g);
+      std::vector<double> expected(xs.size());
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        expected[i] = g.data()[i] * input_formula(kind, xs[i]);
+      }
+      EXPECT_TRUE(same_bits(dx.flat(), expected))
+          << to_string(kind) << " on " << tensor::to_string(kernel);
+    }
+  }
+}
+
+TEST(Activation, ReluKernelsMatchTheScalarReference) {
+  // Forward x > 0 ? x : 0 and backward g * (x > 0 ? 1 : 0), bit for bit,
+  // over every tail length of the four-lane kernels.
+  const std::vector<double> values = edge_values();
+  const std::vector<double> gs{1.5, -2.0, std::numeric_limits<double>::infinity(),
+                               -0.0, 4e-320};
+  KernelOverrideGuard guard;
+  for (const tensor::GemmKernel kernel :
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+    tensor::set_gemm_kernel_override(kernel);
+    for (const std::size_t n : kTailLengths) {
+      for (std::size_t start = 0; start < values.size(); start += 5) {
+        const tensor::Matrix x = edge_row(values, n, start);
+        const tensor::Matrix g = edge_row(gs, n, start);
+        ActivationLayer relu(Activation::kRelu, n);
+        const tensor::Matrix y = relu.forward(x);
+        const tensor::Matrix dx = relu.backward(g);
+        tensor::Matrix inferred;
+        relu.infer(x, inferred);
+        std::vector<double> y_ref(n), dx_ref(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double xi = x.data()[i];
+          y_ref[i] = xi > 0.0 ? xi : 0.0;
+          dx_ref[i] = g.data()[i] * (xi > 0.0 ? 1.0 : 0.0);
+        }
+        EXPECT_TRUE(same_bits(y.flat(), y_ref))
+            << tensor::to_string(kernel) << " n " << n << " start " << start;
+        EXPECT_TRUE(same_bits(inferred.flat(), y_ref))
+            << tensor::to_string(kernel) << " n " << n << " start " << start;
+        EXPECT_TRUE(same_bits(dx.flat(), dx_ref))
+            << tensor::to_string(kernel) << " n " << n << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(Dropout, KernelsMatchTheScalarReference) {
+  // The block-drawn four-lane masks against one engine call and one compare
+  // per element: outputs, masks (read back through backward) and the
+  // stream left behind, for every tail length and the edge inputs (where
+  // inf * 0 is NaN), in training forwards and MC-mode inferences.
+  const std::vector<double> values = edge_values();
+  KernelOverrideGuard guard;
+  for (const tensor::GemmKernel kernel :
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+    tensor::set_gemm_kernel_override(kernel);
+    for (const double rate : {0.1, 0.5}) {
+      const double scale = 1.0 / (1.0 - rate);
+      const stats::BernoulliCut keep(1.0 - rate);
+      for (const std::size_t n : kTailLengths) {
+        DropoutLayer layer(rate, n, Rng(400 + n));
+        stats::Mt19937_64 reference = Rng(400 + n).engine();
+        for (std::size_t pass = 0; pass < 12; ++pass) {
+          const tensor::Matrix x = edge_row(values, n, pass * 7);
+          std::vector<double> out_ref(n), mask_ref(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            mask_ref[i] = keep(reference) ? scale : 0.0;
+            out_ref[i] = x.data()[i] * mask_ref[i];
+          }
+          tensor::Matrix out;
+          if (pass % 2 == 0) {
+            layer.set_training(true);
+            layer.set_mc_mode(false);
+            out = layer.forward(x);
+            const tensor::Matrix mask = layer.backward(tensor::Matrix(1, n, 1.0));
+            EXPECT_TRUE(same_bits(mask.flat(), mask_ref))
+                << tensor::to_string(kernel) << " n " << n << " pass " << pass;
+          } else {
+            layer.set_training(false);
+            layer.set_mc_mode(true);
+            layer.infer(x, out);
+          }
+          EXPECT_TRUE(same_bits(out.flat(), out_ref))
+              << tensor::to_string(kernel) << " n " << n << " pass " << pass;
+        }
+        EXPECT_EQ(layer.rng().engine(), reference)
+            << tensor::to_string(kernel) << " n " << n;
+      }
+    }
+  }
 }
 
 TEST(Optimizer, AdamIsBitIdenticalOnEveryKernel) {
