@@ -25,7 +25,9 @@ namespace le::stats {
 /// every draw through it is an out-of-line library call, which costs several
 /// times the draw itself.  operator() is inline; only the refill, once per
 /// 312 words, and the block draw generate() are out of line, where they run
-/// on four AVX2 lanes when mt19937_avx2_active() (DESIGN.md section 13).
+/// on four AVX2 lanes when the CPU has AVX2 and the LE_KERNEL environment
+/// variable is not "scalar".  Both paths give the same words and leave the
+/// same state (DESIGN.md section 13).
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -100,16 +102,6 @@ class Mt19937_64 {
   std::array<result_type, state_size> x_{};
   std::size_t p_ = state_size;
 };
-
-/// Whether Mt19937_64's refill and generate() run four words per AVX2
-/// instruction: true when the CPU has AVX2, the LE_KERNEL environment
-/// variable is not "scalar" and set_mt19937_scalar(true) is not in force.
-/// Both paths give the same words and leave the same state.
-[[nodiscard]] bool mt19937_avx2_active() noexcept;
-
-/// Pins Mt19937_64 to its scalar refill and tempering (true), or returns
-/// it to the default choice (false), so tests can run both paths.
-void set_mt19937_scalar(bool scalar) noexcept;
 
 /// std::bernoulli_distribution(p) over Mt19937_64 as one integer compare.
 /// The library draw turns one engine output into a double in [0, 1) and

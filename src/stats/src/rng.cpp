@@ -1,7 +1,6 @@
 #include "le/stats/rng.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <random>
 #include <stdexcept>
@@ -115,7 +114,16 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
-std::atomic<bool> g_pinned_scalar{false};
+// Whether the refill and generate() run four words per AVX2 instruction:
+// when the CPU has AVX2 and LE_KERNEL is not "scalar".  Read once.
+bool avx2_active() noexcept {
+  static const bool active = [] {
+    const char* env = std::getenv("LE_KERNEL");
+    return cpu_has_avx2() &&
+           !(env != nullptr && std::string_view(env) == "scalar");
+  }();
+  return active;
+}
 
 /// An engine that returns one fixed output and counts how often it is asked.
 /// Its range is Mt19937_64's, so the library maps its output to the same
@@ -163,22 +171,9 @@ std::uint64_t last_true_output(double p) {
 
 }  // namespace
 
-bool mt19937_avx2_active() noexcept {
-  static const bool by_default = [] {
-    const char* env = std::getenv("LE_KERNEL");
-    return cpu_has_avx2() &&
-           !(env != nullptr && std::string_view(env) == "scalar");
-  }();
-  return by_default && !g_pinned_scalar.load(std::memory_order_relaxed);
-}
-
-void set_mt19937_scalar(bool scalar) noexcept {
-  g_pinned_scalar.store(scalar, std::memory_order_relaxed);
-}
-
 void Mt19937_64::refill() noexcept {
 #if defined(LE_MT_AVX2)
-  if (mt19937_avx2_active()) {
+  if (avx2_active()) {
     refill_avx2(x_.data());
     p_ = 0;
     return;
@@ -189,7 +184,7 @@ void Mt19937_64::refill() noexcept {
 }
 
 void Mt19937_64::generate(std::span<result_type> out) noexcept {
-  [[maybe_unused]] const bool avx2 = mt19937_avx2_active();
+  [[maybe_unused]] const bool avx2 = avx2_active();
   std::size_t done = 0;
   while (done < out.size()) {
     if (p_ >= state_size) refill();

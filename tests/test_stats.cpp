@@ -171,59 +171,38 @@ TEST(Mt19937_64, LibraryDistributionsDrawTheSame) {
   EXPECT_EQ(stream_text(ours), stream_text(library));
 }
 
-// Runs `body` once on the AVX2 refill and tempering (when the CPU has them)
-// and once pinned to the scalar ones, then restores the default.
-template <typename Body>
-void on_both_engine_paths(Body body) {
-  for (const bool scalar : {false, true}) {
-    set_mt19937_scalar(scalar);
-    SCOPED_TRACE(mt19937_avx2_active() ? "avx2 path" : "scalar path");
-    body();
-  }
-  set_mt19937_scalar(false);
-}
-
+// The engine tests run on the AVX2 refill and tempering when the CPU has
+// them; the ctest entry test_stats_forced_scalar re-runs them under
+// LE_KERNEL=scalar on the scalar ones.  Either way the words must be the
+// library engine's.
 TEST(Mt19937_64, GenerateEqualsRepeatedCalls) {
   // Start offsets on both sides of the twist's halves and of the refill;
   // lengths up to past two refills.  The block draw must give the words the
   // calls give (and the library engine), and leave the same stream.
-  on_both_engine_paths([] {
-    std::vector<std::uint64_t> block(700);
-    for (const std::size_t offset : {0, 1, 155, 156, 311, 312}) {
-      Mt19937_64 by_block(2026);
-      Mt19937_64 by_call(2026);
-      std::mt19937_64 library(2026);
-      for (std::size_t i = 0; i < offset; ++i) {
-        (void)by_block();
-        (void)by_call();
-        (void)library();
-      }
-      for (std::size_t length = 0; length <= 700; ++length) {
-        by_block.generate(std::span<std::uint64_t>(block.data(), length));
-        for (std::size_t i = 0; i < length; ++i) {
-          const std::uint64_t word = by_call();
-          ASSERT_EQ(block[i], word)
-              << "offset " << offset << " length " << length << " word " << i;
-          ASSERT_EQ(word, library()) << "offset " << offset << " word " << i;
-        }
-        ASSERT_EQ(by_block, by_call) << "offset " << offset << " length "
-                                     << length;
-        ASSERT_EQ(stream_text(by_block), stream_text(library))
-            << "offset " << offset << " length " << length;
-      }
+  std::vector<std::uint64_t> block(700);
+  for (const std::size_t offset : {0, 1, 155, 156, 311, 312}) {
+    Mt19937_64 by_block(2026);
+    Mt19937_64 by_call(2026);
+    std::mt19937_64 library(2026);
+    for (std::size_t i = 0; i < offset; ++i) {
+      (void)by_block();
+      (void)by_call();
+      (void)library();
     }
-  });
-}
-
-TEST(Mt19937_64, BothPathsMatchTheLibraryEngine) {
-  on_both_engine_paths([] {
-    Mt19937_64 ours(0x9e3779b97f4a7c15ULL);
-    std::mt19937_64 library(0x9e3779b97f4a7c15ULL);
-    std::size_t mismatches = 0;
-    for (int i = 0; i < 100'000; ++i) mismatches += ours() != library();
-    EXPECT_EQ(mismatches, 0U);
-    EXPECT_EQ(stream_text(ours), stream_text(library));
-  });
+    for (std::size_t length = 0; length <= 700; ++length) {
+      by_block.generate(std::span<std::uint64_t>(block.data(), length));
+      for (std::size_t i = 0; i < length; ++i) {
+        const std::uint64_t word = by_call();
+        ASSERT_EQ(block[i], word)
+            << "offset " << offset << " length " << length << " word " << i;
+        ASSERT_EQ(word, library()) << "offset " << offset << " word " << i;
+      }
+      ASSERT_EQ(by_block, by_call) << "offset " << offset << " length "
+                                   << length;
+      ASSERT_EQ(stream_text(by_block), stream_text(library))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(BernoulliCut, DrawsLikeTheLibraryDistribution) {
