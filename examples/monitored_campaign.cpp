@@ -154,7 +154,7 @@ int main() {
               mid.residual_rmse, mid.baseline_rmse);
   std::printf("    UQ coverage %.3f (nominal %.3f), sharpness %.4g, "
               "%zu shadow samples\n",
-              mid.coverage, monitor.config().nominal_coverage, mid.sharpness,
+              mid.coverage, obs::kNominalCoverage, mid.sharpness,
               mid.shadow_samples);
   std::printf("    breaker: %s (queries fall back to the simulation)\n",
               core::to_string(dispatcher.circuit_breaker()->state()).c_str());

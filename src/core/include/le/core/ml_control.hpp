@@ -42,8 +42,6 @@ struct CampaignConfig {
   std::size_t warmup = 8;
   /// Candidate pool swept through the surrogate per acquisition.
   std::size_t pool = 400;
-  /// Fraction of post-warmup runs spent exploring randomly.
-  double exploration = 0.15;
   std::vector<std::size_t> hidden = {24, 24};
   nn::TrainConfig train;
   std::uint64_t seed = 61;

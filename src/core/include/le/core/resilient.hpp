@@ -39,14 +39,8 @@ struct RetryPolicy {
   /// Total attempts per state point (1 = no retries).
   std::size_t max_attempts = 3;
   /// Backoff before attempt k (k >= 1 retries) is
-  /// min(initial * multiplier^(k-1), max) * (1 + jitter * u), u ~ U[-1, 1).
+  /// min(initial * 2^(k-1), 0.05 s) * (1 + 0.1 * u), u ~ U[-1, 1).
   double initial_backoff_seconds = 1e-4;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.05;
-  double jitter_fraction = 0.1;
-  /// Wall-clock budget per state point across all attempts and backoffs;
-  /// 0 disables the deadline.
-  double deadline_seconds = 0.0;
   std::uint64_t seed = 97;
 
   /// The deterministic (jitter-free) backoff before retry number `retry`
@@ -104,7 +98,7 @@ struct FaultStats {
 };
 
 /// Thrown by run() when a state point fails permanently (all attempts
-/// exhausted or deadline exceeded).
+/// exhausted).
 class SimulationFailed : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

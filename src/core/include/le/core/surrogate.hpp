@@ -187,10 +187,10 @@ class SurrogateDispatcher {
   /// (3) cache hits that pass the current threshold answer with no
   /// forward, and at kCacheOnly every miss is shed; (4) the breaker is
   /// consulted once for the misses (open: straight to fallback); (5)
-  /// misses that expired meanwhile are shed, the rest share ONE forward —
-  /// UqModel::predict for a single row, so query() keeps its per-query
-  /// numbers (MC-dropout draws masks per call), predict_batch for more, so
-  /// layer dispatch amortizes; (6) invalid predictions feed the breaker,
+  /// misses that expired meanwhile are shed, the rest share ONE
+  /// UqModel::predict_batch whatever their count (a one-row predict_batch
+  /// answers exactly as predict(), so query() needs no path of its own);
+  /// (6) invalid predictions feed the breaker,
   /// gate-accepted ones are cached and may be shadow sampled; (7) declined
   /// rows run the simulation at kFull unless their deadline has passed,
   /// and are shed at degraded levels.
@@ -228,10 +228,6 @@ class SurrogateDispatcher {
   /// service may call this from its own thread while queries are in
   /// flight (tests/test_retrain.cpp proves the handoff under TSan).
   [[nodiscard]] data::Dataset take_retraining();
-  /// Alias of take_retraining(), kept for existing callers.
-  [[nodiscard]] data::Dataset drain_training_buffer() {
-    return take_retraining();
-  }
 
   /// Mean uncertainty score of the fallback runs currently buffered — a
   /// gauge of how far outside the surrogate's competence the buffered

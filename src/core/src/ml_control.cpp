@@ -15,6 +15,9 @@ namespace le::core {
 
 namespace {
 
+/// Fraction of post-warmup runs spent exploring randomly.
+constexpr double kExploration = 0.15;
+
 /// Runs one real point and tracks the best objective after every
 /// successful run; returns the run's seconds for the caller's meter call.
 std::optional<double> run_tracked(CampaignCore& core, CampaignResult& result,
@@ -106,7 +109,7 @@ CampaignResult run_ml_campaign(const data::ParamSpace& space,
     // draw sequence an uninterrupted one would have made.
     if (core.due()) snapshot_now();
     // With no successful runs yet there is nothing to train on; explore.
-    if (core.dataset.size() == 0 || rng.uniform() < config.exploration) {
+    if (core.dataset.size() == 0 || rng.uniform() < kExploration) {
       run_real(data::uniform_sample(space, 1, rng).front());
       continue;
     }

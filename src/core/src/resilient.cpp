@@ -7,32 +7,31 @@
 
 namespace le::core {
 
+namespace {
+
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffSeconds = 0.05;
+constexpr double kJitterFraction = 0.1;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // RetryPolicy
 
 double RetryPolicy::base_backoff(std::size_t retry) const {
   if (retry == 0) return 0.0;
   const double raw = initial_backoff_seconds *
-                     std::pow(backoff_multiplier,
+                     std::pow(kBackoffMultiplier,
                               static_cast<double>(retry - 1));
-  return std::min(raw, max_backoff_seconds);
+  return std::min(raw, kMaxBackoffSeconds);
 }
 
 void RetryPolicy::validate() const {
   if (max_attempts == 0) {
     throw std::invalid_argument("RetryPolicy: max_attempts == 0");
   }
-  if (initial_backoff_seconds < 0.0 || max_backoff_seconds < 0.0) {
+  if (initial_backoff_seconds < 0.0) {
     throw std::invalid_argument("RetryPolicy: negative backoff");
-  }
-  if (backoff_multiplier < 1.0) {
-    throw std::invalid_argument("RetryPolicy: backoff_multiplier < 1");
-  }
-  if (jitter_fraction < 0.0 || jitter_fraction > 1.0) {
-    throw std::invalid_argument("RetryPolicy: jitter_fraction not in [0, 1]");
-  }
-  if (deadline_seconds < 0.0) {
-    throw std::invalid_argument("RetryPolicy: deadline_seconds < 0");
   }
 }
 
@@ -96,12 +95,6 @@ ResilientSimulation::ResilientSimulation(SimulationFn inner,
 
 std::optional<std::vector<double>> ResilientSimulation::try_run(
     std::span<const double> input) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto elapsed = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
   {
     std::lock_guard lock(mutex_);
     ++stats_.calls;
@@ -111,16 +104,13 @@ std::optional<std::vector<double>> ResilientSimulation::try_run(
       double backoff = policy_.base_backoff(attempt - 1);
       {
         std::lock_guard lock(mutex_);
-        backoff *= 1.0 + policy_.jitter_fraction * rng_.uniform(-1.0, 1.0);
+        backoff *= 1.0 + kJitterFraction * rng_.uniform(-1.0, 1.0);
         ++stats_.retries;
         stats_.total_backoff_seconds += backoff;
       }
       if (backoff > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       }
-    }
-    if (policy_.deadline_seconds > 0.0 && elapsed() > policy_.deadline_seconds) {
-      break;  // per-call deadline exhausted; give up on this state point
     }
     {
       std::lock_guard lock(mutex_);

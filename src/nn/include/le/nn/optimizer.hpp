@@ -17,9 +17,6 @@ class Optimizer {
   virtual ~Optimizer() = default;
   /// Applies one update using the gradients currently held in the views.
   virtual void step(const std::vector<ParamView>& params) = 0;
-  /// Learning-rate access so schedules/autotuners can adjust it mid-run.
-  virtual void set_learning_rate(double lr) = 0;
-  [[nodiscard]] virtual double learning_rate() const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
@@ -31,8 +28,6 @@ class SgdOptimizer final : public Optimizer {
   explicit SgdOptimizer(double lr, double momentum = 0.0,
                         double weight_decay = 0.0);
   void step(const std::vector<ParamView>& params) override;
-  void set_learning_rate(double lr) override { lr_ = lr; }
-  [[nodiscard]] double learning_rate() const override { return lr_; }
   [[nodiscard]] const char* name() const override { return "sgd"; }
 
  private:
@@ -51,8 +46,6 @@ class AdamOptimizer final : public Optimizer {
                          double beta2 = 0.999, double eps = 1e-8,
                          double weight_decay = 0.0);
   void step(const std::vector<ParamView>& params) override;
-  void set_learning_rate(double lr) override { lr_ = lr; }
-  [[nodiscard]] double learning_rate() const override { return lr_; }
   [[nodiscard]] const char* name() const override { return "adam"; }
 
   /// The first and second moment estimates, one vector per parameter view in

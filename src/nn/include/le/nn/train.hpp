@@ -1,9 +1,7 @@
 /// @file
-/// Mini-batch training loop with validation tracking and early stopping.
+/// Mini-batch training loop with a per-epoch loss history.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "le/data/dataset.hpp"
@@ -17,36 +15,23 @@ namespace le::nn {
 struct TrainConfig {
   std::size_t epochs = 100;
   std::size_t batch_size = 32;
-  /// Fraction of the training set held out for validation; 0 disables.
-  double validation_fraction = 0.0;
-  /// Stop if validation loss fails to improve for this many epochs;
-  /// 0 disables early stopping.  Requires validation_fraction > 0.
-  std::size_t early_stopping_patience = 0;
-  /// Multiplies the learning rate by this factor each epoch (1 = constant).
-  double lr_decay = 1.0;
-  /// Clips each parameter gradient element to [-clip, clip]; 0 disables.
-  double gradient_clip = 0.0;
 };
 
 /// Per-epoch record of the training history.
 struct EpochStats {
   std::size_t epoch = 0;
   double train_loss = 0.0;
-  std::optional<double> validation_loss;
 };
 
 struct TrainResult {
   std::vector<EpochStats> history;
   double final_train_loss = 0.0;
-  std::optional<double> best_validation_loss;
-  /// True when early stopping triggered before the epoch budget ran out.
-  bool stopped_early = false;
   /// Total number of optimizer steps taken.
   std::size_t steps = 0;
 };
 
-/// Trains `net` in place.  Shuffles each epoch with `rng`; restores the
-/// best validation-loss weights when early stopping is active.
+/// Trains `net` in place for `config.epochs` epochs.  Shuffles each epoch
+/// with `rng`.
 TrainResult fit(Network& net, const data::Dataset& train_data,
                 const Loss& loss, Optimizer& optimizer,
                 const TrainConfig& config, stats::Rng& rng);

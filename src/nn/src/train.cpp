@@ -1,8 +1,6 @@
 #include "le/nn/train.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -24,12 +22,6 @@ tensor::Matrix gather_rows(const data::Dataset& ds,
   return m;
 }
 
-void clip_gradients(const std::vector<ParamView>& params, double clip) {
-  for (const auto& p : params) {
-    for (double& g : p.grads) g = std::clamp(g, -clip, clip);
-  }
-}
-
 }  // namespace
 
 TrainResult fit(Network& net, const data::Dataset& train_data,
@@ -38,25 +30,8 @@ TrainResult fit(Network& net, const data::Dataset& train_data,
   if (train_data.empty()) throw std::invalid_argument("fit: empty dataset");
   if (config.batch_size == 0) throw std::invalid_argument("fit: batch_size == 0");
 
-  // Optional validation holdout.
-  data::Dataset train = train_data;
-  data::Dataset val;
-  const bool has_val = config.validation_fraction > 0.0;
-  if (has_val) {
-    auto [tr, va] = train_data.split(1.0 - config.validation_fraction, rng);
-    train = std::move(tr);
-    val = std::move(va);
-    if (train.empty() || val.empty()) {
-      throw std::invalid_argument("fit: validation split produced empty set");
-    }
-  }
-
   TrainResult result;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::vector<double> best_weights;
-  std::size_t epochs_without_improvement = 0;
-
-  std::vector<std::size_t> order(train.size());
+  std::vector<std::size_t> order(train_data.size());
   std::iota(order.begin(), order.end(), 0);
 
   // Per-epoch wall time feeds the observability layer (T_learn in the
@@ -81,16 +56,13 @@ TrainResult fit(Network& net, const data::Dataset& train_data,
          start += config.batch_size) {
       const std::size_t count = std::min(config.batch_size, order.size() - start);
       const std::span<const std::size_t> idx{order.data() + start, count};
-      tensor::Matrix x = gather_rows(train, idx, /*inputs=*/true);
-      tensor::Matrix y = gather_rows(train, idx, /*inputs=*/false);
+      tensor::Matrix x = gather_rows(train_data, idx, /*inputs=*/true);
+      tensor::Matrix y = gather_rows(train_data, idx, /*inputs=*/false);
 
       net.zero_grad();
       tensor::Matrix pred = net.forward(x);
       LossResult lr = loss.evaluate(pred, y);
       net.backward(lr.grad);
-      if (config.gradient_clip > 0.0) {
-        clip_gradients(net.parameters(), config.gradient_clip);
-      }
       optimizer.step(net.parameters());
       ++result.steps;
       epoch_loss += lr.value;
@@ -98,38 +70,8 @@ TrainResult fit(Network& net, const data::Dataset& train_data,
     }
     epoch_loss /= static_cast<double>(std::max<std::size_t>(batches, 1));
 
-    EpochStats stats;
-    stats.epoch = epoch;
-    stats.train_loss = epoch_loss;
+    result.history.push_back({epoch, epoch_loss});
     result.final_train_loss = epoch_loss;
-
-    if (has_val) {
-      const double vloss = evaluate(net, val, loss);
-      stats.validation_loss = vloss;
-      if (vloss < best_val) {
-        best_val = vloss;
-        best_weights = net.get_weights();
-        epochs_without_improvement = 0;
-      } else {
-        ++epochs_without_improvement;
-      }
-      if (config.early_stopping_patience > 0 &&
-          epochs_without_improvement >= config.early_stopping_patience) {
-        result.history.push_back(stats);
-        result.stopped_early = true;
-        break;
-      }
-    }
-    result.history.push_back(stats);
-
-    if (config.lr_decay != 1.0) {
-      optimizer.set_learning_rate(optimizer.learning_rate() * config.lr_decay);
-    }
-  }
-
-  if (has_val && !best_weights.empty()) {
-    net.set_weights(best_weights);
-    result.best_validation_loss = best_val;
   }
   net.set_training(false);
   return result;

@@ -34,9 +34,6 @@ struct DriftDetectorConfig {
   std::size_t bins = 16;
   /// Live queries per evaluation window.
   std::size_t window = 256;
-  /// Fractional widening of each feature's reference range, so benign
-  /// boundary jitter does not pile into the end bins.
-  double range_padding = 0.05;
 };
 
 /// Drift scores of one feature over one window.

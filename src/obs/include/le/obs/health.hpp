@@ -45,6 +45,12 @@ enum class HealthState { kHealthy = 0, kDrifting = 1, kUntrusted = 2 };
 
 [[nodiscard]] std::string to_string(HealthState state);
 
+/// Interval half-width for coverage, in predicted sigmas.  The retrainer's
+/// shadow evaluation judges coverage at the same width.
+inline constexpr double kCoverageZ = 2.0;
+/// Nominal coverage of +/- kCoverageZ sigma under a calibrated Gaussian.
+inline constexpr double kNominalCoverage = 0.954;
+
 struct SurrogateHealthConfig {
   DriftDetectorConfig drift;
   /// PSI bands (max over features): warn ~ "major shift" on the standard
@@ -64,20 +70,10 @@ struct SurrogateHealthConfig {
   /// Shadow samples required before residual/coverage verdicts fire (and
   /// before the self-calibrated baseline latches).
   std::size_t min_shadow_samples = 16;
-  /// Residual alarm: rolling RMSE > factor * baseline RMSE => UNTRUSTED;
-  /// above sqrt(factor) * baseline => DRIFTING.
-  double residual_rmse_factor = 2.0;
-  /// Interval half-width for coverage, in predicted sigmas.
-  double coverage_z = 2.0;
-  /// Nominal coverage of +/- coverage_z sigma under a calibrated Gaussian
-  /// (0.954 at z = 2).
-  double nominal_coverage = 0.954;
   /// Coverage shortfall bands: nominal - empirical above the first =>
   /// DRIFTING, above the second => UNTRUSTED.
   double coverage_shortfall_drifting = 0.15;
   double coverage_shortfall_untrusted = 0.30;
-  /// Consecutive clean evaluations needed for DRIFTING -> HEALTHY.
-  std::size_t clean_windows_to_recover = 2;
 };
 
 /// One recorded state change.

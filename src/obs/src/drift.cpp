@@ -12,6 +12,10 @@ namespace {
 /// floor this small keeps the index finite without hiding real shift.
 constexpr double kPsiEpsilon = 1e-4;
 
+/// Fractional widening of each feature's reference range, so benign
+/// boundary jitter does not pile into the end bins.
+constexpr double kRangePadding = 0.05;
+
 }  // namespace
 
 InputDriftDetector::InputDriftDetector(const tensor::Matrix& reference_inputs,
@@ -22,10 +26,6 @@ InputDriftDetector::InputDriftDetector(const tensor::Matrix& reference_inputs,
   }
   if (config_.window == 0) {
     throw std::invalid_argument("InputDriftDetector: need a nonzero window");
-  }
-  if (!(config_.range_padding >= 0.0)) {
-    throw std::invalid_argument(
-        "InputDriftDetector: range_padding must be >= 0");
   }
   std::lock_guard lock(mutex_);
   fit_reference_locked(reference_inputs);
@@ -56,7 +56,7 @@ void InputDriftDetector::fit_reference_locked(
     // binning stays well defined (every value lands mid-range).
     double span = hi - lo;
     if (span <= 0.0) span = std::max(1.0, std::abs(lo));
-    const double pad = config_.range_padding * span;
+    const double pad = kRangePadding * span;
     lo_[f] = lo - pad;
     hi_[f] = hi + pad;
   }

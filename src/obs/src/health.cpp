@@ -24,6 +24,12 @@ namespace {
 /// the max over signals.
 enum class Severity { kClean = 0, kWarn = 1, kAlarm = 2 };
 
+/// Residual alarm: rolling RMSE > factor * baseline RMSE => UNTRUSTED;
+/// above sqrt(factor) * baseline => DRIFTING.
+constexpr double kResidualRmseFactor = 2.0;
+/// Consecutive clean evaluations needed for DRIFTING -> HEALTHY.
+constexpr std::size_t kCleanWindowsToRecover = 2;
+
 std::string fmt(double v) {
   std::ostringstream out;
   out.precision(4);
@@ -87,7 +93,7 @@ void SurrogateHealthMonitor::record_shadow(
     // UQ-free surrogate under error shows up as a coverage shortfall too.
     const double sigma = predicted_stddev.empty() ? 0.0 : predicted_stddev[i];
     sample.sigma_sum += sigma;
-    if (std::abs(err) <= config_.coverage_z * sigma) sample.covered_dims += 1.0;
+    if (std::abs(err) <= kCoverageZ * sigma) sample.covered_dims += 1.0;
   }
   sample.mse /= sample.dims;
 
@@ -177,12 +183,12 @@ void SurrogateHealthMonitor::evaluate_locked(const char* trigger) {
   if (baseline_set_ && window_.size() >= config_.min_shadow_samples) {
     const double rmse = rolling_rmse_locked();
     if (baseline_rmse_ > 0.0) {
-      const double alarm = config_.residual_rmse_factor * baseline_rmse_;
+      const double alarm = kResidualRmseFactor * baseline_rmse_;
       const double warn =
-          std::sqrt(config_.residual_rmse_factor) * baseline_rmse_;
+          std::sqrt(kResidualRmseFactor) * baseline_rmse_;
       if (rmse > alarm) {
         flag(Severity::kAlarm, "rmse " + fmt(rmse) + " > " +
-                                   fmt(config_.residual_rmse_factor) +
+                                   fmt(kResidualRmseFactor) +
                                    "x baseline " + fmt(baseline_rmse_));
       } else if (rmse > warn) {
         flag(Severity::kWarn,
@@ -190,7 +196,7 @@ void SurrogateHealthMonitor::evaluate_locked(const char* trigger) {
       }
     }
 
-    const double shortfall = config_.nominal_coverage - rolling_coverage_locked();
+    const double shortfall = kNominalCoverage - rolling_coverage_locked();
     if (shortfall >= config_.coverage_shortfall_untrusted) {
       flag(Severity::kAlarm, "coverage shortfall " + fmt(shortfall) + " >= " +
                                  fmt(config_.coverage_shortfall_untrusted));
@@ -219,7 +225,7 @@ void SurrogateHealthMonitor::evaluate_locked(const char* trigger) {
       break;
     case Severity::kClean:
       if (state_ == HealthState::kDrifting) {
-        if (++clean_evaluations_ >= config_.clean_windows_to_recover) {
+        if (++clean_evaluations_ >= kCleanWindowsToRecover) {
           transition_locked(HealthState::kHealthy,
                             std::string(trigger) + ": " +
                                 std::to_string(clean_evaluations_) +

@@ -22,7 +22,7 @@
 ///
 /// Trainer robustness: training attempts may be wrapped by a
 /// runtime::FaultInjector (NaN losses, crashes, stuck convergence).  A
-/// failed attempt is retried with backoff up to a bound; after that the
+/// failed attempt is retried on the next poll up to a bound; after that the
 /// service re-arms — it returns to collecting a larger corpus rather than
 /// wedging or promoting a broken candidate.
 #pragma once
@@ -71,7 +71,7 @@ namespace le::retrain {
 enum class ServiceState {
   kIdle = 0,        ///< surrogate trusted; watching for a retrain request
   kCollecting = 1,  ///< request seen; absorbing banked fallback corpus
-  kTraining = 2,    ///< candidate training (bounded retries with backoff)
+  kTraining = 2,    ///< candidate training (bounded retries, one per poll)
   kShadowEval = 3,  ///< candidate predicting silently against live truth
   kGuard = 4,       ///< candidate promoted; rollback armed for a window
   kStopped = 5,     ///< stop() called; the loop will not run again
@@ -96,9 +96,6 @@ struct RetrainingConfig {
   /// round of training failures the requirement grows (fresh data beats
   /// retrying on the same corpus).
   std::size_t min_corpus_size = 64;
-  /// Oldest samples are dropped beyond this (the drifted regime is what
-  /// matters; stale pre-drift rows dilute it).
-  std::size_t max_corpus_size = 8192;
 
   // ---- candidate training ---------------------------------------------
   std::vector<std::size_t> hidden = {32, 32};
@@ -108,16 +105,8 @@ struct RetrainingConfig {
   std::uint64_t seed = 101;
   /// Bounded retries: attempts per retrain request before the service
   /// re-arms (returns to kCollecting with a grown corpus requirement).
+  /// A failed attempt below the bound is retried on the next poll.
   std::size_t max_train_attempts = 3;
-  /// Backoff before retry attempt k is `retry_backoff_seconds *
-  /// backoff_multiplier^(k-1)`; poll_once() honours it by declining to
-  /// train until the deadline passes.
-  double retry_backoff_seconds = 0.0;
-  double backoff_multiplier = 2.0;
-  /// A candidate whose final training loss is non-finite or above this is
-  /// a failed attempt (stuck convergence / NaN loss), never a promotion
-  /// candidate.
-  double max_final_loss = 1e6;
   /// Optional fault injection over the trainer (see file comment).  The
   /// injector corrupts the reported training loss exactly as it corrupts
   /// simulation outputs: throws are crashed attempts, NaN/Inf and
@@ -131,16 +120,12 @@ struct RetrainingConfig {
   /// Ground-truth pairs the candidate must be scored on before the
   /// promotion decision.
   std::size_t min_eval_samples = 32;
-  /// Bound on the tap queue (oldest dropped) so an idle service never
-  /// grows without bound.
-  std::size_t max_eval_queue = 1024;
-  /// Interval half-width (in predicted sigmas) for candidate coverage.
-  double coverage_z = 2.0;
   /// Promote only if candidate RMSE <= max_rmse_ratio * incumbent RMSE
   /// (the incumbent's rolling residual RMSE on the drifted stream, captured
   /// when the retrain request was seen)...
   double max_rmse_ratio = 0.9;
-  /// ...and candidate empirical coverage at coverage_z is at least this.
+  /// ...and candidate empirical coverage at obs::kCoverageZ is at least
+  /// this.
   double min_coverage = 0.5;
 
   // ---- promotion guard -------------------------------------------------
@@ -284,7 +269,6 @@ class RetrainingService {
   /// Training-attempt bookkeeping for the current request.
   std::size_t attempts_this_request_ = 0;
   std::size_t corpus_target_ = 0;
-  double backoff_until_ = -1.0;  ///< process_clock_seconds deadline; <0 none
   std::shared_ptr<uq::UqModel> candidate_;
   /// Shadow-eval accumulators for the current candidate.
   double eval_sq_err_sum_ = 0.0;

@@ -24,6 +24,17 @@ namespace {
 /// CampaignState::kind written by promotion snapshots.
 constexpr const char* kCheckpointKind = "retrain_service";
 
+/// Oldest corpus samples are dropped beyond this (the drifted regime is
+/// what matters; stale pre-drift rows dilute it).
+constexpr std::size_t kMaxCorpusSize = 8192;
+/// A candidate whose final training loss is non-finite or above this is a
+/// failed attempt (stuck convergence / NaN loss), never a promotion
+/// candidate.
+constexpr double kMaxFinalLoss = 1e6;
+/// Bound on the ground-truth tap queue (oldest dropped) so an idle service
+/// never grows without bound.
+constexpr std::size_t kMaxEvalQueue = 1024;
+
 [[nodiscard]] bool all_finite(std::span<const double> values) {
   return std::all_of(values.begin(), values.end(),
                      [](double v) { return std::isfinite(v); });
@@ -64,7 +75,7 @@ RetrainingService::RetrainingService(core::SurrogateDispatcher& dispatcher,
   dispatcher_.set_ground_truth_tap(
       [this](std::span<const double> input, std::span<const double> truth) {
         std::lock_guard lock(tap_mutex_);
-        if (tap_queue_.size() >= config_.max_eval_queue) {
+        if (tap_queue_.size() >= kMaxEvalQueue) {
           tap_queue_.pop_front();
         }
         tap_queue_.push_back(
@@ -149,7 +160,6 @@ void RetrainingService::step_idle() {
     incumbent_rmse_bar_ = report.residual_rmse;
     attempts_this_request_ = 0;
     corpus_target_ = config_.min_corpus_size;
-    backoff_until_ = -1.0;
   }
   if (m_requests_) m_requests_->add();
   set_state(ServiceState::kCollecting);
@@ -166,12 +176,6 @@ void RetrainingService::step_collecting() {
 }
 
 void RetrainingService::step_training() {
-  // Honour retry backoff: decline to train until the deadline passes (the
-  // poll cadence supplies the waiting).
-  if (backoff_until_ >= 0.0 &&
-      obs::process_clock_seconds() < backoff_until_) {
-    return;
-  }
   absorb_banked();  // late-arriving fallback runs still help this attempt
 
   ++attempts_this_request_;
@@ -211,17 +215,11 @@ void RetrainingService::step_training() {
       std::lock_guard lock(state_mutex_);
       corpus_target_ = corpus_.size() + config_.min_corpus_size;
       attempts_this_request_ = 0;
-      backoff_until_ = -1.0;
       state_ = ServiceState::kCollecting;
       publish_gauges();
       return;
     }
-    const double backoff =
-        config_.retry_backoff_seconds *
-        std::pow(config_.backoff_multiplier,
-                 static_cast<double>(attempts_this_request_ - 1));
-    backoff_until_ = obs::process_clock_seconds() + backoff;
-    return;  // stay in kTraining for the next attempt
+    return;  // stay in kTraining; the next poll retries
   }
 
   {
@@ -261,7 +259,7 @@ void RetrainingService::step_shadow_eval() {
     for (std::size_t d = 0; d < pair.truth.size(); ++d) {
       const double err = prediction.mean[d] - pair.truth[d];
       eval_sq_err_sum_ += err * err;
-      if (std::abs(err) <= config_.coverage_z * prediction.stddev[d]) {
+      if (std::abs(err) <= obs::kCoverageZ * prediction.stddev[d]) {
         eval_covered_dims_ += 1.0;
       }
       eval_dims_ += 1.0;
@@ -310,7 +308,6 @@ void RetrainingService::step_shadow_eval() {
     candidate_.reset();
     corpus_target_ = corpus_.size() + config_.min_corpus_size;
     attempts_this_request_ = 0;
-    backoff_until_ = -1.0;
   }
   if (m_rejected_) m_rejected_->add();
   set_state(ServiceState::kCollecting);
@@ -358,10 +355,9 @@ void RetrainingService::absorb_banked() {
 
 void RetrainingService::trim_corpus() {
   // Caller holds state_mutex_.
-  if (corpus_.size() <= config_.max_corpus_size) return;
-  std::vector<std::size_t> newest(config_.max_corpus_size);
-  std::iota(newest.begin(), newest.end(),
-            corpus_.size() - config_.max_corpus_size);
+  if (corpus_.size() <= kMaxCorpusSize) return;
+  std::vector<std::size_t> newest(kMaxCorpusSize);
+  std::iota(newest.begin(), newest.end(), corpus_.size() - kMaxCorpusSize);
   corpus_ = corpus_.subset(newest);
 }
 
@@ -398,7 +394,7 @@ TrainedCandidate RetrainingService::train_candidate_checked() {
   // Trainer fault injection: the configured injector corrupts the reported
   // loss exactly as it corrupts simulation outputs — a throw is a crashed
   // attempt, NaN/Inf corruption a diverged one, range corruption a stuck
-  // one (caught by max_final_loss below).
+  // one (caught by kMaxFinalLoss below).
   if (config_.trainer_faults) {
     runtime::SimFn identity = [](std::span<const double> values) {
       return std::vector<double>(values.begin(), values.end());
@@ -417,7 +413,7 @@ TrainedCandidate RetrainingService::train_candidate_checked() {
     throw std::runtime_error("retrain: trainer returned no model");
   }
   if (!std::isfinite(candidate.final_loss) ||
-      candidate.final_loss > config_.max_final_loss) {
+      candidate.final_loss > kMaxFinalLoss) {
     throw std::runtime_error("retrain: training loss invalid or stuck");
   }
   // One sanity prediction: a candidate that cannot produce finite output

@@ -142,7 +142,7 @@ TEST(Dispatcher, FallbackRunsFillTrainingBuffer) {
   (void)dispatcher.query(std::vector<double>{0.1});  // surrogate
   (void)dispatcher.query(std::vector<double>{-4.0}); // fallback
   EXPECT_EQ(dispatcher.training_buffer().size(), 2u);
-  const data::Dataset drained = dispatcher.drain_training_buffer();
+  const data::Dataset drained = dispatcher.take_retraining();
   EXPECT_EQ(drained.size(), 2u);
   EXPECT_EQ(dispatcher.training_buffer().size(), 0u);
   EXPECT_DOUBLE_EQ(drained.target(0)[0], 9.0);

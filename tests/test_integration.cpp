@@ -176,7 +176,7 @@ TEST(Integration, DispatcherRetrainImprovesCoverage) {
   EXPECT_GT(dispatcher.training_buffer().size(), 0u);
 
   // Retrain on the union and swap the surrogate in ("no run is wasted").
-  data::Dataset fresh = dispatcher.drain_training_buffer();
+  data::Dataset fresh = dispatcher.take_retraining();
   ds.append(fresh);
   Rng rng2 = rng.split(77);
   dispatcher.replace_surrogate(std::make_shared<uq::DeepEnsemble>(

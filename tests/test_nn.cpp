@@ -644,45 +644,6 @@ TEST(Training, LearnsSmoothFunction) {
               std::sin(0.6) + 0.15, 0.1);
 }
 
-TEST(Training, EarlyStoppingTriggersAndRestoresBest) {
-  Rng rng(17);
-  Dataset ds = make_regression_data(200, rng);
-  MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.hidden = {16};
-  cfg.output_dim = 1;
-  cfg.activation = Activation::kTanh;
-  Network net = make_mlp(cfg, rng);
-  AdamOptimizer opt(5e-2);  // aggressive LR to provoke validation bouncing
-  MseLoss loss;
-  TrainConfig tc;
-  tc.epochs = 500;
-  tc.batch_size = 16;
-  tc.validation_fraction = 0.25;
-  tc.early_stopping_patience = 5;
-  const TrainResult result = fit(net, ds, loss, opt, tc, rng);
-  ASSERT_TRUE(result.best_validation_loss.has_value());
-  EXPECT_LT(result.history.size(), 500u);
-  EXPECT_TRUE(result.stopped_early);
-}
-
-TEST(Training, LrDecayShrinksRate) {
-  Rng rng(18);
-  Dataset ds = make_regression_data(50, rng);
-  MlpConfig cfg;
-  cfg.input_dim = 2;
-  cfg.hidden = {4};
-  cfg.output_dim = 1;
-  Network net = make_mlp(cfg, rng);
-  AdamOptimizer opt(1e-2);
-  MseLoss loss;
-  TrainConfig tc;
-  tc.epochs = 10;
-  tc.lr_decay = 0.5;
-  fit(net, ds, loss, opt, tc, rng);
-  EXPECT_NEAR(opt.learning_rate(), 1e-2 * std::pow(0.5, 10), 1e-9);
-}
-
 TEST(Training, RejectsBadConfig) {
   Rng rng(19);
   Dataset ds = make_regression_data(10, rng);

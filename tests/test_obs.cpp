@@ -759,7 +759,6 @@ obs::SurrogateHealthConfig tight_health_config() {
   cfg.shadow_fraction = 1.0;  // every accepted answer is shadow-sampled
   cfg.residual_window = 16;
   cfg.min_shadow_samples = 4;
-  cfg.clean_windows_to_recover = 2;
   return cfg;
 }
 
@@ -810,8 +809,8 @@ TEST(HealthMonitor, ResidualWarnDriftsThenRecovers) {
   feed_shadows(monitor, 16, 0.085);
   EXPECT_EQ(monitor.state(), obs::HealthState::kDrifting);
   EXPECT_FALSE(monitor.retrain_requested());
-  // Clean samples flush the window; after clean_windows_to_recover
-  // consecutive clean evaluations the state heals.
+  // Clean samples flush the window; after two consecutive clean
+  // evaluations the state heals.
   feed_shadows(monitor, 32, 0.01);
   EXPECT_EQ(monitor.state(), obs::HealthState::kHealthy);
 }
@@ -830,15 +829,19 @@ TEST(HealthMonitor, DriftWindowAloneTriggersStateChange) {
 }
 
 TEST(HealthMonitor, CoverageShortfallWarns) {
-  obs::SurrogateHealthConfig cfg = tight_health_config();
-  cfg.residual_rmse_factor = 1e9;  // isolate the coverage signal
-  obs::SurrogateHealthMonitor monitor(cfg, uniform_column(256, 0.0, 1.0, 5));
+  obs::SurrogateHealthMonitor monitor(tight_health_config(),
+                                      uniform_column(256, 0.0, 1.0, 5));
   monitor.set_residual_baseline(1.0);
   // Error far outside +/- 2 sigma on every sample: coverage 0 vs 0.954
-  // nominal, past the 0.30 UNTRUSTED shortfall band.
+  // nominal, past the 0.30 UNTRUSTED shortfall band.  The 0.5 residual
+  // against a 1.0 baseline is below the sqrt(2) warn band, so coverage is
+  // the only signal raised.
   feed_shadows(monitor, 16, 0.5, /*sigma=*/0.01);
   EXPECT_EQ(monitor.state(), obs::HealthState::kUntrusted);
   EXPECT_EQ(monitor.report().coverage, 0.0);
+  EXPECT_EQ(monitor.transitions().back().reason.rfind(
+                "shadow-sample: coverage shortfall", 0),
+            0u);
 }
 
 TEST(HealthMonitor, ShadowStrideMatchesFraction) {

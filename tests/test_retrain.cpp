@@ -339,11 +339,22 @@ TEST(RetrainService, TrainerFaultsAreRetriedThenReArmed) {
 
   stats::Rng rng(17);
   trip_monitor(dispatcher, rng);
-  // Collect, then burn through the bounded attempts.
+  // Collect, then burn through the bounded attempts.  A failed attempt
+  // below the bound stays in kTraining and retries on the very next poll.
+  int first_failure_poll = -1;
+  int second_failure_poll = -1;
   for (int i = 0; i < 400 && service.stats().train_failures < 2; ++i) {
     (void)dispatcher.query(draw(rng, 2.0, 3.0));
-    (void)service.poll_once();
+    const retrain::ServiceState after = service.poll_once();
+    const std::size_t failures = service.stats().train_failures;
+    if (failures == 1 && first_failure_poll < 0) {
+      first_failure_poll = i;
+      EXPECT_EQ(after, retrain::ServiceState::kTraining);
+    }
+    if (failures == 2) second_failure_poll = i;
   }
+  ASSERT_GE(first_failure_poll, 0);
+  EXPECT_EQ(second_failure_poll, first_failure_poll + 1);
 
   const retrain::RetrainingStats stats = service.stats();
   EXPECT_EQ(stats.train_attempts, 2u);
