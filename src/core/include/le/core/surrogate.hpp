@@ -51,14 +51,13 @@
 #include <vector>
 
 #include "le/data/dataset.hpp"
+#include "le/serve/lookup_cache.hpp"
 #include "le/serve/overload.hpp"
 #include "le/uq/uq_model.hpp"
 
 namespace le::serve {
 class DegradationLadder;
 enum class ServiceLevel : int;
-class LookupCache;
-struct LookupCacheConfig;
 }  // namespace le::serve
 
 namespace le::obs {
@@ -336,9 +335,22 @@ class SurrogateDispatcher {
   }
 
  private:
-  /// Books one surrogate-served answer (fresh or cached; seconds already
-  /// set) into stats, the speedup meter and the metric handles.
-  void account_surrogate_answer(const Answer& answer);
+  /// What one batch booked in its last pass: surrogate-served answers
+  /// (fresh or cached) with their summed seconds, and fallback simulations.
+  struct SurrogateBooking {
+    std::size_t answers = 0;
+    std::size_t cache_hits = 0;
+    std::size_t degraded = 0;
+    std::size_t simulations = 0;
+    double seconds = 0.0;
+  };
+
+  /// Books a batch's surrogate answers into stats, the speedup meter and
+  /// the metric handles in one step, and publishes the gauges once when
+  /// the batch answered anything.  Per-answer sums (stats seconds, the
+  /// accepted uncertainty, the latency histogram) are added row by row by
+  /// the caller.
+  void book_surrogate_answers(const SurrogateBooking& booking);
 
   /// Builds and books one shed outcome.  Shed answers are excluded from
   /// the speedup meter (nothing was looked up, nothing was trained) and
@@ -390,6 +402,8 @@ class SurrogateDispatcher {
   GroundTruthTap ground_truth_tap_;
   std::unique_ptr<CircuitBreaker> breaker_;
   std::unique_ptr<serve::LookupCache> cache_;
+  /// query_batch's cache probe of the current batch; serving-thread scratch.
+  serve::LookupCache::Batch cache_batch_;
   std::unique_ptr<obs::SurrogateHealthMonitor> health_;
   /// Brownout policy (shared with the queue edge); null when detached.
   std::shared_ptr<serve::DegradationLadder> ladder_;

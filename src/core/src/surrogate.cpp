@@ -18,13 +18,15 @@ namespace le::core {
 
 namespace {
 
-/// The one surrogate forward of a batch over rows `rows` of `inputs`: one
-/// predict_batch, whatever the row count.  Every shipped UqModel answers a
-/// one-row predict_batch exactly as predict() (tests/test_uq.cpp), so
-/// query() needs no path of its own.
+/// The one surrogate forward of a batch over rows `rows` (ascending) of
+/// `inputs`: one predict_batch, whatever the row count.  Every shipped
+/// UqModel answers a one-row predict_batch exactly as predict()
+/// (tests/test_uq.cpp), so query() needs no path of its own.  When every
+/// row is forwarded, `inputs` goes to the model as it is.
 std::vector<uq::Prediction> forward(uq::UqModel& model,
                                     const tensor::Matrix& inputs,
                                     std::span<const std::size_t> rows) {
+  if (rows.size() == inputs.rows()) return model.predict_batch(inputs);
   tensor::Matrix packed(rows.size(), inputs.cols());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto src = inputs.row(rows[i]);
@@ -131,19 +133,33 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
   // miss owes an equal slice of the one forward that served it.
   std::vector<std::size_t> misses;
   misses.reserve(n_live);
-  const auto cache_t0 = std::chrono::steady_clock::now();
-  // Thread-local scratch: a probe allocates nothing beyond the Answer.
-  static thread_local serve::CachedAnswer cached;
   for (std::size_t r = 0; r < n; ++r) {
-    if (!is_live(r)) continue;
-    if (cache_ && cache_->find(inputs.row(r), cached) &&
-        cached.uncertainty <= threshold_) {
-      answers[r].values = cached.values;
-      answers[r].uncertainty = cached.uncertainty;
-      answers[r].from_cache = true;
-    } else {
-      misses.push_back(r);
+    if (is_live(r)) misses.push_back(r);
+  }
+  const auto cache_t0 = std::chrono::steady_clock::now();
+  // One probe of the whole batch, kept for the inserts of pass 2: probe_of
+  // maps a row to its place in it.  The probe's buffers are the
+  // dispatcher's, so a steady-state probe and insert allocate nothing.
+  serve::LookupCache::Batch& probe = cache_batch_;
+  std::vector<std::size_t> probe_of;
+  if (cache_) {
+    cache_->find_batch({inputs.data(), inputs.size()}, inputs.cols(), misses,
+                       probe);
+    probe_of.resize(n);
+    std::size_t n_missed = 0;
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+      const std::size_t r = misses[i];
+      probe_of[r] = i;
+      if (probe.hit(i) && probe.uncertainty(i) <= threshold_) {
+        const std::span<const double> values = probe.values(i);
+        answers[r].values.assign(values.begin(), values.end());
+        answers[r].uncertainty = probe.uncertainty(i);
+        answers[r].from_cache = true;
+      } else {
+        misses[n_missed++] = r;
+      }
     }
+    misses.resize(n_missed);
   }
   std::vector<double> owed(n, 0.0);
   const double cache_share =
@@ -221,10 +237,7 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
       // shadow run is a full simulation — exactly the cost the ladder is
       // shedding).
       if (!degraded) {
-        if (cache_) {
-          (void)cache_->try_insert(inputs.row(r), prediction.mean, score,
-                                   cache_epoch);
-        }
+        if (cache_) probe.stage(probe_of[r], prediction.mean, score);
         if (health_ && health_->should_shadow_sample()) {
           shadow_sample(inputs.row(r), prediction.mean, prediction.stddev,
                         score);
@@ -234,6 +247,7 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
       answers[r].degraded = degraded;
     }
     misses.resize(n_declined);
+    if (cache_) (void)cache_->insert_batch(probe, cache_epoch);
   }
 
   // Pass 3 — book the surrogate answers; whatever the cache, the breaker
@@ -243,13 +257,22 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
   // to prevent — so those rows are shed instead.
   std::vector<bool> needs_sim(n, false);
   for (const std::size_t r : misses) needs_sim[r] = true;
+  SurrogateBooking booking;
   for (std::size_t r = 0; r < n; ++r) {
     Answer& answer = answers[r];
     if (answer.source == AnswerSource::kShed) continue;  // resolved above
     if (!needs_sim[r]) {
       answer.source = AnswerSource::kSurrogate;
       answer.seconds = owed[r];
-      account_surrogate_answer(answer);
+      ++booking.answers;
+      booking.seconds += answer.seconds;
+      booking.cache_hits += answer.from_cache ? 1 : 0;
+      booking.degraded += answer.degraded ? 1 : 0;
+      stats_.surrogate_seconds += answer.seconds;
+      accepted_uncertainty_sum_ += answer.uncertainty;
+      if (metrics_.surrogate_seconds) {
+        metrics_.surrogate_seconds->record(answer.seconds);
+      }
       continue;
     }
     if (level != serve::ServiceLevel::kFull) {
@@ -269,13 +292,14 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     bank_ground_truth(inputs.row(r), answer.values, answer.uncertainty,
                       answer.seconds);
     ++stats_.simulation_answers;
+    ++booking.simulations;
     stats_.simulation_seconds += answer.seconds;
     if (metrics_.simulation_answers) {
       metrics_.simulation_answers->add();
       metrics_.simulation_seconds->record(answer.seconds);
-      publish_gauges();
     }
   }
+  book_surrogate_answers(booking);
   return answers;
 }
 
@@ -322,25 +346,26 @@ Answer SurrogateDispatcher::make_shed_answer(serve::ShedReason reason,
   return answer;
 }
 
-void SurrogateDispatcher::account_surrogate_answer(const Answer& answer) {
-  ++stats_.surrogate_answers;
-  stats_.surrogate_seconds += answer.seconds;
-  accepted_uncertainty_sum_ += answer.uncertainty;
-  stats_.mean_accepted_uncertainty =
-      accepted_uncertainty_sum_ /
-      static_cast<double>(stats_.surrogate_answers);
-  if (answer.from_cache) {
-    ++stats_.cache_hits;
-    if (metrics_.cache_hits) metrics_.cache_hits->add();
+void SurrogateDispatcher::book_surrogate_answers(
+    const SurrogateBooking& booking) {
+  if (booking.answers != 0) {
+    stats_.surrogate_answers += booking.answers;
+    stats_.mean_accepted_uncertainty =
+        accepted_uncertainty_sum_ /
+        static_cast<double>(stats_.surrogate_answers);
+    stats_.cache_hits += booking.cache_hits;
+    stats_.degraded_answers += booking.degraded;
+    if (meter_) meter_->record_lookups(booking.answers, booking.seconds);
+    if (metrics_.surrogate_answers) {
+      metrics_.surrogate_answers->add(booking.answers);
+      if (booking.cache_hits != 0) metrics_.cache_hits->add(booking.cache_hits);
+      if (booking.degraded != 0) {
+        metrics_.degraded_answers->add(booking.degraded);
+      }
+    }
   }
-  if (answer.degraded) {
-    ++stats_.degraded_answers;
-    if (metrics_.degraded_answers) metrics_.degraded_answers->add();
-  }
-  if (meter_) meter_->record_lookup(answer.seconds);
-  if (metrics_.surrogate_answers) {
-    metrics_.surrogate_answers->add();
-    metrics_.surrogate_seconds->record(answer.seconds);
+  if (metrics_.surrogate_fraction &&
+      booking.answers + booking.simulations != 0) {
     publish_gauges();
   }
 }

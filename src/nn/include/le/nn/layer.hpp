@@ -79,13 +79,20 @@ class DenseLayer final : public Layer {
   /// kernel is active.
   tensor::Matrix forward(const tensor::Matrix& input) override;
   tensor::Matrix backward(const tensor::Matrix& grad_output) override;
-  /// Forward through tensor::gemm under this layer's GemmPlan (kernel +
+  /// Forward through tensor::dense under this layer's GemmPlan (kernel +
   /// blocking), with no input caching.  The default plan defers the kernel
   /// choice to active_gemm_kernel(); Network::autotune_inference installs a
   /// measured per-layer plan (the ATLAS example generalized to kernel
   /// selection).  Accumulation order depends on the chosen kernel; paths
   /// agree to the DESIGN.md section 13 tolerance.
   void infer(const tensor::Matrix& input, tensor::Matrix& out) override;
+  /// infer() with `activation` fused into the same pass: on the AVX2 kernel
+  /// the bias and the tanh/ReLU run in registers before the one store, and
+  /// the result equals infer() followed by the matching ActivationLayer's
+  /// infer() bit for bit on every kernel.  Network::predict_batch runs each
+  /// Dense -> tanh/ReLU pair this way.
+  void infer(const tensor::Matrix& input, tensor::Matrix& out,
+             tensor::DenseActivation activation);
   std::vector<ParamView> parameters() override;
   void zero_grad() override;
 

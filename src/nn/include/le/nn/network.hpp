@@ -46,8 +46,11 @@ class Network {
   /// flow through the layers' infer() path via two network-owned scratch
   /// buffers, so steady-state calls allocate nothing and the training-time
   /// activation caches are left untouched — one matrix-matrix pass through
-  /// every layer instead of inputs.rows() single-row dispatches.  `outputs`
-  /// must not alias `inputs`.
+  /// every layer instead of inputs.rows() single-row dispatches.  A
+  /// DenseLayer followed by a tanh or ReLU ActivationLayer runs as one
+  /// fused pass (DenseLayer::infer with the activation), with the bits of
+  /// the two layers run one after the other.  `outputs` must not alias
+  /// `inputs`.
   void predict_batch(const tensor::Matrix& inputs, tensor::Matrix& outputs);
 
   /// Allocating predict_batch convenience.

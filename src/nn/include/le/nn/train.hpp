@@ -1,8 +1,6 @@
 /// @file
-/// Mini-batch training loop with a per-epoch loss history.
+/// Mini-batch training loop.
 #pragma once
-
-#include <vector>
 
 #include "le/data/dataset.hpp"
 #include "le/nn/loss.hpp"
@@ -17,17 +15,9 @@ struct TrainConfig {
   std::size_t batch_size = 32;
 };
 
-/// Per-epoch record of the training history.
-struct EpochStats {
-  std::size_t epoch = 0;
-  double train_loss = 0.0;
-};
-
 struct TrainResult {
-  std::vector<EpochStats> history;
+  /// Mean batch loss over the last epoch.
   double final_train_loss = 0.0;
-  /// Total number of optimizer steps taken.
-  std::size_t steps = 0;
 };
 
 /// Trains `net` in place for `config.epochs` epochs.  Shuffles each epoch

@@ -61,15 +61,16 @@ tensor::Matrix DenseLayer::forward(const tensor::Matrix& input) {
 }
 
 void DenseLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
+  infer(input, out, tensor::DenseActivation::kNone);
+}
+
+void DenseLayer::infer(const tensor::Matrix& input, tensor::Matrix& out,
+                       tensor::DenseActivation activation) {
   if (input.cols() != weights_.rows()) {
     throw std::invalid_argument("DenseLayer::infer: input dim mismatch");
   }
   shape_for_overwrite(out, input.rows(), weights_.cols());
-  tensor::gemm(input, weights_, out, infer_plan_);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] += bias_[c];
-  }
+  tensor::dense(input, weights_, bias_, out, activation, infer_plan_);
 }
 
 tensor::Matrix DenseLayer::backward(const tensor::Matrix& grad_output) {

@@ -43,11 +43,28 @@ void Network::predict_batch(const tensor::Matrix& inputs,
   }
   const tensor::Matrix* cur = &inputs;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
+    // A Dense followed by a tanh or ReLU runs as one fused pass.
+    auto* dense = dynamic_cast<DenseLayer*>(layers_[i].get());
+    const auto* next =
+        dense != nullptr && i + 1 < layers_.size()
+            ? dynamic_cast<const ActivationLayer*>(layers_[i + 1].get())
+            : nullptr;
+    tensor::DenseActivation fused = tensor::DenseActivation::kNone;
+    if (next != nullptr && next->kind() == Activation::kTanh) {
+      fused = tensor::DenseActivation::kTanh;
+    } else if (next != nullptr && next->kind() == Activation::kRelu) {
+      fused = tensor::DenseActivation::kRelu;
+    }
+    if (fused != tensor::DenseActivation::kNone) ++i;
     tensor::Matrix& dst = i + 1 == layers_.size()
                               ? outputs
                               : (cur == &infer_scratch_[0] ? infer_scratch_[1]
                                                            : infer_scratch_[0]);
-    layers_[i]->infer(*cur, dst);
+    if (fused != tensor::DenseActivation::kNone) {
+      dense->infer(*cur, dst, fused);
+    } else {
+      layers_[i]->infer(*cur, dst);
+    }
     cur = &dst;
   }
 }

@@ -64,13 +64,10 @@ TrainResult fit(Network& net, const data::Dataset& train_data,
       LossResult lr = loss.evaluate(pred, y);
       net.backward(lr.grad);
       optimizer.step(net.parameters());
-      ++result.steps;
       epoch_loss += lr.value;
       ++batches;
     }
     epoch_loss /= static_cast<double>(std::max<std::size_t>(batches, 1));
-
-    result.history.push_back({epoch, epoch_loss});
     result.final_train_loss = epoch_loss;
   }
   net.set_training(false);

@@ -15,6 +15,13 @@
 /// slot index, and an open-addressed index (linear probing, backward-shift
 /// delete).  After a stripe's first insert no find, insert, eviction or hit
 /// touches the heap.
+///
+/// The serving path works per batch: find_batch() quantizes and hashes each
+/// row once and takes each stripe's lock once for all of its rows, and
+/// insert_batch() writes the batch's accepted answers with the keys and
+/// hashes the probe computed, again one lock per stripe.  Counters and
+/// metrics move once per batch.  The single-row find() and try_insert() are
+/// one-row batches through the same code.
 #pragma once
 
 #include <atomic>
@@ -74,6 +81,63 @@ class LookupCache {
   /// configured resolution".
   using Key = std::vector<std::int64_t>;
 
+  /// One batch of rows as the cache sees them.  find_batch() fills it with
+  /// each row's key, hash and lookup result; stage() queues answers for
+  /// insert_batch(), which reuses those keys and hashes.  Keep one per
+  /// thread and reuse it: its buffers keep their capacity, so after the
+  /// first batches a probe and an insert allocate nothing.
+  class Batch {
+   public:
+    /// Rows loaded by the last find_batch().
+    [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+    /// True when find_batch() found row i (i indexes the `rows` it was
+    /// given).
+    [[nodiscard]] bool hit(std::size_t i) const noexcept {
+      return rows_[i].hit;
+    }
+    /// Row i's cached values; empty unless hit(i).
+    [[nodiscard]] std::span<const double> values(std::size_t i) const noexcept {
+      return {values_.data() + rows_[i].found_at, rows_[i].found_width};
+    }
+    /// Row i's cached uncertainty; 0 unless hit(i).
+    [[nodiscard]] double uncertainty(std::size_t i) const noexcept {
+      return rows_[i].uncertainty;
+    }
+    /// Queues an answer for row i (copied) for the next insert_batch().
+    void stage(std::size_t i, std::span<const double> values,
+               double uncertainty);
+
+   private:
+    friend class LookupCache;
+    struct Row {
+      std::uint64_t hash = 0;
+      std::size_t key_at = 0;  ///< offset of the key in keys_
+      bool cacheable = false;  ///< every component finite
+      bool hit = false;
+      std::size_t found_at = 0;  ///< offset of the hit's values in values_
+      std::size_t found_width = 0;
+      double uncertainty = 0.0;
+    };
+    struct Staged {
+      std::size_t row = 0;
+      std::size_t values_at = 0;  ///< offset in values_
+      std::size_t width = 0;
+      double uncertainty = 0.0;
+    };
+    std::size_t key_width_ = 0;
+    std::vector<Row> rows_;
+    std::vector<std::int64_t> keys_;
+    /// The hits' values, then the staged answers' values: one buffer, so
+    /// a thread whose one-row batches have only inserted so far still
+    /// finds its first hit without allocating.
+    std::vector<double> values_;
+    std::vector<Staged> staged_;
+    /// Row (or staged-entry) indices grouped by shard, stable within one,
+    /// and each shard's [begin, end) in it.
+    std::vector<std::size_t> by_shard_;
+    std::vector<std::size_t> shard_begin_;
+  };
+
   explicit LookupCache(const LookupCacheConfig& config);
   ~LookupCache();
 
@@ -89,10 +153,24 @@ class LookupCache {
 
   /// Allocation-free variant for the serving hot path: on a hit, fills
   /// `out` reusing its buffers and returns true.  `out` is untouched on a
-  /// miss.  Steady-state this allocates nothing (the key is built in a
-  /// thread-local scratch), which is what keeps a cache hit an order of
-  /// magnitude cheaper than a forward pass.
+  /// miss.  Steady-state this allocates nothing (it is a one-row
+  /// find_batch() into a thread-local Batch), which is what keeps a cache
+  /// hit an order of magnitude cheaper than a forward pass.
   [[nodiscard]] bool find(std::span<const double> input, CachedAnswer& out);
+
+  /// Looks up rows `rows` of `inputs`, a row-major block of rows `width`
+  /// wide, into `batch` (cleared first): batch row i is input row rows[i].
+  /// Each row is quantized and hashed once and each shard locked once;
+  /// within a shard the rows are probed in order, so hits, LRU order and
+  /// counters end as row-by-row find() calls would leave them.
+  void find_batch(std::span<const double> inputs, std::size_t width,
+                  std::span<const std::size_t> rows, Batch& batch);
+
+  /// Writes the answers staged in `batch` and clears the staging, unless
+  /// the cache has left `expected_epoch` (see try_insert(), whose
+  /// semantics each staged answer gets, in staging order within a shard).
+  /// Returns how many were written.
+  std::size_t insert_batch(Batch& batch, std::uint64_t expected_epoch);
 
   /// Inserts (or refreshes) the entry for `input`, evicting the shard's
   /// least-recently-used entry when the stripe is full.  Non-finite and
@@ -149,14 +227,23 @@ class LookupCache {
                       const std::string& prefix = "serve.cache");
 
  private:
-  /// quantize() into a caller-owned key, reusing its capacity.
-  static void quantize_into(std::span<const double> input, double resolution,
-                            Key& key);
+  /// Appends the quantized `input` to `key`.
+  static void quantize_append(std::span<const double> input,
+                              double resolution, Key& key);
 
   /// One mutex stripe: a fixed-capacity slab (layout in lookup_cache.cpp).
   struct Shard;
   /// Shard pick from the high 32 bits of a key hash.
   [[nodiscard]] std::size_t shard_index(std::uint64_t hash) const noexcept;
+  /// Clears `batch` and gives it rows `rows` of `inputs`, each quantized
+  /// and hashed once.
+  void load(std::span<const double> inputs, std::size_t width,
+            std::span<const std::size_t> rows, Batch& batch) const;
+  /// Fills batch.by_shard_/shard_begin_ with the `count` entries whose row
+  /// is row_of(i), grouped by their row's shard; uncacheable rows go
+  /// nowhere.
+  template <typename RowOf>
+  void group_by_shard(Batch& batch, std::size_t count, RowOf row_of) const;
 
   LookupCacheConfig config_;
   std::size_t per_shard_capacity_;

@@ -43,8 +43,8 @@ void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& out,
                   const GemmBlocking& blocking = {});
 
 /// out = A * B through the AVX2+FMA register-tiled micro-kernel (4x8 tiles
-/// inside the same macro-block structure as gemm_blocked; tail rows/columns
-/// fall back to the proven scalar inner loops).  Precondition:
+/// inside the same macro-block structure as gemm_blocked; tail rows and
+/// columns run as 4-lane strips, the last 1-3 columns masked).  Precondition:
 /// cpu_has_avx2_fma() — call through gemm() for the checked dispatch.
 /// Accumulation order differs from the scalar kernels; results agree to the
 /// tolerance documented in DESIGN.md section 13.
@@ -57,6 +57,32 @@ void gemm_avx2(const Matrix& a, const Matrix& b, Matrix& out,
 /// entry point of the serving hot path (nn::Layer::infer).
 void gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmPlan& plan = {});
+
+/// The pointwise step a fused dense layer applies after its bias.
+enum class DenseActivation {
+  kNone,  ///< out = A * W + bias
+  kTanh,  ///< out = tanh(A * W + bias), through vtanh's kernel
+  kRelu,  ///< out = max(A * W + bias, 0), through vrelu's kernel
+};
+
+/// One inference dense layer: out = act(A * W + bias), `bias` one entry per
+/// column of W.  When the plan resolves to kAvx2 (as gemm() resolves it)
+/// this is dense_avx2, one pass with the bias and activation applied in
+/// registers; otherwise it is gemm(), then a `+= bias` pass, then
+/// vtanh/vrelu, which under kScalar means gemm_blocked and std::tanh.  The
+/// two give the same bits as that layered sequence on their kernel.  `out`
+/// must already have A's rows and W's columns and must not alias an input.
+void dense(const Matrix& a, const Matrix& w, std::span<const double> bias,
+           Matrix& out, DenseActivation activation = DenseActivation::kNone,
+           const GemmPlan& plan = {});
+
+/// AVX2 form of dense() (precondition cpu_has_avx2_fma()): gemm_avx2's
+/// tiles with the epilogue run on each tile's accumulators after its last
+/// k-block, so the result equals gemm_avx2, `+= bias`, then
+/// vtanh_avx2/vrelu_avx2 bit for bit.
+void dense_avx2(const Matrix& a, const Matrix& w, std::span<const double> bias,
+                Matrix& out, DenseActivation activation,
+                const GemmBlocking& blocking = {});
 
 /// Operand layout of gemm_exact: which operand enters transposed.
 enum class GemmOp {

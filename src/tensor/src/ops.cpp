@@ -67,26 +67,53 @@ void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& out,
   }
 }
 
-void gemm(const Matrix& a, const Matrix& b, Matrix& out,
-          const GemmPlan& plan) {
-  // A pinned process-wide kernel (LE_KERNEL or set_gemm_kernel_override) is
-  // the operator escape hatch and wins even over an explicit per-layer plan;
-  // otherwise the plan decides, with kAuto deferring to the CPUID pick.
-  GemmKernel kernel =
+namespace {
+
+// The kernel a GEMM under `plan` runs on.  A pinned process-wide kernel
+// (LE_KERNEL or set_gemm_kernel_override) is the operator escape hatch and
+// wins even over an explicit per-layer plan; otherwise the plan decides,
+// with kAuto deferring to the CPUID pick.  Never kAuto.
+GemmKernel plan_kernel(const GemmPlan& plan) noexcept {
+  const GemmKernel kernel =
       gemm_kernel_forced() || plan.kernel == GemmKernel::kAuto
           ? active_gemm_kernel()
           : plan.kernel;
-  if (kernel == GemmKernel::kAvx2 && !cpu_has_avx2_fma()) {
-    kernel = GemmKernel::kScalar;  // degrade, never fault
+  if (kernel == GemmKernel::kAvx2 && cpu_has_avx2_fma()) {
+    return GemmKernel::kAvx2;
   }
-  switch (kernel) {
-    case GemmKernel::kAvx2:
-      gemm_avx2(a, b, out, plan.blocking);
-      return;
-    case GemmKernel::kAuto:
-    case GemmKernel::kScalar:
-      gemm_blocked(a, b, out, plan.blocking);
-      return;
+  return GemmKernel::kScalar;  // degrade, never fault
+}
+
+}  // namespace
+
+void gemm(const Matrix& a, const Matrix& b, Matrix& out,
+          const GemmPlan& plan) {
+  if (plan_kernel(plan) == GemmKernel::kAvx2) {
+    gemm_avx2(a, b, out, plan.blocking);
+  } else {
+    gemm_blocked(a, b, out, plan.blocking);
+  }
+}
+
+void dense(const Matrix& a, const Matrix& w, std::span<const double> bias,
+           Matrix& out, DenseActivation activation, const GemmPlan& plan) {
+  if (bias.size() != w.cols()) {
+    throw std::invalid_argument("dense: bias length != output width");
+  }
+  if (plan_kernel(plan) == GemmKernel::kAvx2) {
+    dense_avx2(a, w, bias, out, activation, plan.blocking);
+    return;
+  }
+  gemm_blocked(a, w, out, plan.blocking);
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    auto row = out.row(r);
+    for (std::size_t c = 0; c < row.size(); ++c) row[c] += bias[c];
+  }
+  const std::span<double> flat = out.flat();
+  switch (activation) {
+    case DenseActivation::kTanh: vtanh(flat, flat); return;
+    case DenseActivation::kRelu: vrelu(flat, flat); return;
+    case DenseActivation::kNone: return;
   }
 }
 

@@ -22,7 +22,8 @@ class DeepEnsemble final : public UqModel {
   explicit DeepEnsemble(std::vector<nn::Network> members);
 
   [[nodiscard]] Prediction predict(std::span<const double> input) override;
-  /// Batched ensemble inference: one matrix-matrix forward per member.
+  /// Batched ensemble inference: one matrix-matrix forward per member,
+  /// reduced into scratch the ensemble keeps between calls.
   [[nodiscard]] std::vector<Prediction> predict_batch(
       const tensor::Matrix& inputs) override;
   [[nodiscard]] std::size_t input_dim() const override;
@@ -43,6 +44,9 @@ class DeepEnsemble final : public UqModel {
 
  private:
   std::vector<nn::Network> members_;
+  /// predict_batch's per-row sums of member outputs and of their squares,
+  /// and one member's output; transient scratch.
+  tensor::Matrix sum_, sum_sq_, member_out_;
 };
 
 /// Trains `members` replicas of the MLP described by `config` on the same

@@ -52,13 +52,18 @@ std::vector<Prediction> DeepEnsemble::predict_batch(
   }
   const std::size_t rows = inputs.rows();
   const std::size_t out_dim = output_dim();
-  tensor::Matrix sum(rows, out_dim), sum_sq(rows, out_dim), y;
+  // resize() refills with zeros in the buffers' kept capacity, so a
+  // steady-state batch allocates only the Predictions it returns.
+  sum_.resize(rows, out_dim);
+  sum_sq_.resize(rows, out_dim);
+  double* sum = sum_.data();
+  double* sum_sq = sum_sq_.data();
   for (auto& member : members_) {
-    member.predict_batch(inputs, y);
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const double v = y.data()[i];
-      sum.data()[i] += v;
-      sum_sq.data()[i] += v * v;
+    member.predict_batch(inputs, member_out_);
+    const double* y = member_out_.data();
+    for (std::size_t i = 0; i < member_out_.size(); ++i) {
+      sum[i] += y[i];
+      sum_sq[i] += y[i] * y[i];
     }
   }
 
@@ -69,9 +74,10 @@ std::vector<Prediction> DeepEnsemble::predict_batch(
     p.mean.resize(out_dim);
     p.stddev.resize(out_dim);
     for (std::size_t k = 0; k < out_dim; ++k) {
-      p.mean[k] = sum(r, k) / n;
+      const std::size_t i = r * out_dim + k;
+      p.mean[k] = sum[i] / n;
       const double var =
-          std::max(0.0, (sum_sq(r, k) - n * p.mean[k] * p.mean[k]) / (n - 1.0));
+          std::max(0.0, (sum_sq[i] - n * p.mean[k] * p.mean[k]) / (n - 1.0));
       p.stddev[k] = std::sqrt(var);
     }
   }

@@ -3,11 +3,14 @@
 // the NN/sync-engine adapter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
+#include <random>
 #include <thread>
 
 #include "le/core/adaptive_loop.hpp"
@@ -24,6 +27,9 @@
 #include "le/obs/health.hpp"
 #include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
+#include "le/tensor/simd.hpp"
+#include "le/uq/acquisition.hpp"
+#include "le/uq/deep_ensemble.hpp"
 
 namespace le::core {
 namespace {
@@ -1276,6 +1282,189 @@ TEST(DispatcherBatch, QueryRejectsAWrongWidthInputBeforeAnyWork) {
   EXPECT_EQ(dispatcher.lookup_cache()->size(), 0u);
   EXPECT_EQ(meter.snapshot().n_lookup, 0u);
   EXPECT_EQ(meter.snapshot().n_train, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The lookup path per batch: served bits and batch booking
+
+/// What a served ensemble answer is, computed the long way: each member's
+/// layers run one infer() at a time (GEMM, bias and activation as
+/// separate passes), the member outputs reduced with the ensemble's
+/// mean/stddev formula, the gate score the largest stddev.
+uq::Prediction layered_ensemble_row(std::vector<nn::Network>& members,
+                                    std::span<const double> input) {
+  const std::size_t out_dim = members.front().output_dim();
+  std::vector<double> sum(out_dim, 0.0), sum_sq(out_dim, 0.0);
+  for (nn::Network& member : members) {
+    tensor::Matrix cur(1, input.size()), next;
+    std::copy(input.begin(), input.end(), cur.data());
+    for (std::size_t i = 0; i < member.layer_count(); ++i) {
+      member.layer(i).infer(cur, next);
+      std::swap(cur, next);
+    }
+    for (std::size_t k = 0; k < out_dim; ++k) {
+      sum[k] += cur(0, k);
+      sum_sq[k] += cur(0, k) * cur(0, k);
+    }
+  }
+  const double n = static_cast<double>(members.size());
+  uq::Prediction p;
+  for (std::size_t k = 0; k < out_dim; ++k) {
+    p.mean.push_back(sum[k] / n);
+    const double var =
+        std::max(0.0, (sum_sq[k] - n * p.mean[k] * p.mean[k]) / (n - 1.0));
+    p.stddev.push_back(std::sqrt(var));
+  }
+  return p;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DispatcherBatch, ServedAnswersEqualTheLayeredForwardBitForBit) {
+  // A five-member 5 -> 32 -> 32 -> 3 tanh ensemble (the benchmark's served
+  // shape) behind a cached dispatcher: every answer, fresh or replayed
+  // from the cache, carries the layered path's mean and gate score bit for
+  // bit, on kScalar and on kAvx2.
+  for (const auto kernel :
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+    tensor::set_gemm_kernel_override(kernel);
+    Rng rng(88);
+    std::vector<nn::Network> members, reference;
+    for (int m = 0; m < 5; ++m) {
+      nn::MlpConfig cfg;
+      cfg.input_dim = 5;
+      cfg.hidden = {32, 32};
+      cfg.output_dim = 3;
+      cfg.activation = nn::Activation::kTanh;
+      members.push_back(nn::make_mlp(cfg, rng));
+      for (const nn::ParamView& view : members.back().parameters()) {
+        for (double& v : view.values) v += rng.uniform(-0.05, 0.05);
+      }
+      members.back().set_training(false);
+      reference.push_back(members.back().clone());
+      reference.back().set_training(false);
+    }
+    SurrogateDispatcher dispatcher(
+        std::make_shared<uq::DeepEnsemble>(std::move(members)),
+        identity_sim(), 1e9);
+    serve::LookupCacheConfig cache;
+    cache.capacity = 1024;
+    cache.resolution = 1e-9;
+    dispatcher.enable_lookup_cache(cache);
+    tensor::Matrix inputs(64, 5);
+    for (int call = 0; call < 3; ++call) {
+      // Calls 1 and 2 keep every other row, so half the batch replays
+      // cached answers.
+      for (std::size_t r = 0; r < inputs.rows(); ++r) {
+        if (call == 0 || r % 2 == 1) {
+          for (double& v : inputs.row(r)) v = rng.uniform(-2.0, 2.0);
+        }
+      }
+      const std::vector<Answer> answers = dispatcher.query_batch(inputs);
+      for (std::size_t r = 0; r < inputs.rows(); ++r) {
+        const uq::Prediction want =
+            layered_ensemble_row(reference, inputs.row(r));
+        const double score = uq::uncertainty_score(want);
+        ASSERT_EQ(answers[r].source, AnswerSource::kSurrogate);
+        EXPECT_EQ(answers[r].from_cache, call > 0 && r % 2 == 0);
+        EXPECT_TRUE(same_bits(answers[r].values, want.mean))
+            << tensor::to_string(kernel) << " call " << call << " row " << r;
+        EXPECT_TRUE(same_bits({&answers[r].uncertainty, 1}, {&score, 1}))
+            << tensor::to_string(kernel) << " call " << call << " row " << r;
+      }
+    }
+  }
+  tensor::set_gemm_kernel_override(std::nullopt);
+}
+
+TEST(DispatcherBatch, BatchBookingEqualsTheAnswersBookedOneByOne) {
+  // Batches of 1-20 rows over a small key pool (so the cache hits), with
+  // rows the gate declines (simulation) and rows already past their
+  // deadline (shed).  After every query_batch the stats, the counters,
+  // the meter and the latency histogram hold what booking the returned
+  // answers one at a time, in row order, gives.
+  auto model = std::make_shared<CountingUq>();
+  SurrogateDispatcher dispatcher(model, identity_sim(), 0.5);
+  serve::LookupCacheConfig cache;
+  cache.capacity = 8;
+  dispatcher.enable_lookup_cache(cache);
+  obs::MetricsRegistry registry;
+  dispatcher.enable_metrics(registry, "book");
+  obs::EffectiveSpeedupMeter meter;
+  dispatcher.set_speedup_meter(&meter);
+
+  std::mt19937 gen(5);
+  std::uniform_int_distribution<int> rows_dist(1, 20);
+  std::uniform_int_distribution<int> key_dist(0, 15);
+  std::uniform_int_distribution<int> coin(0, 9);
+  std::size_t surrogate = 0, simulation = 0, hits = 0, shed = 0;
+  double surrogate_seconds = 0.0, uncertainty_sum = 0.0;
+  double simulation_seconds = 0.0;
+  const auto past = std::chrono::steady_clock::now() - std::chrono::hours(1);
+  for (int batch = 0; batch < 40; ++batch) {
+    const std::size_t n = static_cast<std::size_t>(rows_dist(gen));
+    tensor::Matrix inputs(n, 1);
+    std::vector<serve::Deadline> deadlines(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      // Keys 0-11 pass the 0.5 gate, 12-15 go to the simulation.
+      inputs(r, 0) = 0.04 * key_dist(gen) + (coin(gen) < 3 ? 0.02 : 0.0);
+      if (coin(gen) == 0) deadlines[r] = past;
+    }
+    const std::vector<Answer> answers = dispatcher.query_batch(inputs, deadlines);
+    for (const Answer& answer : answers) {
+      switch (answer.source) {
+        case AnswerSource::kSurrogate:
+          ++surrogate;
+          surrogate_seconds += answer.seconds;
+          uncertainty_sum += answer.uncertainty;
+          hits += answer.from_cache ? 1 : 0;
+          break;
+        case AnswerSource::kSimulation:
+          ++simulation;
+          simulation_seconds += answer.seconds;
+          break;
+        case AnswerSource::kShed:
+          ++shed;
+          break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "batch " << batch);
+    const DispatcherStats& stats = dispatcher.stats();
+    ASSERT_EQ(stats.surrogate_answers, surrogate);
+    ASSERT_EQ(stats.simulation_answers, simulation);
+    ASSERT_EQ(stats.cache_hits, hits);
+    ASSERT_EQ(stats.shed_deadline, shed);
+    ASSERT_EQ(stats.surrogate_seconds, surrogate_seconds);
+    ASSERT_EQ(stats.simulation_seconds, simulation_seconds);
+    if (surrogate > 0) {
+      ASSERT_EQ(stats.mean_accepted_uncertainty,
+                uncertainty_sum / static_cast<double>(surrogate));
+    }
+    ASSERT_EQ(registry.counter("book.surrogate_answers").value(), surrogate);
+    ASSERT_EQ(registry.counter("book.simulation_answers").value(), simulation);
+    ASSERT_EQ(registry.counter("book.cache_hits").value(), hits);
+    ASSERT_EQ(registry.counter("book.shed_deadline").value(), shed);
+    ASSERT_EQ(registry.histogram("book.surrogate_seconds").count(), surrogate);
+    ASSERT_EQ(registry.histogram("book.surrogate_seconds").sum(),
+              surrogate_seconds);
+    ASSERT_EQ(registry.histogram("book.simulation_seconds").count(),
+              simulation);
+    ASSERT_EQ(registry.gauge("book.surrogate_fraction").value(),
+              stats.surrogate_fraction());
+    const auto snap = meter.snapshot();
+    ASSERT_EQ(snap.n_lookup, surrogate);
+    ASSERT_EQ(snap.n_train, simulation);
+    // The meter adds a batch's lookup seconds as one sum, so only its
+    // rounding may differ from the row-by-row total.
+    ASSERT_NEAR(snap.lookup_seconds, surrogate_seconds,
+                1e-12 * surrogate_seconds);
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(simulation, 0u);
+  EXPECT_GT(shed, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // the serve sources with ThreadSanitizer (see tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -410,6 +411,252 @@ TEST(LookupCache, SlabMatchesAReferenceLruOnOneShardAndOnFour) {
   model_check(3, 1, 19);  // a 4-cell index: every probe collides
 }
 
+// Drives the cache through a seeded mix of single-row calls and batch
+// calls, and the reference one row at a time: a batch probe is the rows'
+// finds in the order given, a batch insert the staged answers' inserts in
+// staging order.  Batches repeat keys, carry non-finite rows and, now and
+// then, a second width; some clear the cache between probe and insert,
+// so the insert must drop.  Every hit, every value, the insert counts and
+// the stats after every call must match, and so must the metrics.
+void batch_model_check(std::size_t capacity, std::size_t shards,
+                       unsigned seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " shards "
+                                  << shards);
+  le::obs::MetricsRegistry registry;
+  LookupCache cache(small_cache(capacity, shards, 1e-12));
+  cache.enable_metrics(registry, "batch.cache");
+  ReferenceLru reference(shards, (capacity + shards - 1) / shards);
+  std::mt19937 gen(seed);
+  std::uniform_int_distribution<int> key_dist(0, static_cast<int>(3 * capacity));
+  std::uniform_int_distribution<int> op_dist(0, 999);
+  std::uniform_int_distribution<std::size_t> size_dist(1, 12);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LookupCache::Batch batch;
+  CachedAnswer got, want;
+  const auto expect_same_stats = [&](int op) {
+    const auto stats = cache.stats();
+    ASSERT_EQ(stats.hits, reference.stats.hits) << "op " << op;
+    ASSERT_EQ(stats.misses, reference.stats.misses) << "op " << op;
+    ASSERT_EQ(stats.insertions, reference.stats.insertions) << "op " << op;
+    ASSERT_EQ(stats.evictions, reference.stats.evictions) << "op " << op;
+    ASSERT_EQ(stats.entries, reference.stats.entries) << "op " << op;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const int kind = op_dist(gen);
+    const std::size_t width = op_dist(gen) < 15 ? 3 : 2;
+    const auto make_input = [&](int k) {
+      std::vector<double> input{0.5 * k, static_cast<double>(k % 7)};
+      if (width == 3) input.push_back(1.0);
+      return input;
+    };
+    if (kind < 5) {
+      cache.clear();
+      reference.clear();
+    } else if (kind < 200) {
+      const std::vector<double> input = make_input(key_dist(gen));
+      const bool hit = cache.find(input, got);
+      ASSERT_EQ(hit, reference.find(cache.shard_for(input),
+                                    LookupCache::quantize(input, 1e-12), want))
+          << "find, op " << op;
+      if (hit) {
+        ASSERT_EQ(got.values, want.values) << "op " << op;
+      }
+    } else if (kind < 350) {
+      const std::vector<double> input = make_input(key_dist(gen));
+      const CachedAnswer answer{{1.0 * op}, 0.001 * op};
+      ASSERT_EQ(cache.try_insert(input, answer, cache.epoch()),
+                reference.insert(cache.shard_for(input),
+                                 LookupCache::quantize(input, 1e-12),
+                                 answer) != ReferenceLru::Outcome::kDropped)
+          << "insert, op " << op;
+    } else {
+      // A block of rows; the probe takes a subset of them in a shuffled
+      // order, with one key repeated and now and then a non-finite row.
+      const std::size_t n_rows = size_dist(gen);
+      std::vector<double> block;
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        std::vector<double> input = make_input(key_dist(gen));
+        if (r > 0 && r % 5 == 0) {
+          input.assign(block.begin(), block.begin() + static_cast<long>(width));
+        }
+        if (op_dist(gen) < 60) input[op_dist(gen) % width] = nan;
+        block.insert(block.end(), input.begin(), input.end());
+      }
+      std::vector<std::size_t> rows;
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        if (op_dist(gen) < 800) rows.push_back(r);
+      }
+      std::shuffle(rows.begin(), rows.end(), gen);
+      const std::uint64_t epoch = cache.epoch();
+      cache.find_batch(block, width, rows, batch);
+      ASSERT_EQ(batch.size(), rows.size());
+      const auto input_of = [&](std::size_t r) {
+        return std::span<const double>{block.data() + r * width, width};
+      };
+      const auto finite = [](std::span<const double> v) {
+        return std::ranges::all_of(v, [](double x) { return std::isfinite(x); });
+      };
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto input = input_of(rows[i]);
+        bool hit = false;
+        if (!finite(input)) {
+          ++reference.stats.misses;
+        } else {
+          hit = reference.find(cache.shard_for(input),
+                               LookupCache::quantize(input, 1e-12), want);
+        }
+        ASSERT_EQ(batch.hit(i), hit) << "batch find " << i << ", op " << op;
+        if (hit) {
+          ASSERT_TRUE(std::ranges::equal(batch.values(i), want.values))
+              << "op " << op;
+          ASSERT_EQ(batch.uncertainty(i), want.uncertainty) << "op " << op;
+        }
+      }
+      expect_same_stats(op);
+      // Stage some rows (repeats allowed), each with its own answer; one in
+      // twenty carries a second output width.
+      std::vector<std::pair<std::size_t, CachedAnswer>> staged;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (op_dist(gen) < 300) continue;
+        const std::size_t j = op_dist(gen) < 100 ? 0 : i;
+        CachedAnswer answer{op_dist(gen) < 50
+                                ? std::vector<double>{1.0 * op, 2.0}
+                                : std::vector<double>{1.0 * op + 0.5 * i},
+                            0.01 * i};
+        batch.stage(j, answer.values, answer.uncertainty);
+        staged.emplace_back(j, std::move(answer));
+      }
+      const bool bump = op_dist(gen) < 30;
+      if (bump) {
+        cache.clear();
+        reference.clear();
+      }
+      std::size_t expected_inserted = 0;
+      if (!bump) {
+        for (const auto& [i, answer] : staged) {
+          const auto input = input_of(rows[i]);
+          if (!finite(input)) continue;
+          if (reference.insert(cache.shard_for(input),
+                               LookupCache::quantize(input, 1e-12),
+                               answer) != ReferenceLru::Outcome::kDropped) {
+            ++expected_inserted;
+          }
+        }
+      }
+      ASSERT_EQ(cache.insert_batch(batch, epoch), expected_inserted)
+          << "batch insert, op " << op;
+    }
+    expect_same_stats(op);
+  }
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(registry.counter("batch.cache.hits").value(), stats.hits);
+  EXPECT_EQ(registry.counter("batch.cache.misses").value(), stats.misses);
+  EXPECT_EQ(registry.counter("batch.cache.insertions").value(),
+            stats.insertions);
+  EXPECT_EQ(registry.counter("batch.cache.evictions").value(),
+            stats.evictions);
+  EXPECT_EQ(registry.gauge("batch.cache.entries").value(),
+            static_cast<double>(stats.entries));
+}
+
+TEST(LookupCache, BatchCallsMatchARowByRowReference) {
+  batch_model_check(64, 1, 23);
+  batch_model_check(64, 4, 24);
+  batch_model_check(64, 8, 25);
+  batch_model_check(3, 1, 26);  // every probe collides
+}
+
+TEST(LookupCache, BatchProbeAndInsertNeverAllocateOnceWarm) {
+  // 64-row batches cycled over 4x the capacity: every probe misses, every
+  // insert evicts.  After the warm-up (the slabs and the batch's buffers)
+  // a batch allocates nothing.
+  le::obs::MetricsRegistry registry;
+  LookupCache cache(small_cache(64, 4, 1e-12));
+  cache.enable_metrics(registry, "alloc.batch");
+  std::vector<double> inputs;
+  for (int i = 0; i < 256; ++i) {
+    for (double v : {0.25 * i, 1.0, -2.0, 3.0, 0.5}) inputs.push_back(v);
+  }
+  std::vector<std::size_t> rows(64);
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  const std::vector<double> values{1.0, 2.0, 3.0};
+  LookupCache::Batch batch;
+  const auto run = [&](int b) {
+    const std::span<const double> block{
+        inputs.data() + static_cast<std::size_t>(b % 4) * 64 * 5, 64 * 5};
+    cache.find_batch(block, 5, rows, batch);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      batch.stage(i, values, 0.1);
+    }
+    return cache.insert_batch(batch, cache.epoch());
+  };
+  for (int b = 0; b < 8; ++b) (void)run(b);
+  const auto before = cache.stats();
+  g_allocations.store(0);
+  g_count_allocations.store(true);
+  std::size_t inserted = 0;
+  for (int b = 0; b < 400; ++b) inserted += run(b);
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u);
+  EXPECT_EQ(inserted, 400u * 64u);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_EQ(cache.stats().evictions - before.evictions, 400u * 64u);
+}
+
+TEST(LookupCache, ConcurrentBatchCallsStayCoherent) {
+  // Four threads probe and insert overlapping 16-row batches, each with
+  // its own Batch, while a fifth clears now and then.  Under the _tsan
+  // variant this is the batch path's race check; everywhere, a hit must
+  // carry the value inserted for its key and the counters must add up.
+  LookupCache cache(small_cache(32, 4, 1e-12));
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 300;
+  constexpr std::size_t kRows = 16;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> probed{0};
+  std::thread clearer([&] {
+    while (!done.load()) {
+      cache.clear();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      LookupCache::Batch batch;
+      std::vector<double> block(kRows);
+      std::vector<std::size_t> rows(kRows);
+      for (std::size_t i = 0; i < kRows; ++i) rows[i] = i;
+      for (int b = 0; b < kBatches; ++b) {
+        for (std::size_t i = 0; i < kRows; ++i) {
+          block[i] = static_cast<double>((b * 3 + t + static_cast<int>(i)) % 48);
+        }
+        const std::uint64_t epoch = cache.epoch();
+        cache.find_batch(block, 1, rows, batch);
+        probed.fetch_add(kRows);
+        for (std::size_t i = 0; i < kRows; ++i) {
+          if (batch.hit(i)) {
+            EXPECT_DOUBLE_EQ(batch.values(i)[0], block[i] * 2.0);
+          } else {
+            const double value = block[i] * 2.0;
+            batch.stage(i, {&value, 1}, 0.0);
+          }
+        }
+        (void)cache.insert_batch(batch, epoch);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  done.store(true);
+  clearer.join();
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, probed.load());
+  EXPECT_LE(stats.entries, 32u);
+  EXPECT_LE(stats.evictions, stats.insertions);
+}
+
 TEST(LookupCache, SteadyStateMissInsertEvictAndHitNeverAllocate) {
   // 256 keys cycled through 64 entries: every probe of the next key misses
   // and its insert evicts; the probe right after the insert hits.  The
@@ -709,6 +956,39 @@ TEST(LookupCache, QuantizeRoundsHalfAwayFromZeroAtBinBoundaries) {
             (LookupCache::Key{1}));
   EXPECT_EQ(LookupCache::quantize(std::vector<double>{0.125}, 0.25),
             (LookupCache::Key{1}));
+}
+
+TEST(LookupCache, QuantizeIsLlroundOfTheScaledInput) {
+  // The key is std::llround(v / resolution) inside the int64 range: ties
+  // away from zero, the largest double below one half, the 2^52 edge
+  // where every double becomes an integer, and seeded values over twenty
+  // decades.
+  const double below_half = std::nextafter(0.5, 0.0);
+  std::vector<double> values{0.0,       -0.0,  0.5,         -0.5,
+                             1.5,       -1.5,  2.5,         -2.5,
+                             below_half, -below_half, std::nextafter(1.5, 2.0),
+                             4503599627370495.5,  -4503599627370495.5,
+                             4503599627370496.0,  9007199254740993.0,
+                             9.2e18,    -9.2e18};
+  std::mt19937_64 gen(52);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<int> decade(-10, 10);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(unit(gen) * std::pow(10.0, decade(gen)));
+  }
+  for (const double resolution : {1.0, 0.25, 1e-9, 3.0}) {
+    for (const double v : values) {
+      const LookupCache::Key key = LookupCache::quantize({&v, 1}, resolution);
+      const double scaled = v / resolution;
+      if (std::abs(scaled) >= std::ldexp(1.0, 63)) {  // the edge keys
+        ASSERT_EQ(key[0], scaled > 0 ? std::numeric_limits<std::int64_t>::max()
+                                     : std::numeric_limits<std::int64_t>::min());
+        continue;
+      }
+      ASSERT_EQ(key[0], std::llround(scaled))
+          << v << " at resolution " << resolution;
+    }
+  }
 }
 
 TEST(LookupCache, BoundaryNeighborsLandInDistinctBins) {

@@ -1,8 +1,11 @@
 // Unit and property tests for the dense linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <span>
 #include <tuple>
@@ -418,6 +421,211 @@ TEST(VTanhVRelu, SpanContractAliasingAndLengths) {
   EXPECT_THROW(
       vtanh(std::span<const double>{buf.data(), buf.size() - 1}, shifted),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Fused dense layer (dense / dense_avx2)
+
+/// The top-left rows x cols block of `m`.
+Matrix block(const Matrix& m, std::size_t rows, std::size_t cols) {
+  Matrix out(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out(r, c) = m(r, c);
+  }
+  return out;
+}
+
+/// What a fused dense layer must equal: the plan's GEMM, then `+= bias`,
+/// then vtanh/vrelu, as three passes under the active kernel.
+Matrix layered_dense(const Matrix& a, const Matrix& w,
+                     std::span<const double> bias, DenseActivation activation,
+                     const GemmBlocking& blocking = {}) {
+  Matrix out(a.rows(), w.cols());
+  gemm(a, w, out, {GemmKernel::kAuto, blocking});
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += bias[c];
+  }
+  if (activation == DenseActivation::kTanh) vtanh(out.flat(), out.flat());
+  if (activation == DenseActivation::kRelu) vrelu(out.flat(), out.flat());
+  return out;
+}
+
+constexpr DenseActivation kEpilogues[] = {
+    DenseActivation::kNone, DenseActivation::kTanh, DenseActivation::kRelu};
+
+/// The kernels a fused-kernel property runs under: forced kScalar, and
+/// kAvx2 where the CPU has it.
+std::vector<GemmKernel> runnable_kernels() {
+  std::vector<GemmKernel> kernels{GemmKernel::kScalar};
+  if (cpu_has_avx2_fma()) kernels.push_back(GemmKernel::kAvx2);
+  return kernels;
+}
+
+/// Property: dense() equals the layered GEMM, `+= bias`, vtanh/vrelu
+/// sequence bit for bit, for m in 1..9, 64, 65, k in 1..70 (kc = 64, so
+/// k > 64 takes two k-blocks and the epilogue must wait for the second),
+/// n in 1..9, 32, 33 (4x8 tiles, the 4-lane strip and the masked 1-3 lane
+/// strip), every epilogue, under forced kScalar and under kAvx2, where
+/// dense_avx2 is also called directly.  Outputs start as NaN, so an
+/// element the kernel skips cannot pass.
+TEST(DenseFused, EqualsLayeredGemmBiasActivationOnEveryShapeAndKernel) {
+  KernelOverrideGuard guard;
+  std::mt19937 gen(2019);
+  const Matrix a_all = random_matrix(65, 70, gen);
+  const Matrix w_all = random_matrix(70, 33, gen);
+  const Matrix bias_all = random_matrix(1, 33, gen);
+  const std::vector<std::size_t> ms{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65};
+  const std::vector<std::size_t> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 33};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const GemmKernel kernel : runnable_kernels()) {
+    set_gemm_kernel_override(kernel);
+    for (std::size_t k = 1; k <= 70; ++k) {
+      for (const std::size_t n : ns) {
+        const Matrix w = block(w_all, k, n);
+        const std::span<const double> bias{bias_all.data(), n};
+        for (const std::size_t m : ms) {
+          const Matrix a = block(a_all, m, k);
+          for (const DenseActivation act : kEpilogues) {
+            const Matrix expected = layered_dense(a, w, bias, act);
+            Matrix out(m, n, nan);
+            dense(a, w, bias, out, act);
+            ASSERT_TRUE(same_bits(expected, out))
+                << to_string(kernel) << " " << m << "x" << k << "x" << n
+                << " epilogue " << static_cast<int>(act);
+            if (kernel == GemmKernel::kAvx2) {
+              Matrix direct(m, n, nan);
+              dense_avx2(a, w, bias, direct, act);
+              ASSERT_TRUE(same_bits(expected, direct))
+                  << "dense_avx2 " << m << "x" << k << "x" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Property: the epilogue runs once, after the last k-block, under any
+/// blocking: random mc, kc, nc in 1..9 split every dimension into several
+/// blocks, and the per-layer plan's kernel is honoured as gemm() honours
+/// it (an explicit kScalar plan runs the layered path).
+TEST(DenseFused, EqualsLayeredUnderRandomBlockingsAndPlans) {
+  KernelOverrideGuard guard;
+  std::mt19937 gen(1909);
+  std::uniform_int_distribution<std::size_t> dim(1, 40);
+  std::uniform_int_distribution<std::size_t> block_dist(1, 9);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t m = dim(gen), k = dim(gen), n = dim(gen);
+    const Matrix a = random_matrix(m, k, gen);
+    const Matrix w = random_matrix(k, n, gen);
+    const Matrix bias = random_matrix(1, n, gen);
+    const GemmBlocking blocking{block_dist(gen), block_dist(gen),
+                                block_dist(gen)};
+    for (const GemmKernel kernel : runnable_kernels()) {
+      for (const DenseActivation act : kEpilogues) {
+        const GemmPlan plan{kernel, blocking};
+        Matrix expected(m, n);
+        gemm(a, w, expected, plan);
+        for (std::size_t r = 0; r < m; ++r) {
+          for (std::size_t c = 0; c < n; ++c) expected(r, c) += bias(0, c);
+        }
+        if (act == DenseActivation::kTanh) {
+          vtanh(expected.flat(), expected.flat());
+        }
+        if (act == DenseActivation::kRelu) {
+          vrelu(expected.flat(), expected.flat());
+        }
+        Matrix out(m, n, std::numeric_limits<double>::quiet_NaN());
+        dense(a, w, bias.flat(), out, act, plan);
+        ASSERT_TRUE(same_bits(expected, out))
+            << to_string(kernel) << " " << m << "x" << k << "x" << n
+            << " mc=" << blocking.mc << " kc=" << blocking.kc
+            << " nc=" << blocking.nc << " epilogue " << static_cast<int>(act);
+      }
+    }
+  }
+}
+
+/// A row answered alone gets the bits it gets inside a batch, under every
+/// kernel and epilogue.
+TEST(DenseFused, RowAloneEqualsTheSameRowInsideABatch) {
+  KernelOverrideGuard guard;
+  std::mt19937 gen(64);
+  const Matrix a = random_matrix(65, 37, gen);
+  const Matrix w = random_matrix(37, 33, gen);
+  const Matrix bias = random_matrix(1, 33, gen);
+  for (const GemmKernel kernel : runnable_kernels()) {
+    set_gemm_kernel_override(kernel);
+    for (const DenseActivation act : kEpilogues) {
+      Matrix batch(65, 33);
+      dense(a, w, bias.flat(), batch, act);
+      for (std::size_t r = 0; r < a.rows(); ++r) {
+        Matrix row(1, 37), alone(1, 33);
+        std::copy(a.row(r).begin(), a.row(r).end(), row.data());
+        dense(row, w, bias.flat(), alone, act);
+        ASSERT_EQ(std::memcmp(alone.data(), batch.row(r).data(),
+                              33 * sizeof(double)),
+                  0)
+            << to_string(kernel) << " row " << r;
+      }
+    }
+  }
+}
+
+/// -0.0, NaN, +-inf and subnormals in the input (and -0.0 and a subnormal
+/// in the bias) reach the epilogue with the layered path's bits: the same
+/// rounded add, the same clamp of tanh4 (NaN clamps to -9) and the same
+/// max(x, 0) operand order (NaN and -0.0 give +0.0).
+TEST(DenseFused, SpecialValuesMatchTheLayeredPath) {
+  KernelOverrideGuard guard;
+  std::mt19937 gen(7);
+  const double specials[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -2.5e-310,
+                             1e-300};
+  Matrix a = random_matrix(13, 9, gen);
+  for (std::size_t i = 0; i < a.size(); i += 3) {
+    a.data()[i] = specials[(i / 3) % std::size(specials)];
+  }
+  // A row of zeros and -0.0 only: its product is +0.0 before the bias.
+  for (std::size_t c = 0; c < a.cols(); ++c) a(12, c) = c % 2 ? -0.0 : 0.0;
+  const Matrix w = random_matrix(9, 11, gen);
+  Matrix bias = random_matrix(1, 11, gen);
+  bias(0, 0) = -0.0;
+  bias(0, 1) = std::numeric_limits<double>::denorm_min();
+  bias(0, 2) = 0.0;
+  for (const GemmKernel kernel : runnable_kernels()) {
+    set_gemm_kernel_override(kernel);
+    for (const DenseActivation act : kEpilogues) {
+      const Matrix expected = layered_dense(a, w, bias.flat(), act);
+      Matrix out(a.rows(), w.cols());
+      dense(a, w, bias.flat(), out, act);
+      EXPECT_TRUE(same_bits(expected, out))
+          << to_string(kernel) << " epilogue " << static_cast<int>(act);
+    }
+    // The ReLU epilogue is x > 0 ? x : 0 of the pre-activation, NaN rows
+    // included, whatever kernel vrelu runs on.
+    Matrix pre(a.rows(), w.cols()), relu(a.rows(), w.cols());
+    dense(a, w, bias.flat(), pre, DenseActivation::kNone);
+    dense(a, w, bias.flat(), relu, DenseActivation::kRelu);
+    for (double& v : pre.flat()) v = v > 0.0 ? v : 0.0;
+    EXPECT_TRUE(same_bits(pre, relu)) << to_string(kernel);
+  }
+}
+
+TEST(DenseFused, RejectsABiasOfTheWrongLengthAndAliasing) {
+  Matrix a(2, 3), w(3, 4), out(2, 4);
+  const std::vector<double> short_bias(3, 0.0), bias(4, 0.0);
+  EXPECT_THROW(dense(a, w, short_bias, out), std::invalid_argument);
+  Matrix wrong(2, 3);
+  EXPECT_THROW(dense(a, w, bias, wrong), std::invalid_argument);
+  Matrix square(3, 3);
+  EXPECT_THROW(dense(square, square, std::vector<double>(3, 0.0), square),
+               std::invalid_argument);
 }
 
 }  // namespace
