@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -20,13 +21,9 @@
 
 #include "le/ckpt/container.hpp"
 #include "le/data/dataset.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/stats/rng.hpp"
-
-namespace le::obs {
-class Counter;
-class Histogram;
-}  // namespace le::obs
 
 namespace le::ckpt {
 
@@ -89,10 +86,11 @@ struct CheckpointerConfig {
   void validate() const;
 };
 
-/// What the checkpointer did this process lifetime (also exported through
-/// le::obs when metrics are enabled: ckpt.saves, ckpt.bytes_written,
-/// ckpt.save_seconds, ckpt.restores, ckpt.corrupt_skipped,
-/// ckpt.load_seconds).
+/// What the checkpointer did this process lifetime (also exported to the
+/// global le::obs registry when metrics are enabled at construction:
+/// counters ckpt.saves, ckpt.bytes_written, ckpt.restores,
+/// ckpt.corrupt_skipped and histograms ckpt.save_seconds,
+/// ckpt.load_seconds, one sample per call).
 struct CheckpointerStats {
   std::size_t saves = 0;
   std::size_t bytes_written = 0;
@@ -104,7 +102,8 @@ struct CheckpointerStats {
 
 /// Snapshot store for one campaign.  Not thread-safe: campaign drivers
 /// checkpoint from the driver thread only (simulations may still fan out
-/// over a pool between snapshots).
+/// over a pool between snapshots).  stats() alone may be read from any
+/// thread, such as a metrics scrape.
 class CampaignCheckpointer {
  public:
   explicit CampaignCheckpointer(CheckpointerConfig config);
@@ -127,9 +126,12 @@ class CampaignCheckpointer {
   /// skipped.  Empty when no valid snapshot exists.
   [[nodiscard]] std::optional<CampaignState> load_latest();
 
-  [[nodiscard]] const CheckpointerStats& stats() const noexcept {
-    return stats_;
-  }
+  [[nodiscard]] CheckpointerStats stats() const;
+
+  /// Writes stats()'s counts as "<prefix>.*" counters: saves,
+  /// bytes_written, restores, corrupt_skipped.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix = "ckpt") const;
 
   /// Snapshot files currently on disk, oldest first.
   [[nodiscard]] std::vector<std::string> list_snapshots() const;
@@ -145,15 +147,13 @@ class CampaignCheckpointer {
   std::uint64_t next_sequence_ = 1;
   std::uint64_t last_saved_tasks_ = 0;
   bool saved_or_loaded_ = false;
+  mutable std::mutex stats_mutex_;
   CheckpointerStats stats_;
 
-  /// Metric handles, null unless metrics were enabled at construction.
-  obs::Counter* m_saves_ = nullptr;
-  obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_restores_ = nullptr;
-  obs::Counter* m_corrupt_ = nullptr;
+  /// Null unless metrics were enabled at construction.
   obs::Histogram* m_save_seconds_ = nullptr;
   obs::Histogram* m_load_seconds_ = nullptr;
+  obs::MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::ckpt

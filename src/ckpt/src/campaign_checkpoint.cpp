@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "le/obs/codec.hpp"
-#include "le/obs/metrics.hpp"
 
 namespace le::ckpt {
 
@@ -188,13 +187,23 @@ CampaignCheckpointer::CampaignCheckpointer(CheckpointerConfig config)
   }
   if (obs::metrics_enabled()) {
     auto& registry = obs::MetricsRegistry::global();
-    m_saves_ = &registry.counter("ckpt.saves");
-    m_bytes_ = &registry.counter("ckpt.bytes_written");
-    m_restores_ = &registry.counter("ckpt.restores");
-    m_corrupt_ = &registry.counter("ckpt.corrupt_skipped");
     m_save_seconds_ = &registry.histogram("ckpt.save_seconds");
     m_load_seconds_ = &registry.histogram("ckpt.load_seconds");
+    metrics_ = registry.attach(*this, "ckpt");
   }
+}
+
+CheckpointerStats CampaignCheckpointer::stats() const {
+  std::lock_guard lock(stats_mutex_);
+  return stats_;
+}
+
+void CampaignCheckpointer::export_metrics(obs::MetricsSnapshot& out,
+                                          const std::string& prefix) const {
+  const CheckpointerStats s = stats();
+  out.add(prefix, {{"saves", s.saves}, {"bytes_written", s.bytes_written},
+                   {"restores", s.restores},
+                   {"corrupt_skipped", s.corrupt_skipped}});
 }
 
 bool CampaignCheckpointer::due(std::uint64_t completed_tasks) const noexcept {
@@ -241,13 +250,14 @@ std::string CampaignCheckpointer::save(CampaignState& state) {
   const std::size_t bytes = write_checkpoint(path, state.encode());
   prune();
   const double seconds = seconds_since(t0);
-  ++stats_.saves;
-  stats_.bytes_written += bytes;
-  stats_.save_seconds += seconds;
+  {
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.saves;
+    stats_.bytes_written += bytes;
+    stats_.save_seconds += seconds;
+  }
   last_saved_tasks_ = state.simulations_run + state.simulations_failed;
   saved_or_loaded_ = true;
-  if (m_saves_) m_saves_->add();
-  if (m_bytes_) m_bytes_->add(bytes);
   if (m_save_seconds_) m_save_seconds_->record(seconds);
   return path;
 }
@@ -265,6 +275,7 @@ std::optional<CampaignState> CampaignCheckpointer::load_latest() {
   const auto t0 = std::chrono::steady_clock::now();
   auto snapshots = scan();
   std::optional<CampaignState> result;
+  std::size_t corrupt = 0;
   // Newest first; the first snapshot that reads, checksums and decodes
   // cleanly wins.  Everything newer that failed is recovery debt the
   // atomic-write protocol bounds to interval tasks.
@@ -273,15 +284,18 @@ std::optional<CampaignState> CampaignCheckpointer::load_latest() {
       result = CampaignState::decode(read_checkpoint(it->second));
       break;
     } catch (const CheckpointError&) {
-      ++stats_.corrupt_skipped;
-      if (m_corrupt_) m_corrupt_->add();
+      ++corrupt;
     }
   }
-  stats_.load_seconds += seconds_since(t0);
-  if (m_load_seconds_) m_load_seconds_->record(seconds_since(t0));
+  const double seconds = seconds_since(t0);
+  {
+    std::lock_guard lock(stats_mutex_);
+    stats_.corrupt_skipped += corrupt;
+    stats_.load_seconds += seconds;
+    stats_.restores += result ? 1 : 0;
+  }
+  if (m_load_seconds_) m_load_seconds_->record(seconds);
   if (result) {
-    ++stats_.restores;
-    if (m_restores_) m_restores_->add();
     last_saved_tasks_ = result->simulations_run + result->simulations_failed;
     saved_or_loaded_ = true;
   }

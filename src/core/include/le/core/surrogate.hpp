@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "le/data/dataset.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/serve/lookup_cache.hpp"
 #include "le/serve/overload.hpp"
 #include "le/uq/uq_model.hpp"
@@ -61,10 +62,6 @@ enum class ServiceLevel : int;
 }  // namespace le::serve
 
 namespace le::obs {
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
 class EffectiveSpeedupMeter;
 class SurrogateHealthMonitor;
 struct SurrogateHealthConfig;
@@ -233,7 +230,8 @@ class SurrogateDispatcher {
   /// region lies; 0 when the buffer is empty.
   [[nodiscard]] double mean_buffered_uncertainty() const noexcept;
 
-  [[nodiscard]] const DispatcherStats& stats() const noexcept { return stats_; }
+  /// A copy of the counts; safe to call from any thread.
+  [[nodiscard]] DispatcherStats stats() const;
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
   void set_threshold(double threshold);
 
@@ -319,11 +317,18 @@ class SurrogateDispatcher {
   [[nodiscard]] const obs::SurrogateHealthMonitor* health_monitor()
       const noexcept;
 
-  /// Publishes per-query observability to `registry` under
-  /// "<prefix>.*": answer counters, per-source latency histograms, the
-  /// surrogate acceptance fraction and the breaker state gauge
-  /// (0 closed / 1 open / 2 half-open).  Handles are acquired once here;
-  /// the query path then updates them lock-free.
+  /// Writes stats() as "<prefix>.*" (answer, shed and failure counters,
+  /// the surrogate fraction and the breaker state gauge, 0 closed / 1 open
+  /// / 2 half-open), then the armed cache's and health monitor's metrics
+  /// under "<prefix>.cache" and "<prefix>.health".  Safe from any thread
+  /// once the cache, breaker and monitor are armed.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the dispatcher's lifetime
+  /// and records per-answer latencies into the "<prefix>.surrogate_seconds",
+  /// "<prefix>.simulation_seconds" and "<prefix>.shadow_seconds"
+  /// histograms.
   void enable_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "dispatcher");
 
@@ -335,22 +340,11 @@ class SurrogateDispatcher {
   }
 
  private:
-  /// What one batch booked in its last pass: surrogate-served answers
-  /// (fresh or cached) with their summed seconds, and fallback simulations.
-  struct SurrogateBooking {
-    std::size_t answers = 0;
-    std::size_t cache_hits = 0;
-    std::size_t degraded = 0;
-    std::size_t simulations = 0;
-    double seconds = 0.0;
-  };
-
-  /// Books a batch's surrogate answers into stats, the speedup meter and
-  /// the metric handles in one step, and publishes the gauges once when
-  /// the batch answered anything.  Per-answer sums (stats seconds, the
-  /// accepted uncertainty, the latency histogram) are added row by row by
-  /// the caller.
-  void book_surrogate_answers(const SurrogateBooking& booking);
+  /// Books a batch's surrogate answers (source kSurrogate, fresh or
+  /// cached) into stats and the speedup meter under one lock.  The
+  /// per-answer sums (seconds, accepted uncertainty) are added row by row,
+  /// so they equal booking each answer alone.
+  void book_surrogate_answers(std::span<const Answer> answers);
 
   /// Builds and books one shed outcome.  Shed answers are excluded from
   /// the speedup meter (nothing was looked up, nothing was trained) and
@@ -396,9 +390,12 @@ class SurrogateDispatcher {
   /// corpus to the retraining service's thread.
   mutable std::mutex buffer_mutex_;
   data::Dataset buffer_;
+  double buffered_uncertainty_sum_ = 0.0;  ///< per-buffer; reset on drain
+  /// Guards stats_ and accepted_uncertainty_sum_: the serving path books
+  /// while stats() and a metrics scrape read.
+  mutable std::mutex stats_mutex_;
   DispatcherStats stats_;
   double accepted_uncertainty_sum_ = 0.0;
-  double buffered_uncertainty_sum_ = 0.0;  ///< per-buffer; reset on drain
   GroundTruthTap ground_truth_tap_;
   std::unique_ptr<CircuitBreaker> breaker_;
   std::unique_ptr<serve::LookupCache> cache_;
@@ -410,32 +407,15 @@ class SurrogateDispatcher {
   /// The ladder's kDegraded tier; guarded by model_mutex_.
   std::shared_ptr<uq::UqModel> degraded_surrogate_;
 
-  /// Refreshes the acceptance and breaker gauges (metrics enabled only).
-  void publish_gauges();
-
-  /// Metric handles; all null until enable_metrics().
-  struct MetricHandles {
-    obs::Counter* surrogate_answers = nullptr;
-    obs::Counter* simulation_answers = nullptr;
-    obs::Counter* invalid_predictions = nullptr;
-    obs::Counter* breaker_short_circuits = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* shadow_samples = nullptr;
-    obs::Counter* shed_deadline = nullptr;
-    obs::Counter* shed_overload = nullptr;
-    obs::Counter* degraded_answers = nullptr;
+  /// Latency histograms; all null until enable_metrics().
+  struct LatencyHistograms {
     obs::Histogram* surrogate_seconds = nullptr;
     obs::Histogram* simulation_seconds = nullptr;
     obs::Histogram* shadow_seconds = nullptr;
-    obs::Gauge* surrogate_fraction = nullptr;
-    obs::Gauge* breaker_state = nullptr;
   };
-  MetricHandles metrics_;
+  LatencyHistograms latency_;
   obs::EffectiveSpeedupMeter* meter_ = nullptr;
-  /// Remembered so a cache armed after enable_metrics() (or vice versa)
-  /// still gets its "<prefix>.cache.*" metrics wired.
-  obs::MetricsRegistry* metrics_registry_ = nullptr;
-  std::string metrics_prefix_;
+  obs::MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::core

@@ -8,7 +8,6 @@
 #include "campaign_core.hpp"
 #include "le/core/resilient.hpp"
 #include "le/obs/health.hpp"
-#include "le/obs/metrics.hpp"
 #include "le/serve/degradation.hpp"
 #include "le/serve/lookup_cache.hpp"
 #include "le/obs/speedup_meter.hpp"
@@ -183,10 +182,8 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
   // instead of riding along dead.
   const bool short_circuit = !misses.empty() && breaker_ && !breaker_->allow();
   if (short_circuit) {
+    std::lock_guard lock(stats_mutex_);
     stats_.breaker_short_circuits += misses.size();
-    if (metrics_.breaker_short_circuits) {
-      metrics_.breaker_short_circuits->add(misses.size());
-    }
   } else {
     const auto pack_now = std::chrono::steady_clock::now();
     std::erase_if(misses, [&](std::size_t r) {
@@ -218,8 +215,10 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
           std::isfinite(score) &&
           validate_output(prediction.mean, spec) == OutputVerdict::kValid;
       if (!usable) {
-        ++stats_.invalid_predictions;
-        if (metrics_.invalid_predictions) metrics_.invalid_predictions->add();
+        {
+          std::lock_guard lock(stats_mutex_);
+          ++stats_.invalid_predictions;
+        }
         if (breaker_) breaker_->record_failure();
       } else {
         if (breaker_) breaker_->record_success();
@@ -257,21 +256,14 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
   // to prevent — so those rows are shed instead.
   std::vector<bool> needs_sim(n, false);
   for (const std::size_t r : misses) needs_sim[r] = true;
-  SurrogateBooking booking;
   for (std::size_t r = 0; r < n; ++r) {
     Answer& answer = answers[r];
     if (answer.source == AnswerSource::kShed) continue;  // resolved above
     if (!needs_sim[r]) {
       answer.source = AnswerSource::kSurrogate;
       answer.seconds = owed[r];
-      ++booking.answers;
-      booking.seconds += answer.seconds;
-      booking.cache_hits += answer.from_cache ? 1 : 0;
-      booking.degraded += answer.degraded ? 1 : 0;
-      stats_.surrogate_seconds += answer.seconds;
-      accepted_uncertainty_sum_ += answer.uncertainty;
-      if (metrics_.surrogate_seconds) {
-        metrics_.surrogate_seconds->record(answer.seconds);
+      if (latency_.surrogate_seconds) {
+        latency_.surrogate_seconds->record(answer.seconds);
       }
       continue;
     }
@@ -291,15 +283,16 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     answer.seconds = owed[r] + seconds_since(sim_t0);
     bank_ground_truth(inputs.row(r), answer.values, answer.uncertainty,
                       answer.seconds);
-    ++stats_.simulation_answers;
-    ++booking.simulations;
-    stats_.simulation_seconds += answer.seconds;
-    if (metrics_.simulation_answers) {
-      metrics_.simulation_answers->add();
-      metrics_.simulation_seconds->record(answer.seconds);
+    {
+      std::lock_guard lock(stats_mutex_);
+      ++stats_.simulation_answers;
+      stats_.simulation_seconds += answer.seconds;
+    }
+    if (latency_.simulation_seconds) {
+      latency_.simulation_seconds->record(answer.seconds);
     }
   }
-  book_surrogate_answers(booking);
+  book_surrogate_answers(answers);
   return answers;
 }
 
@@ -336,38 +329,34 @@ Answer SurrogateDispatcher::make_shed_answer(serve::ShedReason reason,
   // nothing was trained) and never fed to the breaker: a refusal is not a
   // model failure, and letting sheds trip the breaker would turn overload
   // into a simulation stampede.
-  if (reason == serve::ShedReason::kDeadline) {
-    ++stats_.shed_deadline;
-    if (metrics_.shed_deadline) metrics_.shed_deadline->add();
-  } else {
-    ++stats_.shed_overload;
-    if (metrics_.shed_overload) metrics_.shed_overload->add();
-  }
+  std::lock_guard lock(stats_mutex_);
+  ++(reason == serve::ShedReason::kDeadline ? stats_.shed_deadline
+                                            : stats_.shed_overload);
   return answer;
 }
 
 void SurrogateDispatcher::book_surrogate_answers(
-    const SurrogateBooking& booking) {
-  if (booking.answers != 0) {
-    stats_.surrogate_answers += booking.answers;
+    std::span<const Answer> answers) {
+  std::size_t booked = 0;
+  double seconds = 0.0;
+  {
+    std::lock_guard lock(stats_mutex_);
+    for (const Answer& answer : answers) {
+      if (answer.source != AnswerSource::kSurrogate) continue;
+      ++booked;
+      seconds += answer.seconds;
+      stats_.surrogate_seconds += answer.seconds;
+      accepted_uncertainty_sum_ += answer.uncertainty;
+      stats_.cache_hits += answer.from_cache ? 1 : 0;
+      stats_.degraded_answers += answer.degraded ? 1 : 0;
+    }
+    if (booked == 0) return;
+    stats_.surrogate_answers += booked;
     stats_.mean_accepted_uncertainty =
         accepted_uncertainty_sum_ /
         static_cast<double>(stats_.surrogate_answers);
-    stats_.cache_hits += booking.cache_hits;
-    stats_.degraded_answers += booking.degraded;
-    if (meter_) meter_->record_lookups(booking.answers, booking.seconds);
-    if (metrics_.surrogate_answers) {
-      metrics_.surrogate_answers->add(booking.answers);
-      if (booking.cache_hits != 0) metrics_.cache_hits->add(booking.cache_hits);
-      if (booking.degraded != 0) {
-        metrics_.degraded_answers->add(booking.degraded);
-      }
-    }
   }
-  if (metrics_.surrogate_fraction &&
-      booking.answers + booking.simulations != 0) {
-    publish_gauges();
-  }
+  if (meter_) meter_->record_lookups(booked, seconds);
 }
 
 void SurrogateDispatcher::shadow_sample(
@@ -378,21 +367,18 @@ void SurrogateDispatcher::shadow_sample(
   const double seconds = seconds_since(t0);
   health_->record_shadow(predicted_mean, predicted_stddev, truth);
   bank_ground_truth(input, truth, uncertainty, seconds);
-  ++stats_.shadow_samples;
-  stats_.shadow_seconds += seconds;
-  if (metrics_.shadow_samples) {
-    metrics_.shadow_samples->add();
-    metrics_.shadow_seconds->record(seconds);
+  {
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.shadow_samples;
+    stats_.shadow_seconds += seconds;
   }
+  if (latency_.shadow_seconds) latency_.shadow_seconds->record(seconds);
   sync_health_breaker();
 }
 
 void SurrogateDispatcher::sync_health_breaker() {
   if (!health_ || !breaker_) return;
-  if (health_->retrain_requested()) {
-    breaker_->trip();
-    if (metrics_.breaker_state) publish_gauges();
-  }
+  if (health_->retrain_requested()) breaker_->trip();
 }
 
 void SurrogateDispatcher::enable_health_monitoring(
@@ -404,9 +390,6 @@ void SurrogateDispatcher::enable_health_monitoring(
   }
   health_ =
       std::make_unique<obs::SurrogateHealthMonitor>(config, reference_inputs);
-  if (metrics_registry_) {
-    health_->enable_metrics(*metrics_registry_, metrics_prefix_ + ".health");
-  }
 }
 
 obs::SurrogateHealthMonitor* SurrogateDispatcher::health_monitor() noexcept {
@@ -421,42 +404,41 @@ const obs::SurrogateHealthMonitor* SurrogateDispatcher::health_monitor()
 void SurrogateDispatcher::enable_lookup_cache(
     const serve::LookupCacheConfig& config) {
   cache_ = std::make_unique<serve::LookupCache>(config);
-  if (metrics_registry_) {
-    cache_->enable_metrics(*metrics_registry_, metrics_prefix_ + ".cache");
-  }
 }
 
-void SurrogateDispatcher::publish_gauges() {
-  metrics_.surrogate_fraction->set(stats_.surrogate_fraction());
-  metrics_.breaker_state->set(
-      breaker_ ? static_cast<double>(breaker_->state()) : 0.0);
+DispatcherStats SurrogateDispatcher::stats() const {
+  std::lock_guard lock(stats_mutex_);
+  return stats_;
+}
+
+void SurrogateDispatcher::export_metrics(obs::MetricsSnapshot& out,
+                                         const std::string& prefix) const {
+  std::lock_guard lock(stats_mutex_);
+  const DispatcherStats& s = stats_;
+  out.add(prefix,
+          {{"surrogate_answers", s.surrogate_answers},
+           {"simulation_answers", s.simulation_answers},
+           {"invalid_predictions", s.invalid_predictions},
+           {"breaker_short_circuits", s.breaker_short_circuits},
+           {"cache_hits", s.cache_hits}, {"shadow_samples", s.shadow_samples},
+           {"shed_deadline", s.shed_deadline},
+           {"shed_overload", s.shed_overload},
+           {"degraded_answers", s.degraded_answers}},
+          {{"surrogate_fraction", s.surrogate_fraction()},
+           {"breaker_state",
+            breaker_ ? static_cast<double>(breaker_->state()) : 0.0}});
+  if (cache_) cache_->export_metrics(out, prefix + ".cache");
+  if (health_) health_->export_metrics(out, prefix + ".health");
 }
 
 void SurrogateDispatcher::enable_metrics(obs::MetricsRegistry& registry,
                                          const std::string& prefix) {
-  metrics_.surrogate_answers = &registry.counter(prefix + ".surrogate_answers");
-  metrics_.simulation_answers =
-      &registry.counter(prefix + ".simulation_answers");
-  metrics_.invalid_predictions =
-      &registry.counter(prefix + ".invalid_predictions");
-  metrics_.breaker_short_circuits =
-      &registry.counter(prefix + ".breaker_short_circuits");
-  metrics_.cache_hits = &registry.counter(prefix + ".cache_hits");
-  metrics_.shadow_samples = &registry.counter(prefix + ".shadow_samples");
-  metrics_.shed_deadline = &registry.counter(prefix + ".shed_deadline");
-  metrics_.shed_overload = &registry.counter(prefix + ".shed_overload");
-  metrics_.degraded_answers = &registry.counter(prefix + ".degraded_answers");
-  metrics_.surrogate_seconds =
+  latency_.surrogate_seconds =
       &registry.histogram(prefix + ".surrogate_seconds");
-  metrics_.simulation_seconds =
+  latency_.simulation_seconds =
       &registry.histogram(prefix + ".simulation_seconds");
-  metrics_.shadow_seconds = &registry.histogram(prefix + ".shadow_seconds");
-  metrics_.surrogate_fraction = &registry.gauge(prefix + ".surrogate_fraction");
-  metrics_.breaker_state = &registry.gauge(prefix + ".breaker_state");
-  metrics_registry_ = &registry;
-  metrics_prefix_ = prefix;
-  if (cache_) cache_->enable_metrics(registry, prefix + ".cache");
-  if (health_) health_->enable_metrics(registry, prefix + ".health");
+  latency_.shadow_seconds = &registry.histogram(prefix + ".shadow_seconds");
+  metrics_ = registry.attach(*this, prefix);
 }
 
 data::Dataset SurrogateDispatcher::take_retraining() {

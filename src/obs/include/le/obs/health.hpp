@@ -34,12 +34,9 @@
 #include <vector>
 
 #include "le/obs/drift.hpp"
+#include "le/obs/metrics.hpp"
 
 namespace le::obs {
-
-class Counter;
-class Gauge;
-class MetricsRegistry;
 
 enum class HealthState { kHealthy = 0, kDrifting = 1, kUntrusted = 2 };
 
@@ -99,7 +96,7 @@ struct HealthReport {
   double coverage = 0.0;
   /// Mean predicted sigma over the rolling window (sharpness).
   double sharpness = 0.0;
-  std::size_t shadow_samples = 0;  ///< lifetime shadow samples
+  std::size_t shadow_samples = 0;  ///< since the last retrain/rollback
   std::uint64_t queries = 0;       ///< lifetime observed queries
   bool retrain_requested = false;
 };
@@ -155,11 +152,17 @@ class SurrogateHealthMonitor {
   /// survives its guard window.
   void on_rolled_back(const tensor::Matrix& prior_reference_inputs);
 
-  /// Publishes health gauges/counters under "<prefix>.*": state (0/1/2),
-  /// max PSI/KS, residual RMSE, coverage, sharpness, shadow-sample and
-  /// transition counters.  Handles are acquired once.
+  /// Writes the monitor's state as "<prefix>.*": gauges state (0/1/2),
+  /// max PSI/KS, residual RMSE, coverage and sharpness (report()'s
+  /// fields); counters shadow_samples (lifetime, across retrains) and
+  /// transitions (transitions().size()).
+  void export_metrics(MetricsSnapshot& out, const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the monitor's lifetime.
   void enable_metrics(MetricsRegistry& registry,
-                      const std::string& prefix = "health");
+                      const std::string& prefix = "health") {
+    metrics_ = registry.attach(*this, prefix);
+  }
 
   [[nodiscard]] const SurrogateHealthConfig& config() const noexcept {
     return config_;
@@ -179,7 +182,6 @@ class SurrogateHealthMonitor {
   [[nodiscard]] double rolling_rmse_locked() const;
   [[nodiscard]] double rolling_coverage_locked() const;
   [[nodiscard]] double rolling_sharpness_locked() const;
-  void publish_metrics_locked();
 
   SurrogateHealthConfig config_;
   InputDriftDetector drift_;
@@ -190,20 +192,13 @@ class SurrogateHealthMonitor {
   double baseline_rmse_ = 0.0;
   bool baseline_set_ = false;
   std::uint64_t queries_ = 0;
-  std::uint64_t shadow_samples_ = 0;
+  std::uint64_t shadow_samples_ = 0;  ///< since the last rebase
+  std::uint64_t retired_shadow_samples_ = 0;  ///< before the last rebase
   std::uint64_t accepted_answers_ = 0;  ///< should_shadow_sample() calls
   std::size_t shadow_stride_ = 0;       ///< 0 = shadowing disabled
   std::size_t clean_evaluations_ = 0;
 
-  /// Metric handles; all null until enable_metrics().
-  Gauge* metric_state_ = nullptr;
-  Gauge* metric_psi_ = nullptr;
-  Gauge* metric_ks_ = nullptr;
-  Gauge* metric_rmse_ = nullptr;
-  Gauge* metric_coverage_ = nullptr;
-  Gauge* metric_sharpness_ = nullptr;
-  Counter* metric_shadow_samples_ = nullptr;
-  Counter* metric_transitions_ = nullptr;
+  MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::obs

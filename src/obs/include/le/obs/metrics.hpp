@@ -8,17 +8,21 @@
 /// pieces: counters, gauges and log-linear latency histograms collected
 /// in a MetricsRegistry, all safe for concurrent update.
 ///
-/// Cost model: metrics are OFF by default.  The only expense on a hot path
-/// when disabled is one relaxed atomic load (metrics_enabled()) or a null
-/// handle check; no clocks are read and no locks are taken.  When enabled,
-/// updates are lock-free atomics; the registry mutex is touched only when
-/// a handle is first acquired by name and when a snapshot is taken.
+/// One book per count: a component (dispatcher, cache, queue, ...) keeps
+/// its counts once, in its own stats(), and attach()es an exporter that
+/// writes them into each snapshot; the registry's own counters, gauges and
+/// histograms serve free-function instrumentation and the latency
+/// histograms no component keeps.  Registry updates are lock-free atomics;
+/// the registry mutex is touched when a handle is first acquired by name,
+/// when a component attaches or detaches, and when a snapshot is taken.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -26,6 +30,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace le::obs {
@@ -191,7 +196,43 @@ struct MetricsSnapshot {
   /// Histogram's layout throws SnapshotMergeError (typed, never silent
   /// misaccounting).
   void merge(const MetricsSnapshot& other);
+
+  /// Appends counters and gauges named "<prefix>.<name>", unsorted: a
+  /// component exporter's output, which snapshot() merge()s.
+  void add(const std::string& prefix,
+           std::initializer_list<std::pair<const char*, std::uint64_t>> c,
+           std::initializer_list<std::pair<const char*, double>> g = {});
 };
+
+/// Writes a component's current counters and gauges into a snapshot.
+using MetricsExporter = std::function<void(MetricsSnapshot&)>;
+
+namespace detail {
+/// A registry's attached exporters, shared with their attachments so one
+/// that outlives the registry detaches into nothing.
+struct MetricsSources {
+  std::mutex mutex;
+  std::uint64_t next_id = 1;
+  std::map<std::uint64_t, MetricsExporter> live;  ///< by id: attach order
+  MetricsSnapshot retained;  ///< final counts of the detached exporters
+};
+struct MetricsAttachment {
+  std::weak_ptr<MetricsSources> sources;
+  std::uint64_t id = 0;
+};
+struct MetricsDetach {
+  void operator()(MetricsAttachment* attachment) const noexcept;
+};
+}  // namespace detail
+
+/// A component's attachment to a MetricsRegistry (see attach()).  While it
+/// lives, every snapshot() includes what its exporter writes; destroying
+/// or reassigning it detaches, and the registry folds the exporter's final
+/// counters and histograms into a retained total, so a counter never goes
+/// down when its component does.  Outliving the registry, or a reset() of
+/// it, is safe: detaching is then a no-op.
+using MetricsSource =
+    std::unique_ptr<detail::MetricsAttachment, detail::MetricsDetach>;
 
 /// Named metric store.  Handles returned by counter()/gauge()/histogram()
 /// are stable for the registry's lifetime: acquire once, update lock-free
@@ -206,10 +247,30 @@ class MetricsRegistry {
   [[nodiscard]] Gauge& gauge(const std::string& name);
   [[nodiscard]] Histogram& histogram(const std::string& name);
 
-  /// Copies every metric, sorted by name within each kind.
+  /// Adds a component's exporter to every snapshot until the returned
+  /// source is destroyed.  The exporter runs on the snapshotting thread, so
+  /// it must read state that thread may read; it must not call back into
+  /// this registry.
+  [[nodiscard]] MetricsSource attach(MetricsExporter exporter);
+
+  /// attach() of `component.export_metrics(out, prefix)`.
+  template <typename Component>
+  [[nodiscard]] MetricsSource attach(const Component& component,
+                                     std::string prefix) {
+    return attach([&component, prefix](MetricsSnapshot& out) {
+      component.export_metrics(out, prefix);
+    });
+  }
+
+  /// Copies every metric, sorted by name within each kind: the registry's
+  /// own, then the retained totals of detached sources, then each live
+  /// exporter's output, merged by MetricsSnapshot::merge in attach order
+  /// (so of two sources exporting one gauge, the later-attached wins).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zeroes every metric; registrations (and handles) stay valid.
+  /// Zeroes every metric; registrations (and handles) stay valid.  Attached
+  /// sources and retained totals are dropped: a forked worker starts from
+  /// a fresh slate, not from the counts of the components it inherited.
   void reset();
 
   /// The process-wide registry the built-in instrumentation reports to.
@@ -220,6 +281,8 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::shared_ptr<detail::MetricsSources> sources_ =
+      std::make_shared<detail::MetricsSources>();
 };
 
 /// Renders a snapshot as a single-line JSON object (locale-independent:

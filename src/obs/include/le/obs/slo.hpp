@@ -27,11 +27,9 @@
 #include <string>
 #include <vector>
 
-namespace le::obs {
+#include "le/obs/metrics.hpp"
 
-class Counter;
-class Gauge;
-class MetricsRegistry;
+namespace le::obs {
 
 struct SloConfig {
   /// Target good fraction (e.g. 0.99 = "99% of events good"); the error
@@ -50,15 +48,6 @@ struct SloConfig {
   double resolve_burn = 1.0;
 };
 
-/// One typed alert transition, as delivered to the callback.
-struct SloAlert {
-  bool firing = false;  ///< true = fired, false = resolved
-  double fast_burn_rate = 0.0;
-  double slow_burn_rate = 0.0;
-  std::uint64_t events = 0;      ///< total events recorded at transition
-  std::uint64_t bad_events = 0;  ///< total budget spent at transition
-};
-
 struct SloStats {
   std::uint64_t events = 0;
   std::uint64_t bad_events = 0;
@@ -68,6 +57,10 @@ struct SloStats {
   double fast_burn_rate = 0.0;
   double slow_burn_rate = 0.0;
 };
+
+/// One typed alert transition, as delivered to the callback: the stats at
+/// the transition (firing true = fired, false = resolved).
+using SloAlert = SloStats;
 
 /// Thread-safe; record() is a few ring-buffer updates under one mutex.
 /// The alert callback is invoked outside the lock (re-entrant calls into
@@ -80,20 +73,23 @@ class SloTracker {
   /// spent.  Evaluates the burn-rate rule and may emit an alert.
   void record(bool good);
 
-  /// Burn rates over the current windows (0 while a window is empty).
-  [[nodiscard]] double fast_burn_rate() const;
-  [[nodiscard]] double slow_burn_rate() const;
-  [[nodiscard]] bool firing() const;
+  /// Counts, alert state and the burn rates over the current windows (0
+  /// while a window is empty).
   [[nodiscard]] SloStats stats() const;
   [[nodiscard]] const SloConfig& config() const noexcept { return config_; }
 
   /// Transition callback (fire AND resolve events); replaces any previous.
   void set_alert_callback(std::function<void(const SloAlert&)> callback);
 
-  /// Publishes burn-rate/state gauges and transition counters under
-  /// "<prefix>.*".
+  /// Writes stats() as "<prefix>.*": burn-rate/state gauges and the
+  /// transition and bad-event counters.
+  void export_metrics(MetricsSnapshot& out, const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the tracker's lifetime.
   void enable_metrics(MetricsRegistry& registry,
-                      const std::string& prefix = "slo");
+                      const std::string& prefix = "slo") {
+    metrics_ = registry.attach(*this, prefix);
+  }
 
  private:
   /// Fixed-capacity good/bad ring with a running bad count.
@@ -117,12 +113,7 @@ class SloTracker {
   SloStats stats_;
   std::function<void(const SloAlert&)> callback_;
 
-  Gauge* metric_fast_burn_ = nullptr;
-  Gauge* metric_slow_burn_ = nullptr;
-  Gauge* metric_firing_ = nullptr;
-  Counter* metric_fired_ = nullptr;
-  Counter* metric_resolved_ = nullptr;
-  Counter* metric_bad_ = nullptr;
+  MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::obs

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "le/obs/metrics.hpp"
-
 namespace le::obs {
 
 std::string to_string(HealthState state) {
@@ -107,7 +105,6 @@ void SurrogateHealthMonitor::record_shadow(
     baseline_rmse_ = rolling_rmse_locked();
     baseline_set_ = true;
   }
-  if (metric_shadow_samples_ != nullptr) metric_shadow_samples_->add();
   evaluate_locked("shadow-sample");
 }
 
@@ -235,14 +232,12 @@ void SurrogateHealthMonitor::evaluate_locked(const char* trigger) {
       }
       break;
   }
-  publish_metrics_locked();
 }
 
 void SurrogateHealthMonitor::transition_locked(HealthState to,
                                                std::string reason) {
   transitions_.push_back({state_, to, queries_, std::move(reason)});
   state_ = to;
-  if (metric_transitions_ != nullptr) metric_transitions_->add();
 }
 
 HealthState SurrogateHealthMonitor::state() const {
@@ -282,12 +277,12 @@ void SurrogateHealthMonitor::on_retrained(
   window_.clear();
   baseline_rmse_ = 0.0;
   baseline_set_ = false;
+  retired_shadow_samples_ += shadow_samples_;
   shadow_samples_ = 0;
   clean_evaluations_ = 0;
   if (state_ != HealthState::kHealthy) {
     transition_locked(HealthState::kHealthy, "retrained");
   }
-  publish_metrics_locked();
 }
 
 void SurrogateHealthMonitor::on_rolled_back(
@@ -297,38 +292,27 @@ void SurrogateHealthMonitor::on_rolled_back(
   window_.clear();
   baseline_rmse_ = 0.0;
   baseline_set_ = false;
+  retired_shadow_samples_ += shadow_samples_;
   shadow_samples_ = 0;
   clean_evaluations_ = 0;
   if (state_ != HealthState::kUntrusted) {
     transition_locked(HealthState::kUntrusted,
                       "rolled-back: promotion failed inside guard window");
   }
-  publish_metrics_locked();
 }
 
-void SurrogateHealthMonitor::enable_metrics(MetricsRegistry& registry,
-                                            const std::string& prefix) {
+void SurrogateHealthMonitor::export_metrics(MetricsSnapshot& out,
+                                            const std::string& prefix) const {
   std::lock_guard lock(mutex_);
-  metric_state_ = &registry.gauge(prefix + ".state");
-  metric_psi_ = &registry.gauge(prefix + ".psi_max");
-  metric_ks_ = &registry.gauge(prefix + ".ks_max");
-  metric_rmse_ = &registry.gauge(prefix + ".residual_rmse");
-  metric_coverage_ = &registry.gauge(prefix + ".coverage");
-  metric_sharpness_ = &registry.gauge(prefix + ".sharpness");
-  metric_shadow_samples_ = &registry.counter(prefix + ".shadow_samples");
-  metric_transitions_ = &registry.counter(prefix + ".transitions");
-  publish_metrics_locked();
-}
-
-void SurrogateHealthMonitor::publish_metrics_locked() {
-  if (metric_state_ == nullptr) return;
-  metric_state_->set(static_cast<double>(static_cast<int>(state_)));
   const DriftReport drift = drift_.last_report();
-  metric_psi_->set(drift.max_psi);
-  metric_ks_->set(drift.max_ks);
-  metric_rmse_->set(rolling_rmse_locked());
-  metric_coverage_->set(rolling_coverage_locked());
-  metric_sharpness_->set(rolling_sharpness_locked());
+  out.add(prefix,
+          {{"shadow_samples", retired_shadow_samples_ + shadow_samples_},
+           {"transitions", transitions_.size()}},
+          {{"state", static_cast<double>(static_cast<int>(state_))},
+           {"psi_max", drift.max_psi}, {"ks_max", drift.max_ks},
+           {"residual_rmse", rolling_rmse_locked()},
+           {"coverage", rolling_coverage_locked()},
+           {"sharpness", rolling_sharpness_locked()}});
 }
 
 }  // namespace le::obs

@@ -133,6 +133,28 @@ void Histogram::reset() noexcept {
              std::memory_order_relaxed);
 }
 
+void detail::MetricsDetach::operator()(
+    MetricsAttachment* attachment) const noexcept {
+  const std::unique_ptr<MetricsAttachment> owned(attachment);
+  const std::shared_ptr<MetricsSources> sources = attachment->sources.lock();
+  if (!sources) return;
+  std::lock_guard lock(sources->mutex);
+  const auto it = sources->live.find(attachment->id);
+  if (it == sources->live.end()) return;  // dropped by reset()
+  MetricsSnapshot last;
+  it->second(last);
+  sources->live.erase(it);
+  last.gauges.clear();  // a gauge describes a live component only
+  sources->retained.merge(last);
+}
+
+MetricsSource MetricsRegistry::attach(MetricsExporter exporter) {
+  std::lock_guard lock(sources_->mutex);
+  const std::uint64_t id = sources_->next_id++;
+  sources_->live.emplace(id, std::move(exporter));
+  return MetricsSource(new detail::MetricsAttachment{sources_, id});
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard lock(mutex_);
   auto& slot = counters_[name];
@@ -155,33 +177,47 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard lock(mutex_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    snap.counters.push_back({name, c->value()});
+  {
+    std::lock_guard lock(mutex_);
+    snap.counters.reserve(counters_.size());
+    for (const auto& [name, c] : counters_) {
+      snap.counters.push_back({name, c->value()});
+    }
+    snap.gauges.reserve(gauges_.size());
+    for (const auto& [name, g] : gauges_) {
+      snap.gauges.push_back({name, g->value()});
+    }
+    snap.histograms.reserve(histograms_.size());
+    for (const auto& [name, h] : histograms_) {
+      MetricsSnapshot::HistogramEntry e;
+      e.buckets = h->buckets();
+      static_cast<Histogram::Summary&>(e) =
+          Histogram::summarize(e.buckets, h->sum(), h->min(), h->max());
+      e.name = name;
+      snap.histograms.push_back(std::move(e));
+    }
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.push_back({name, g->value()});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramEntry e;
-    e.buckets = h->buckets();
-    static_cast<Histogram::Summary&>(e) =
-        Histogram::summarize(e.buckets, h->sum(), h->min(), h->max());
-    e.name = name;
-    snap.histograms.push_back(std::move(e));
+  std::lock_guard lock(sources_->mutex);
+  snap.merge(sources_->retained);
+  for (const auto& [id, exporter] : sources_->live) {
+    MetricsSnapshot part;
+    exporter(part);
+    snap.merge(part);
   }
   return snap;
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  {
+    std::lock_guard lock(mutex_);
+    for (auto& [name, c] : counters_) c->reset();
+    for (auto& [name, g] : gauges_) g->reset();
+    for (auto& [name, h] : histograms_) h->reset();
+  }
+  std::lock_guard lock(sources_->mutex);
+  sources_->live.clear();
+  sources_->retained = {};
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -275,6 +311,18 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
     } else {
       histograms.insert(it, h);
     }
+  }
+}
+
+void MetricsSnapshot::add(
+    const std::string& prefix,
+    std::initializer_list<std::pair<const char*, std::uint64_t>> c,
+    std::initializer_list<std::pair<const char*, double>> g) {
+  for (const auto& [name, value] : c) {
+    counters.push_back({prefix + "." + name, value});
+  }
+  for (const auto& [name, value] : g) {
+    gauges.push_back({prefix + "." + name, value});
   }
 }
 

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "le/obs/metrics.hpp"
-
 namespace le::obs {
 
 void SloTracker::Window::push(bool is_bad) {
@@ -54,10 +52,7 @@ void SloTracker::record(bool good) {
     fast_.push(!good);
     slow_.push(!good);
     ++stats_.events;
-    if (!good) {
-      ++stats_.bad_events;
-      if (metric_bad_ != nullptr) metric_bad_->add();
-    }
+    if (!good) ++stats_.bad_events;
     stats_.fast_burn_rate = burn_of(fast_);
     stats_.slow_burn_rate = burn_of(slow_);
 
@@ -72,7 +67,6 @@ void SloTracker::record(bool good) {
         stats_.firing = true;
         ++stats_.alerts_fired;
         transitioned = true;
-        if (metric_fired_ != nullptr) metric_fired_->add();
       }
     } else {
       if (stats_.fast_burn_rate <= config_.resolve_burn &&
@@ -80,40 +74,15 @@ void SloTracker::record(bool good) {
         stats_.firing = false;
         ++stats_.alerts_resolved;
         transitioned = true;
-        if (metric_resolved_ != nullptr) metric_resolved_->add();
       }
     }
-    if (metric_fast_burn_ != nullptr) {
-      metric_fast_burn_->set(stats_.fast_burn_rate);
-      metric_slow_burn_->set(stats_.slow_burn_rate);
-      metric_firing_->set(stats_.firing ? 1.0 : 0.0);
-    }
     if (transitioned) {
-      alert.firing = stats_.firing;
-      alert.fast_burn_rate = stats_.fast_burn_rate;
-      alert.slow_burn_rate = stats_.slow_burn_rate;
-      alert.events = stats_.events;
-      alert.bad_events = stats_.bad_events;
+      alert = stats_;
       callback = callback_;
     }
   }
   // Outside the lock: the ladder (or a test) may call back into us.
   if (transitioned && callback) callback(alert);
-}
-
-double SloTracker::fast_burn_rate() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_.fast_burn_rate;
-}
-
-double SloTracker::slow_burn_rate() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_.slow_burn_rate;
-}
-
-bool SloTracker::firing() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_.firing;
 }
 
 SloStats SloTracker::stats() const {
@@ -127,15 +96,15 @@ void SloTracker::set_alert_callback(
   callback_ = std::move(callback);
 }
 
-void SloTracker::enable_metrics(MetricsRegistry& registry,
-                                const std::string& prefix) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  metric_fast_burn_ = &registry.gauge(prefix + ".burn_fast");
-  metric_slow_burn_ = &registry.gauge(prefix + ".burn_slow");
-  metric_firing_ = &registry.gauge(prefix + ".firing");
-  metric_fired_ = &registry.counter(prefix + ".alerts_fired");
-  metric_resolved_ = &registry.counter(prefix + ".alerts_resolved");
-  metric_bad_ = &registry.counter(prefix + ".bad_events");
+void SloTracker::export_metrics(MetricsSnapshot& out,
+                                const std::string& prefix) const {
+  const SloStats s = stats();
+  out.add(prefix,
+          {{"alerts_fired", s.alerts_fired},
+           {"alerts_resolved", s.alerts_resolved},
+           {"bad_events", s.bad_events}},
+          {{"burn_fast", s.fast_burn_rate}, {"burn_slow", s.slow_burn_rate},
+           {"firing", s.firing ? 1.0 : 0.0}});
 }
 
 }  // namespace le::obs

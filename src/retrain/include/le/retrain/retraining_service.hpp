@@ -42,19 +42,13 @@
 #include "le/core/surrogate.hpp"
 #include "le/data/dataset.hpp"
 #include "le/nn/train.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/stats/rng.hpp"
 #include "le/tensor/matrix.hpp"
 
 namespace le::ckpt {
 class CampaignCheckpointer;
 }  // namespace le::ckpt
-
-namespace le::obs {
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
-}  // namespace le::obs
 
 namespace le::runtime {
 class FaultInjector;
@@ -159,7 +153,8 @@ struct RetrainingStats {
   double last_eval_rmse = 0.0;
   double last_eval_coverage = 0.0;
   std::size_t last_eval_samples = 0;
-  /// Incumbent residual RMSE bar the last evaluation was judged against.
+  /// Incumbent's rolling residual RMSE on the drifted stream, captured at
+  /// the retrain request: the bar a candidate must beat.
   double last_incumbent_rmse = 0.0;
 };
 
@@ -220,10 +215,15 @@ class RetrainingService {
   /// The model retained for rollback (null until the first promotion).
   [[nodiscard]] std::shared_ptr<uq::UqModel> prior_model() const;
 
-  /// Publishes "<prefix>.*" counters (requests, train_attempts,
-  /// train_failures, candidates_rejected, promotions, rollbacks), gauges
-  /// (state, corpus_size, last_eval_rmse, last_eval_coverage) and the
-  /// train_seconds histogram.
+  /// Writes stats() as "<prefix>.*": counters requests, train_attempts,
+  /// train_failures, candidates_rejected, promotions, rollbacks and gauges
+  /// state, corpus_size, last_eval_rmse, last_eval_coverage.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the service's lifetime
+  /// and records each training attempt's seconds into
+  /// "<prefix>.train_seconds".
   void enable_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "retrain");
 
@@ -247,7 +247,6 @@ class RetrainingService {
   void promote(std::shared_ptr<uq::UqModel> candidate, double eval_rmse,
                double eval_coverage);
   void set_state(ServiceState next);
-  void publish_gauges();
 
   core::SurrogateDispatcher& dispatcher_;
   RetrainingConfig config_;
@@ -263,9 +262,6 @@ class RetrainingService {
   tensor::Matrix incumbent_reference_;
   tensor::Matrix prior_reference_;
   std::shared_ptr<uq::UqModel> prior_model_;
-  /// Incumbent's rolling residual RMSE on the drifted stream, captured at
-  /// the retrain request — the bar a candidate must beat.
-  double incumbent_rmse_bar_ = 0.0;
   /// Training-attempt bookkeeping for the current request.
   std::size_t attempts_this_request_ = 0;
   std::size_t corpus_target_ = 0;
@@ -289,18 +285,9 @@ class RetrainingService {
   std::condition_variable wake_cv_;
   bool stop_requested_ = false;
 
-  /// Metric handles; all null until enable_metrics().
-  obs::Counter* m_requests_ = nullptr;
-  obs::Counter* m_attempts_ = nullptr;
-  obs::Counter* m_failures_ = nullptr;
-  obs::Counter* m_rejected_ = nullptr;
-  obs::Counter* m_promotions_ = nullptr;
-  obs::Counter* m_rollbacks_ = nullptr;
-  obs::Gauge* m_state_ = nullptr;
-  obs::Gauge* m_corpus_size_ = nullptr;
-  obs::Gauge* m_eval_rmse_ = nullptr;
-  obs::Gauge* m_eval_coverage_ = nullptr;
+  /// Null until enable_metrics().
   obs::Histogram* m_train_seconds_ = nullptr;
+  obs::MetricsSource metrics_;  ///< detaches before the state it reads
 };
 
 }  // namespace le::retrain

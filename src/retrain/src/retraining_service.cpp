@@ -12,7 +12,6 @@
 #include "le/nn/network.hpp"
 #include "le/nn/serialize.hpp"
 #include "le/obs/health.hpp"
-#include "le/obs/metrics.hpp"
 #include "le/obs/timer.hpp"
 #include "le/runtime/fault.hpp"
 #include "le/uq/mc_dropout.hpp"
@@ -157,11 +156,9 @@ void RetrainingService::step_idle() {
     std::lock_guard lock(state_mutex_);
     ++stats_.retrain_requests_seen;
     stats_.last_incumbent_rmse = report.residual_rmse;
-    incumbent_rmse_bar_ = report.residual_rmse;
     attempts_this_request_ = 0;
     corpus_target_ = config_.min_corpus_size;
   }
-  if (m_requests_) m_requests_->add();
   set_state(ServiceState::kCollecting);
 }
 
@@ -183,7 +180,6 @@ void RetrainingService::step_training() {
     std::lock_guard lock(state_mutex_);
     ++stats_.train_attempts;
   }
-  if (m_attempts_) m_attempts_->add();
 
   TrainedCandidate candidate;
   bool failed = false;
@@ -199,15 +195,11 @@ void RetrainingService::step_training() {
   {
     std::lock_guard lock(state_mutex_);
     stats_.train_seconds += seconds;
+    stats_.train_failures += failed ? 1 : 0;
   }
   if (m_train_seconds_) m_train_seconds_->record(seconds);
 
   if (failed) {
-    {
-      std::lock_guard lock(state_mutex_);
-      ++stats_.train_failures;
-    }
-    if (m_failures_) m_failures_->add();
     if (attempts_this_request_ >= config_.max_train_attempts) {
       // Re-arm: retrying the same corpus a fourth time is not a plan.
       // Go back to collecting with a grown requirement — fresh fallback
@@ -216,7 +208,6 @@ void RetrainingService::step_training() {
       corpus_target_ = corpus_.size() + config_.min_corpus_size;
       attempts_this_request_ = 0;
       state_ = ServiceState::kCollecting;
-      publish_gauges();
       return;
     }
     return;  // stay in kTraining; the next poll retries
@@ -278,17 +269,15 @@ void RetrainingService::step_shadow_eval() {
     stats_.last_eval_coverage = coverage;
     stats_.last_eval_samples = eval_samples_;
   }
-  if (m_eval_rmse_) m_eval_rmse_->set(rmse);
-  if (m_eval_coverage_) m_eval_coverage_->set(coverage);
 
   // Promotion bar: beat the incumbent's drifted-era residual RMSE by the
   // configured margin AND hold UQ coverage.  A zero bar (the monitor
   // tripped on drift alone, before any shadow baseline) degenerates to the
   // coverage + finiteness test.
-  const bool beats_rmse =
-      incumbent_rmse_bar_ > 0.0
-          ? rmse <= config_.max_rmse_ratio * incumbent_rmse_bar_
-          : std::isfinite(rmse);
+  // Only this thread writes stats_, so it reads the bar without the lock.
+  const double bar = stats_.last_incumbent_rmse;
+  const bool beats_rmse = bar > 0.0 ? rmse <= config_.max_rmse_ratio * bar
+                                    : std::isfinite(rmse);
   const bool holds_coverage = coverage >= config_.min_coverage;
   if (beats_rmse && holds_coverage) {
     std::shared_ptr<uq::UqModel> candidate;
@@ -309,7 +298,6 @@ void RetrainingService::step_shadow_eval() {
     corpus_target_ = corpus_.size() + config_.min_corpus_size;
     attempts_this_request_ = 0;
   }
-  if (m_rejected_) m_rejected_->add();
   set_state(ServiceState::kCollecting);
 }
 
@@ -350,7 +338,6 @@ void RetrainingService::absorb_banked() {
   corpus_.append(banked);
   corpus_initialized_ = true;
   trim_corpus();
-  if (m_corpus_size_) m_corpus_size_->set(static_cast<double>(corpus_.size()));
 }
 
 void RetrainingService::trim_corpus() {
@@ -476,7 +463,6 @@ void RetrainingService::promote(std::shared_ptr<uq::UqModel> candidate,
     promoted_at_queries_ = monitor ? monitor->report().queries : 0;
     ++stats_.promotions;
   }
-  if (m_promotions_) m_promotions_->add();
   set_state(ServiceState::kGuard);
 }
 
@@ -502,7 +488,6 @@ bool RetrainingService::rollback(const std::string& reason) {
     incumbent_reference_ = std::move(prior_reference);
     ++stats_.rollbacks;
   }
-  if (m_rollbacks_) m_rollbacks_->add();
   return true;
 }
 
@@ -552,7 +537,6 @@ bool RetrainingService::resume_from_checkpoint() {
       stats_.last_eval_coverage = snapshot->scalars[1];
     }
   }
-  if (m_promotions_) m_promotions_->add();
   set_state(ServiceState::kGuard);
   return true;
 }
@@ -577,32 +561,29 @@ std::shared_ptr<uq::UqModel> RetrainingService::prior_model() const {
 
 void RetrainingService::set_state(ServiceState next) {
   std::lock_guard lock(state_mutex_);
-  if (state_ == next) return;
   state_ = next;
-  publish_gauges();
 }
 
-void RetrainingService::publish_gauges() {
-  // Caller holds state_mutex_.
-  if (m_state_) m_state_->set(static_cast<double>(state_));
-  if (m_corpus_size_) m_corpus_size_->set(static_cast<double>(corpus_.size()));
+void RetrainingService::export_metrics(obs::MetricsSnapshot& out,
+                                       const std::string& prefix) const {
+  std::lock_guard lock(state_mutex_);
+  const RetrainingStats& s = stats_;
+  out.add(prefix,
+          {{"requests", s.retrain_requests_seen},
+           {"train_attempts", s.train_attempts},
+           {"train_failures", s.train_failures},
+           {"candidates_rejected", s.candidates_rejected},
+           {"promotions", s.promotions}, {"rollbacks", s.rollbacks}},
+          {{"state", static_cast<double>(state_)},
+           {"corpus_size", static_cast<double>(corpus_.size())},
+           {"last_eval_rmse", s.last_eval_rmse},
+           {"last_eval_coverage", s.last_eval_coverage}});
 }
 
 void RetrainingService::enable_metrics(obs::MetricsRegistry& registry,
                                        const std::string& prefix) {
-  m_requests_ = &registry.counter(prefix + ".requests");
-  m_attempts_ = &registry.counter(prefix + ".train_attempts");
-  m_failures_ = &registry.counter(prefix + ".train_failures");
-  m_rejected_ = &registry.counter(prefix + ".candidates_rejected");
-  m_promotions_ = &registry.counter(prefix + ".promotions");
-  m_rollbacks_ = &registry.counter(prefix + ".rollbacks");
-  m_state_ = &registry.gauge(prefix + ".state");
-  m_corpus_size_ = &registry.gauge(prefix + ".corpus_size");
-  m_eval_rmse_ = &registry.gauge(prefix + ".last_eval_rmse");
-  m_eval_coverage_ = &registry.gauge(prefix + ".last_eval_coverage");
   m_train_seconds_ = &registry.histogram(prefix + ".train_seconds");
-  std::lock_guard lock(state_mutex_);
-  publish_gauges();
+  metrics_ = registry.attach(*this, prefix);
 }
 
 }  // namespace le::retrain

@@ -30,13 +30,8 @@
 #include <mutex>
 #include <string>
 
+#include "le/obs/metrics.hpp"
 #include "le/serve/overload.hpp"
-
-namespace le::obs {
-class Counter;
-class Gauge;
-class MetricsRegistry;
-}  // namespace le::obs
 
 namespace le::serve {
 
@@ -89,18 +84,21 @@ class AdmissionController {
   /// sojourn controller.  Thread-safe.
   void record_sojourn(double seconds, Clock::time_point now = Clock::now());
 
-  /// True while the sojourn controller is in its shedding state.
-  [[nodiscard]] bool shedding() const;
-
   [[nodiscard]] AdmissionStats stats() const;
   [[nodiscard]] const AdmissionConfig& config() const noexcept {
     return config_;
   }
 
-  /// Publishes admitted/shed counters and in-flight/shedding gauges under
-  /// "<prefix>.*".
+  /// Writes stats() as "<prefix>.*": admitted/shed counters and
+  /// in-flight/shedding gauges.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the controller's lifetime.
   void enable_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix = "serve.admission");
+                      const std::string& prefix = "serve.admission") {
+    metrics_ = registry.attach(*this, prefix);
+  }
 
  private:
   AdmissionConfig config_;
@@ -110,17 +108,10 @@ class AdmissionController {
   /// When the sojourn first stayed above target (unset while below).
   bool above_target_ = false;
   Clock::time_point above_since_{};
-  bool shedding_ = false;
   Clock::time_point next_probe_{};
   std::uint64_t probe_count_ = 0;  ///< probes since shedding engaged
 
-  /// Metric handles; all null until enable_metrics().
-  obs::Counter* metric_admitted_ = nullptr;
-  obs::Counter* metric_shed_queue_full_ = nullptr;
-  obs::Counter* metric_shed_concurrency_ = nullptr;
-  obs::Counter* metric_shed_overload_ = nullptr;
-  obs::Gauge* metric_in_flight_ = nullptr;
-  obs::Gauge* metric_shedding_ = nullptr;
+  obs::MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::serve

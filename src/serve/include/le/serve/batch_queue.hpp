@@ -84,6 +84,7 @@ struct BatchQueueStats {
   std::uint64_t queries = 0;
   std::uint64_t batches = 0;
   std::size_t max_batch_observed = 0;
+  std::size_t last_batch = 0;  ///< rows in the latest batched forward
   /// Requests shed because their deadline expired — on arrival (submit
   /// threw DeadlineExceededError) or while queued (the future failed with
   /// it before the forward).
@@ -168,9 +169,13 @@ class BatchQueue {
   /// Requests currently waiting (diagnostic; racy by nature).
   [[nodiscard]] std::size_t depth() const;
 
-  /// Publishes queries/batches/shed/expired/dead_request_forwards
-  /// counters, a batch-fill gauge and a batch-seconds histogram under
-  /// "<prefix>.*".
+  /// Writes stats() as "<prefix>.*": queries/batches/shed/expired/
+  /// dead_request_forwards counters and a batch-fill gauge (last_batch).
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the queue's lifetime and
+  /// records each batched forward's seconds into "<prefix>.batch_seconds".
   void enable_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "serve.batch_queue");
 
@@ -209,19 +214,15 @@ class BatchQueue {
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::size_t> max_batch_observed_{0};
+  std::atomic<std::size_t> last_batch_{0};
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> dead_request_forwards_{0};
   obs::Histogram wait_;
 
-  /// Metric handles; all null until enable_metrics().
-  obs::Counter* metric_queries_ = nullptr;
-  obs::Counter* metric_batches_ = nullptr;
-  obs::Counter* metric_expired_ = nullptr;
-  obs::Counter* metric_shed_ = nullptr;
-  obs::Counter* metric_dead_forwards_ = nullptr;
-  obs::Gauge* metric_batch_fill_ = nullptr;
+  /// Null until enable_metrics().
   obs::Histogram* metric_batch_seconds_ = nullptr;
+  obs::MetricsSource metrics_;
 
   std::thread server_;  // last member: starts after everything else is built
 };

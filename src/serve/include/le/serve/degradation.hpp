@@ -113,10 +113,16 @@ class DegradationLadder {
     return config_;
   }
 
-  /// Publishes the level gauge, transition counters and the evaluated
-  /// quantile gauge under "<prefix>.*".
+  /// Writes stats() as "<prefix>.*": the level gauge, transition counters
+  /// and the evaluated quantile gauge.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the ladder's lifetime.
   void enable_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix = "serve.overload");
+                      const std::string& prefix = "serve.overload") {
+    metrics_ = registry.attach(*this, prefix);
+  }
 
  private:
   void evaluate_locked();
@@ -130,11 +136,7 @@ class DegradationLadder {
   int calm_evals_ = 0;  ///< consecutive below-release evaluations
   DegradationStats stats_;
 
-  /// Metric handles; all null until enable_metrics().
-  obs::Gauge* metric_level_ = nullptr;
-  obs::Gauge* metric_quantile_ = nullptr;
-  obs::Counter* metric_engages_ = nullptr;
-  obs::Counter* metric_releases_ = nullptr;
+  obs::MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::serve

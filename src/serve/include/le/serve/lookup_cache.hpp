@@ -32,11 +32,7 @@
 #include <string>
 #include <vector>
 
-namespace le::obs {
-class Counter;
-class Gauge;
-class MetricsRegistry;
-}  // namespace le::obs
+#include "le/obs/metrics.hpp"
 
 namespace le::serve {
 
@@ -220,11 +216,16 @@ class LookupCache {
     return config_;
   }
 
-  /// Publishes hits/misses/insertions/evictions counters and an entries
-  /// gauge to `registry` under "<prefix>.*".  Handles are acquired once;
-  /// the lookup path then updates them lock-free.
+  /// Writes stats() as "<prefix>.*": hits/misses/insertions/evictions
+  /// counters and an entries gauge.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix) const;
+
+  /// Attaches export_metrics() to `registry` for the cache's lifetime.
   void enable_metrics(obs::MetricsRegistry& registry,
-                      const std::string& prefix = "serve.cache");
+                      const std::string& prefix = "serve.cache") {
+    metrics_ = registry.attach(*this, prefix);
+  }
 
  private:
   /// Appends the quantized `input` to `key`.
@@ -256,12 +257,7 @@ class LookupCache {
   std::atomic<std::uint64_t> insertions_{0};
   std::atomic<std::uint64_t> evictions_{0};
 
-  /// Metric handles; all null until enable_metrics().
-  obs::Counter* metric_hits_ = nullptr;
-  obs::Counter* metric_misses_ = nullptr;
-  obs::Counter* metric_insertions_ = nullptr;
-  obs::Counter* metric_evictions_ = nullptr;
-  obs::Gauge* metric_entries_ = nullptr;
+  obs::MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::serve

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "le/obs/metrics.hpp"
-
 namespace le::serve {
 
 AdmissionController::AdmissionController(const AdmissionConfig& config)
@@ -21,19 +19,16 @@ ShedReason AdmissionController::try_admit(std::size_t queue_depth,
   std::lock_guard lock(mutex_);
   if (config_.max_queue_depth != 0 && queue_depth >= config_.max_queue_depth) {
     ++stats_.shed_queue_full;
-    if (metric_shed_queue_full_) metric_shed_queue_full_->add();
     return ShedReason::kQueueFull;
   }
   if (config_.max_concurrent != 0 &&
       stats_.in_flight >= config_.max_concurrent) {
     ++stats_.shed_concurrency;
-    if (metric_shed_concurrency_) metric_shed_concurrency_->add();
     return ShedReason::kConcurrency;
   }
-  if (shedding_) {
+  if (stats_.shedding) {
     if (now < next_probe_) {
       ++stats_.shed_overload;
-      if (metric_shed_overload_) metric_shed_overload_->add();
       return ShedReason::kOverload;
     }
     // Probe admission: keep a trickle flowing so record_sojourn() can
@@ -49,19 +44,12 @@ ShedReason AdmissionController::try_admit(std::size_t queue_depth,
   }
   ++stats_.admitted;
   ++stats_.in_flight;
-  if (metric_admitted_) metric_admitted_->add();
-  if (metric_in_flight_) {
-    metric_in_flight_->set(static_cast<double>(stats_.in_flight));
-  }
   return ShedReason::kNone;
 }
 
 void AdmissionController::release(std::size_t n) noexcept {
   std::lock_guard lock(mutex_);
   stats_.in_flight = stats_.in_flight >= n ? stats_.in_flight - n : 0;
-  if (metric_in_flight_) {
-    metric_in_flight_->set(static_cast<double>(stats_.in_flight));
-  }
 }
 
 void AdmissionController::record_sojourn(double seconds,
@@ -74,11 +62,9 @@ void AdmissionController::record_sojourn(double seconds,
     // One good sojourn ends the episode — the standing queue has drained
     // (or a probe got through quickly), so stop shedding immediately.
     above_target_ = false;
-    if (shedding_) {
-      shedding_ = false;
-      probe_count_ = 0;
+    if (stats_.shedding) {
       stats_.shedding = false;
-      if (metric_shedding_) metric_shedding_->set(0.0);
+      probe_count_ = 0;
     }
     return;
   }
@@ -87,21 +73,14 @@ void AdmissionController::record_sojourn(double seconds,
     above_since_ = now;
     return;
   }
-  if (!shedding_ && now - above_since_ >= config_.interval) {
+  if (!stats_.shedding && now - above_since_ >= config_.interval) {
     // The wait has been above target for a full interval: this is a
     // standing queue, not a transient burst.  Engage shedding; the first
     // probe is allowed immediately so measurement never stops.
-    shedding_ = true;
+    stats_.shedding = true;
     probe_count_ = 0;
     next_probe_ = now;
-    stats_.shedding = true;
-    if (metric_shedding_) metric_shedding_->set(1.0);
   }
-}
-
-bool AdmissionController::shedding() const {
-  std::lock_guard lock(mutex_);
-  return shedding_;
 }
 
 AdmissionStats AdmissionController::stats() const {
@@ -109,14 +88,15 @@ AdmissionStats AdmissionController::stats() const {
   return stats_;
 }
 
-void AdmissionController::enable_metrics(obs::MetricsRegistry& registry,
-                                         const std::string& prefix) {
-  metric_admitted_ = &registry.counter(prefix + ".admitted");
-  metric_shed_queue_full_ = &registry.counter(prefix + ".shed_queue_full");
-  metric_shed_concurrency_ = &registry.counter(prefix + ".shed_concurrency");
-  metric_shed_overload_ = &registry.counter(prefix + ".shed_overload");
-  metric_in_flight_ = &registry.gauge(prefix + ".in_flight");
-  metric_shedding_ = &registry.gauge(prefix + ".shedding");
+void AdmissionController::export_metrics(obs::MetricsSnapshot& out,
+                                         const std::string& prefix) const {
+  const AdmissionStats s = stats();
+  out.add(prefix,
+          {{"admitted", s.admitted}, {"shed_queue_full", s.shed_queue_full},
+           {"shed_concurrency", s.shed_concurrency},
+           {"shed_overload", s.shed_overload}},
+          {{"in_flight", static_cast<double>(s.in_flight)},
+           {"shedding", s.shedding ? 1.0 : 0.0}});
 }
 
 }  // namespace le::serve

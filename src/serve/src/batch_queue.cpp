@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "le/obs/metrics.hpp"
 #include "le/serve/admission.hpp"
 #include "le/serve/degradation.hpp"
 
@@ -103,7 +102,6 @@ std::future<std::vector<double>> BatchQueue::submit(
   // no queue slot and no admission token.
   if (deadline && *deadline <= now) {
     expired_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_expired_) metric_expired_->add();
     throw DeadlineExceededError(
         "BatchQueue::submit: deadline already expired on arrival");
   }
@@ -124,7 +122,6 @@ std::future<std::vector<double>> BatchQueue::submit(
       const ShedReason verdict = admission_->try_admit(pending_.size(), now);
       if (verdict != ShedReason::kNone) {
         shed_.fetch_add(1, std::memory_order_relaxed);
-        if (metric_shed_) metric_shed_->add();
         throw_shed(verdict, "BatchQueue::submit");
       }
     }
@@ -196,7 +193,6 @@ void BatchQueue::dispatch(std::vector<Pending> batch) {
   // .get() just returned must already see its request in stats().
   if (n_expired > 0) {
     expired_.fetch_add(n_expired, std::memory_order_relaxed);
-    if (metric_expired_) metric_expired_->add(n_expired);
     if (admission_) admission_->release(n_expired);
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -225,11 +221,7 @@ void BatchQueue::dispatch(std::vector<Pending> batch) {
          !max_batch_observed_.compare_exchange_weak(
              prev, rows, std::memory_order_relaxed)) {
   }
-  if (metric_queries_) metric_queries_->add(rows);
-  if (metric_batches_) metric_batches_->add();
-  if (metric_batch_fill_) {
-    metric_batch_fill_->set(static_cast<double>(rows));
-  }
+  last_batch_.store(rows, std::memory_order_relaxed);
 
   const auto forward_start = std::chrono::steady_clock::now();
   std::vector<ShedReason> row_shed(rows, ShedReason::kNone);
@@ -270,11 +262,9 @@ void BatchQueue::dispatch(std::vector<Pending> batch) {
   // Same ordering rule as the expiry pass: stats first, promises second.
   if (n_row_shed > 0) {
     shed_.fetch_add(n_row_shed, std::memory_order_relaxed);
-    if (metric_shed_) metric_shed_->add(n_row_shed);
   }
   if (dead > 0) {
     dead_request_forwards_.fetch_add(dead, std::memory_order_relaxed);
-    if (metric_dead_forwards_) metric_dead_forwards_->add(dead);
   }
   if (admission_) admission_->release(rows);
   for (std::size_t r = 0; r < rows; ++r) {
@@ -293,6 +283,7 @@ BatchQueueStats BatchQueue::stats() const {
   s.queries = queries_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.max_batch_observed = max_batch_observed_.load(std::memory_order_relaxed);
+  s.last_batch = last_batch_.load(std::memory_order_relaxed);
   s.expired = expired_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.dead_request_forwards =
@@ -301,15 +292,20 @@ BatchQueueStats BatchQueue::stats() const {
   return s;
 }
 
+void BatchQueue::export_metrics(obs::MetricsSnapshot& out,
+                                const std::string& prefix) const {
+  const BatchQueueStats s = stats();
+  out.add(prefix,
+          {{"queries", s.queries}, {"batches", s.batches},
+           {"expired", s.expired}, {"shed", s.shed},
+           {"dead_request_forwards", s.dead_request_forwards}},
+          {{"batch_fill", static_cast<double>(s.last_batch)}});
+}
+
 void BatchQueue::enable_metrics(obs::MetricsRegistry& registry,
                                 const std::string& prefix) {
-  metric_queries_ = &registry.counter(prefix + ".queries");
-  metric_batches_ = &registry.counter(prefix + ".batches");
-  metric_expired_ = &registry.counter(prefix + ".expired");
-  metric_shed_ = &registry.counter(prefix + ".shed");
-  metric_dead_forwards_ = &registry.counter(prefix + ".dead_request_forwards");
-  metric_batch_fill_ = &registry.gauge(prefix + ".batch_fill");
   metric_batch_seconds_ = &registry.histogram(prefix + ".batch_seconds");
+  metrics_ = registry.attach(*this, prefix);
 }
 
 }  // namespace le::serve

@@ -43,7 +43,6 @@ void DegradationLadder::evaluate_locked() {
   window_.reset();
   ++stats_.evaluations;
   stats_.last_quantile = q;
-  if (metric_quantile_) metric_quantile_->set(q);
 
   const int current = level_.load(std::memory_order_relaxed);
   // Highest level whose engage threshold the quantile exceeds.
@@ -59,9 +58,6 @@ void DegradationLadder::evaluate_locked() {
     level_.store(target, std::memory_order_relaxed);
     calm_evals_ = 0;
     ++stats_.engages;
-    if (metric_engages_) metric_engages_->add();
-    if (metric_level_) metric_level_->set(static_cast<double>(target));
-    stats_.level = static_cast<ServiceLevel>(target);
     return;
   }
   if (current > 0) {
@@ -77,17 +73,11 @@ void DegradationLadder::evaluate_locked() {
         calm_evals_ = 0;
         level_.store(current - 1, std::memory_order_relaxed);
         ++stats_.releases;
-        if (metric_releases_) metric_releases_->add();
-        if (metric_level_) {
-          metric_level_->set(static_cast<double>(current - 1));
-        }
-        stats_.level = static_cast<ServiceLevel>(current - 1);
       }
       return;
     }
   }
   calm_evals_ = 0;
-  stats_.level = static_cast<ServiceLevel>(current);
 }
 
 void DegradationLadder::engage_at_least(ServiceLevel floor) {
@@ -98,9 +88,6 @@ void DegradationLadder::engage_at_least(ServiceLevel floor) {
   level_.store(target, std::memory_order_relaxed);
   calm_evals_ = 0;
   ++stats_.engages;
-  stats_.level = floor;
-  if (metric_engages_) metric_engages_->add();
-  if (metric_level_) metric_level_->set(static_cast<double>(target));
 }
 
 DegradationStats DegradationLadder::stats() const {
@@ -110,13 +97,12 @@ DegradationStats DegradationLadder::stats() const {
   return out;
 }
 
-void DegradationLadder::enable_metrics(obs::MetricsRegistry& registry,
-                                       const std::string& prefix) {
-  metric_level_ = &registry.gauge(prefix + ".level");
-  metric_quantile_ = &registry.gauge(prefix + ".pressure_quantile");
-  metric_engages_ = &registry.counter(prefix + ".engages");
-  metric_releases_ = &registry.counter(prefix + ".releases");
-  metric_level_->set(static_cast<double>(level_.load()));
+void DegradationLadder::export_metrics(obs::MetricsSnapshot& out,
+                                       const std::string& prefix) const {
+  const DegradationStats s = stats();
+  out.add(prefix, {{"engages", s.engages}, {"releases", s.releases}},
+          {{"level", static_cast<double>(s.level)},
+           {"pressure_quantile", s.last_quantile}});
 }
 
 }  // namespace le::serve

@@ -7,8 +7,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "le/obs/metrics.hpp"
-
 namespace le::serve {
 
 namespace {
@@ -309,14 +307,8 @@ void LookupCache::find_batch(std::span<const double> inputs, std::size_t width,
     }
   }
   const std::uint64_t misses = n - hits;
-  if (hits != 0) {
-    hits_.fetch_add(hits, std::memory_order_relaxed);
-    if (metric_hits_) metric_hits_->add(hits);
-  }
-  if (misses != 0) {
-    misses_.fetch_add(misses, std::memory_order_relaxed);
-    if (metric_misses_) metric_misses_->add(misses);
-  }
+  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (misses != 0) misses_.fetch_add(misses, std::memory_order_relaxed);
 }
 
 std::size_t LookupCache::insert_batch(Batch& batch,
@@ -390,13 +382,8 @@ std::size_t LookupCache::insert_batch(Batch& batch,
   batch.staged_.clear();
   if (inserted != 0) {
     insertions_.fetch_add(inserted, std::memory_order_relaxed);
-    if (metric_insertions_) metric_insertions_->add(inserted);
-    if (metric_entries_) metric_entries_->set(static_cast<double>(size()));
   }
-  if (evicted != 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    if (metric_evictions_) metric_evictions_->add(evicted);
-  }
+  if (evicted != 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
   return inserted;
 }
 
@@ -458,16 +445,15 @@ void LookupCache::clear() {
     shard->widths_fixed = false;  // the next first insert may re-width
   }
   entries_.store(0, std::memory_order_relaxed);
-  if (metric_entries_) metric_entries_->set(0.0);
 }
 
-void LookupCache::enable_metrics(obs::MetricsRegistry& registry,
-                                 const std::string& prefix) {
-  metric_hits_ = &registry.counter(prefix + ".hits");
-  metric_misses_ = &registry.counter(prefix + ".misses");
-  metric_insertions_ = &registry.counter(prefix + ".insertions");
-  metric_evictions_ = &registry.counter(prefix + ".evictions");
-  metric_entries_ = &registry.gauge(prefix + ".entries");
+void LookupCache::export_metrics(obs::MetricsSnapshot& out,
+                                 const std::string& prefix) const {
+  const LookupCacheStats s = stats();
+  out.add(prefix,
+          {{"hits", s.hits}, {"misses", s.misses},
+           {"insertions", s.insertions}, {"evictions", s.evictions}},
+          {{"entries", static_cast<double>(s.entries)}});
 }
 
 }  // namespace le::serve

@@ -53,8 +53,10 @@ inline __m256d tanh4(__m256d v) {
   constexpr double b2 = 2.26843463243900e-03;
   constexpr double b4 = 1.18534705686654e-04;
   constexpr double b6 = 1.19825839466702e-06;
-  v = _mm256_min_pd(_mm256_max_pd(v, _mm256_set1_pd(-kClamp)),
-                    _mm256_set1_pd(kClamp));
+  // v is the second operand of both: maxpd/minpd return it when either
+  // operand is NaN, so a NaN lane stays NaN, as std::tanh gives.
+  v = _mm256_min_pd(_mm256_set1_pd(kClamp),
+                    _mm256_max_pd(_mm256_set1_pd(-kClamp), v));
   const __m256d v2 = _mm256_mul_pd(v, v);
   __m256d p = _mm256_set1_pd(a13);
   p = _mm256_fmadd_pd(p, v2, _mm256_set1_pd(a11));

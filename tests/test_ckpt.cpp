@@ -27,11 +27,13 @@
 #include "le/ckpt/container.hpp"
 #include "le/core/adaptive_loop.hpp"
 #include "le/core/ml_control.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/runtime/fault.hpp"
 #include "le/stats/rng.hpp"
 
 #include "byte_mutator.hpp"
+#include "snapshot_lookup.hpp"
 
 namespace le {
 namespace {
@@ -519,6 +521,47 @@ TEST(Checkpointer, CorruptNewestFallsBackToPreviousGoodSnapshot) {
   EXPECT_EQ(loaded->progress, 10u);
   EXPECT_EQ(checkpointer.stats().corrupt_skipped, 2u);
   EXPECT_EQ(checkpointer.stats().restores, 1u);
+}
+
+TEST(Checkpointer, ExportsItsOwnStatsToTheGlobalRegistry) {
+  // With metrics on at construction the checkpointer attaches itself to
+  // the global registry: its counters are its stats(), its load_seconds
+  // histogram sums the very seconds stats().load_seconds adds (one clock
+  // read per load), and its counts outlive it in the registry.
+  using testing_support::counter_in;
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset();
+  ScratchDir dir("le_ckpt_metrics");
+  ckpt::CheckpointerConfig cfg;
+  cfg.directory = dir.str();
+  ckpt::CheckpointerStats last;
+  {
+    ckpt::CampaignCheckpointer checkpointer(cfg);
+    ckpt::CampaignState state = make_state();
+    for (int i = 0; i < 3; ++i) (void)checkpointer.save(state);
+    const std::string newest = checkpointer.save(state);
+    fs::resize_file(newest, fs::file_size(newest) / 2);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(checkpointer.load_latest());
+    last = checkpointer.stats();
+    ASSERT_EQ(last.saves, 4u);
+    ASSERT_EQ(last.restores, 3u);
+    ASSERT_EQ(last.corrupt_skipped, 3u);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(counter_in(snap, "ckpt.saves"), last.saves);
+    EXPECT_EQ(counter_in(snap, "ckpt.bytes_written"), last.bytes_written);
+    EXPECT_EQ(counter_in(snap, "ckpt.restores"), last.restores);
+    EXPECT_EQ(counter_in(snap, "ckpt.corrupt_skipped"), last.corrupt_skipped);
+    EXPECT_EQ(registry.histogram("ckpt.load_seconds").count(), 3u);
+    EXPECT_EQ(registry.histogram("ckpt.load_seconds").sum(), last.load_seconds);
+    EXPECT_EQ(registry.histogram("ckpt.save_seconds").sum(), last.save_seconds);
+  }
+  const obs::MetricsSnapshot after = registry.snapshot();
+  EXPECT_EQ(counter_in(after, "ckpt.saves"), last.saves);
+  EXPECT_EQ(counter_in(after, "ckpt.restores"), last.restores);
+  registry.reset();
+  obs::set_metrics_enabled(was_enabled);
 }
 
 TEST(Checkpointer, HugeLengthFieldsFallBackToPreviousSnapshot) {

@@ -30,11 +30,14 @@
 #include "le/tensor/simd.hpp"
 #include "le/uq/acquisition.hpp"
 #include "le/uq/deep_ensemble.hpp"
+#include "snapshot_lookup.hpp"
 
 namespace le::core {
 namespace {
 
 using le::stats::Rng;
+using le::testing_support::counter_in;
+using le::testing_support::gauge_in;
 
 TEST(EffectiveSpeedup, FormulaMatchesHandComputation) {
   SpeedupTimes t;
@@ -242,11 +245,12 @@ TEST(Dispatcher, EnableMetricsPublishesCountersAndGauges) {
   (void)dispatcher.query(std::vector<double>{2.0});   // simulation
   obs::set_metrics_enabled(was_enabled);
 
-  EXPECT_EQ(registry.counter("disp_test.surrogate_answers").value(), 1u);
-  EXPECT_EQ(registry.counter("disp_test.simulation_answers").value(), 1u);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "disp_test.surrogate_answers"), 1u);
+  EXPECT_EQ(counter_in(snap, "disp_test.simulation_answers"), 1u);
   EXPECT_EQ(registry.histogram("disp_test.surrogate_seconds").count(), 1u);
   EXPECT_EQ(registry.histogram("disp_test.simulation_seconds").count(), 1u);
-  EXPECT_DOUBLE_EQ(registry.gauge("disp_test.surrogate_fraction").value(), 0.5);
+  EXPECT_DOUBLE_EQ(gauge_in(snap, "disp_test.surrogate_fraction").value(), 0.5);
 }
 
 TEST(Dispatcher, ReplaceSurrogateValidatesShape) {
@@ -1380,6 +1384,41 @@ TEST(DispatcherBatch, ServedAnswersEqualTheLayeredForwardBitForBit) {
   tensor::set_gemm_kernel_override(std::nullopt);
 }
 
+TEST(DispatcherBatch, NanInputFallsBackToTheSimulationOnEveryKernel) {
+  // A 2-member 2 -> 8 -> 1 tanh ensemble asked {NaN, 0.5}: the NaN reaches
+  // the tanh, the prediction is invalid, and the row falls back to the
+  // simulation on kScalar and on kAvx2 alike (the AVX2 tanh keeps a NaN
+  // lane NaN, as std::tanh does, instead of clamping it to -9).
+  for (const auto kernel :
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+    tensor::set_gemm_kernel_override(kernel);
+    Rng rng(25);
+    std::vector<nn::Network> members;
+    for (int m = 0; m < 2; ++m) {
+      nn::MlpConfig cfg;
+      cfg.input_dim = 2;
+      cfg.hidden = {8};
+      cfg.output_dim = 1;
+      cfg.activation = nn::Activation::kTanh;
+      members.push_back(nn::make_mlp(cfg, rng));
+      members.back().set_training(false);
+    }
+    SurrogateDispatcher dispatcher(
+        std::make_shared<uq::DeepEnsemble>(std::move(members)),
+        [](std::span<const double>) { return std::vector<double>{0.0}; },
+        1e9);
+    tensor::Matrix inputs(1, 2);
+    inputs(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    inputs(0, 1) = 0.5;
+    const std::vector<Answer> answers = dispatcher.query_batch(inputs);
+    EXPECT_EQ(answers[0].source, AnswerSource::kSimulation)
+        << tensor::to_string(kernel);
+    EXPECT_EQ(dispatcher.stats().invalid_predictions, 1u)
+        << tensor::to_string(kernel);
+  }
+  tensor::set_gemm_kernel_override(std::nullopt);
+}
+
 TEST(DispatcherBatch, BatchBookingEqualsTheAnswersBookedOneByOne) {
   // Batches of 1-20 rows over a small key pool (so the cache hits), with
   // rows the gate declines (simulation) and rows already past their
@@ -1443,16 +1482,17 @@ TEST(DispatcherBatch, BatchBookingEqualsTheAnswersBookedOneByOne) {
       ASSERT_EQ(stats.mean_accepted_uncertainty,
                 uncertainty_sum / static_cast<double>(surrogate));
     }
-    ASSERT_EQ(registry.counter("book.surrogate_answers").value(), surrogate);
-    ASSERT_EQ(registry.counter("book.simulation_answers").value(), simulation);
-    ASSERT_EQ(registry.counter("book.cache_hits").value(), hits);
-    ASSERT_EQ(registry.counter("book.shed_deadline").value(), shed);
+    const obs::MetricsSnapshot metrics = registry.snapshot();
+    ASSERT_EQ(counter_in(metrics, "book.surrogate_answers"), surrogate);
+    ASSERT_EQ(counter_in(metrics, "book.simulation_answers"), simulation);
+    ASSERT_EQ(counter_in(metrics, "book.cache_hits"), hits);
+    ASSERT_EQ(counter_in(metrics, "book.shed_deadline"), shed);
     ASSERT_EQ(registry.histogram("book.surrogate_seconds").count(), surrogate);
     ASSERT_EQ(registry.histogram("book.surrogate_seconds").sum(),
               surrogate_seconds);
     ASSERT_EQ(registry.histogram("book.simulation_seconds").count(),
               simulation);
-    ASSERT_EQ(registry.gauge("book.surrogate_fraction").value(),
+    ASSERT_EQ(gauge_in(metrics, "book.surrogate_fraction"),
               stats.surrogate_fraction());
     const auto snap = meter.snapshot();
     ASSERT_EQ(snap.n_lookup, surrogate);
@@ -1465,6 +1505,95 @@ TEST(DispatcherBatch, BatchBookingEqualsTheAnswersBookedOneByOne) {
   EXPECT_GT(hits, 0u);
   EXPECT_GT(simulation, 0u);
   EXPECT_GT(shed, 0u);
+}
+
+TEST(DispatcherBatch, ExportedMetricsEqualStatsCacheAndMonitor) {
+  // One book per count: after seeded batches with cache hits, fallbacks,
+  // sheds and shadow samples, every exported dispatcher.* counter and gauge
+  // equals stats(), dispatcher.cache.* the cache's stats() and
+  // dispatcher.health.* the monitor's report.  Metrics are enabled before
+  // the cache and monitor are armed; the exporter finds them anyway.  A
+  // destroyed dispatcher keeps its counters in the registry.
+  obs::MetricsRegistry registry;
+  std::map<std::string, std::uint64_t> final_counters;
+  {
+    SurrogateDispatcher dispatcher(std::make_shared<CountingUq>(),
+                                   identity_sim(), 0.5);
+    dispatcher.enable_metrics(registry);
+    serve::LookupCacheConfig cache;
+    cache.capacity = 8;
+    dispatcher.enable_lookup_cache(cache);
+    dispatcher.enable_circuit_breaker({});
+    obs::SurrogateHealthConfig health = every_answer_shadowed();
+    health.shadow_fraction = 0.25;
+    dispatcher.enable_health_monitoring(health, health_reference(64));
+    std::mt19937 gen(9);
+    std::uniform_int_distribution<int> key_dist(0, 15);
+    std::uniform_int_distribution<int> coin(0, 9);
+    const auto past = std::chrono::steady_clock::now() - std::chrono::hours(1);
+    for (int batch = 0; batch < 30; ++batch) {
+      tensor::Matrix inputs(12, 1);
+      std::vector<serve::Deadline> deadlines(12);
+      for (std::size_t r = 0; r < 12; ++r) {
+        inputs(r, 0) = 0.04 * key_dist(gen);
+        if (coin(gen) == 0) deadlines[r] = past;
+      }
+      (void)dispatcher.query_batch(inputs, deadlines);
+    }
+    const DispatcherStats s = dispatcher.stats();
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(counter_in(snap, "dispatcher.surrogate_answers"),
+              s.surrogate_answers);
+    EXPECT_EQ(counter_in(snap, "dispatcher.simulation_answers"),
+              s.simulation_answers);
+    EXPECT_EQ(counter_in(snap, "dispatcher.invalid_predictions"),
+              s.invalid_predictions);
+    EXPECT_EQ(counter_in(snap, "dispatcher.breaker_short_circuits"),
+              s.breaker_short_circuits);
+    EXPECT_EQ(counter_in(snap, "dispatcher.cache_hits"), s.cache_hits);
+    EXPECT_EQ(counter_in(snap, "dispatcher.shadow_samples"), s.shadow_samples);
+    EXPECT_EQ(counter_in(snap, "dispatcher.shed_deadline"), s.shed_deadline);
+    EXPECT_EQ(counter_in(snap, "dispatcher.shed_overload"), s.shed_overload);
+    EXPECT_EQ(counter_in(snap, "dispatcher.degraded_answers"),
+              s.degraded_answers);
+    EXPECT_EQ(gauge_in(snap, "dispatcher.surrogate_fraction"),
+              s.surrogate_fraction());
+    EXPECT_EQ(gauge_in(snap, "dispatcher.breaker_state"),
+              static_cast<double>(dispatcher.circuit_breaker()->state()));
+    const serve::LookupCacheStats c = dispatcher.lookup_cache()->stats();
+    EXPECT_EQ(counter_in(snap, "dispatcher.cache.hits"), c.hits);
+    EXPECT_EQ(counter_in(snap, "dispatcher.cache.misses"), c.misses);
+    EXPECT_EQ(counter_in(snap, "dispatcher.cache.insertions"), c.insertions);
+    EXPECT_EQ(counter_in(snap, "dispatcher.cache.evictions"), c.evictions);
+    EXPECT_EQ(gauge_in(snap, "dispatcher.cache.entries"),
+              static_cast<double>(c.entries));
+    const obs::SurrogateHealthMonitor& monitor = *dispatcher.health_monitor();
+    const obs::HealthReport h = monitor.report();
+    EXPECT_EQ(gauge_in(snap, "dispatcher.health.state"),
+              static_cast<double>(static_cast<int>(h.state)));
+    EXPECT_EQ(gauge_in(snap, "dispatcher.health.psi_max"), h.drift.max_psi);
+    EXPECT_EQ(gauge_in(snap, "dispatcher.health.ks_max"), h.drift.max_ks);
+    EXPECT_EQ(gauge_in(snap, "dispatcher.health.residual_rmse"),
+              h.residual_rmse);
+    EXPECT_EQ(gauge_in(snap, "dispatcher.health.coverage"), h.coverage);
+    EXPECT_EQ(gauge_in(snap, "dispatcher.health.sharpness"), h.sharpness);
+    EXPECT_EQ(counter_in(snap, "dispatcher.health.shadow_samples"),
+              h.shadow_samples);
+    EXPECT_EQ(counter_in(snap, "dispatcher.health.transitions"),
+              monitor.transitions().size());
+    EXPECT_GT(s.cache_hits, 0u);
+    EXPECT_GT(s.simulation_answers, 0u);
+    EXPECT_GT(s.shed_deadline, 0u);
+    EXPECT_GT(s.shadow_samples, 0u);
+    for (const auto& counter : snap.counters) {
+      final_counters[counter.name] = counter.value;
+    }
+  }
+  const obs::MetricsSnapshot after = registry.snapshot();
+  for (const auto& [name, value] : final_counters) {
+    EXPECT_EQ(counter_in(after, name), value) << name;
+  }
+  EXPECT_TRUE(after.gauges.empty());
 }
 
 }  // namespace

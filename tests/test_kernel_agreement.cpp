@@ -11,10 +11,12 @@
 // other test here also holds with SIMD pinned off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -147,6 +149,69 @@ TEST(KernelAgreement, ServedShapeAgreesAtBatch64OnEveryKernel) {
   }
   if (per_kernel.size() == 2) {
     EXPECT_LT(max_abs(per_kernel[0], per_kernel[1]), 1e-5);
+  }
+}
+
+TEST(KernelAgreement, NanLanesStayNanOnEveryKernel) {
+  // A NaN pre-activation must leave tanh as NaN on every kernel, as
+  // std::tanh does: through vtanh (whole vectors and the masked tail), the
+  // fused dense epilogue and a network forward.  Finite lanes beside it
+  // keep the tolerance contract, and a NaN input row poisons only its own
+  // outputs.
+  KernelOverrideGuard guard;
+  std::vector<tensor::GemmKernel> kernels{tensor::GemmKernel::kScalar};
+  if (tensor::cpu_has_avx2_fma()) {
+    kernels.push_back(tensor::GemmKernel::kAvx2);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x{nan,  0.5,  -0.0, nan, 1e-310, -inf,
+                              inf,  -3.0, 12.0, nan, 0.0,    nan};
+  Network net = serialized_example(Activation::kTanh, 171);
+  tensor::Matrix inputs = example_inputs(9, 5, 172);
+  inputs(2, 0) = nan;
+  inputs(7, 4) = nan;
+  std::vector<tensor::Matrix> per_kernel;
+  for (const tensor::GemmKernel kernel : kernels) {
+    tensor::set_gemm_kernel_override(kernel);
+    std::vector<double> y(x.size());
+    tensor::vtanh(x, y);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (std::isnan(x[i])) {
+        EXPECT_TRUE(std::isnan(y[i])) << tensor::to_string(kernel) << " " << i;
+      } else {
+        EXPECT_NEAR(y[i], std::tanh(x[i]), 1e-7)
+            << tensor::to_string(kernel) << " " << i;
+      }
+    }
+    // The fused epilogue: row r of a 1-column identity layer is x[r].
+    tensor::Matrix a(x.size(), 1);
+    std::copy(x.begin(), x.end(), a.data());
+    tensor::Matrix w(1, 1);
+    w(0, 0) = 1.0;
+    tensor::Matrix fused(x.size(), 1);
+    const std::vector<double> bias{0.0};
+    tensor::dense(a, w, bias, fused, tensor::DenseActivation::kTanh);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(std::isnan(fused(i, 0)), std::isnan(x[i]))
+          << tensor::to_string(kernel) << " " << i;
+    }
+    per_kernel.push_back(net.predict_batch(inputs));
+    const tensor::Matrix& out = per_kernel.back();
+    for (std::size_t r = 0; r < out.rows(); ++r) {
+      for (std::size_t c = 0; c < out.cols(); ++c) {
+        EXPECT_EQ(std::isnan(out(r, c)), r == 2 || r == 7)
+            << tensor::to_string(kernel) << " row " << r;
+      }
+    }
+  }
+  if (per_kernel.size() == 2) {
+    for (std::size_t r = 0; r < inputs.rows(); ++r) {
+      for (std::size_t c = 0; c < per_kernel[0].cols(); ++c) {
+        if (r == 2 || r == 7) continue;
+        EXPECT_NEAR(per_kernel[0](r, c), per_kernel[1](r, c), 1e-5);
+      }
+    }
   }
 }
 

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "byte_mutator.hpp"
+#include "snapshot_lookup.hpp"
 #include "le/ckpt/container.hpp"
 #include "le/net/shard_router.hpp"
 #include "le/net/sharded_service.hpp"
@@ -39,6 +40,7 @@
 #include "le/net/wire.hpp"
 #include "le/obs/flight_recorder.hpp"
 #include "le/obs/metrics.hpp"
+#include "le/obs/slo.hpp"
 #include "le/obs/timer.hpp"
 #include "le/obs/trace_export.hpp"
 #include "le/serve/lookup_cache.hpp"
@@ -1386,6 +1388,35 @@ TEST(ShardedService, FleetMetricsMergesShardSnapshots) {
   const obs::MetricsSnapshot fleet = service.fleet_metrics();
   const std::string prom = obs::to_prometheus(fleet);
   EXPECT_TRUE(prom.empty() || prom.find("# TYPE") != std::string::npos);
+  service.stop();
+}
+
+TEST(ShardedService, ForkedWorkerExportsNoneOfTheRoutersComponentCounts) {
+  LE_SKIP_UNDER_TSAN();
+  // A component attached to the router's global registry before the
+  // workers fork is copied into every worker with the registry; the
+  // worker's fresh slate drops the inherited source, so its telemetry
+  // carries none of the router's counts.
+  using testing_support::counter_in;
+  using testing_support::gauge_in;
+  obs::SloTracker tracker(obs::SloConfig{});
+  tracker.enable_metrics(obs::MetricsRegistry::global(), "router_slo");
+  for (int i = 0; i < 5; ++i) tracker.record(false);
+  auto config = make_config(1);
+  config.telemetry_every = 1;
+  net::ShardedService service(std::move(config), scale_factory(1.0));
+  service.start();
+  tensor::Matrix inputs(3, 2);
+  for (std::size_t r = 0; r < inputs.rows(); ++r) inputs(r, 0) = 1.0 + r;
+  (void)service.query_batch(inputs);
+  ASSERT_EQ(service.poll_telemetry(), 1U);
+  const net::TelemetryFrame frame = service.shard_telemetry(0);
+  EXPECT_EQ(frame.meter.n_lookup, 3U);
+  EXPECT_FALSE(counter_in(frame.metrics, "router_slo.bad_events"));
+  EXPECT_FALSE(gauge_in(frame.metrics, "router_slo.firing"));
+  EXPECT_EQ(counter_in(obs::MetricsRegistry::global().snapshot(),
+                       "router_slo.bad_events"),
+            5U);
   service.stop();
 }
 

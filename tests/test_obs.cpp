@@ -34,10 +34,13 @@
 #include "le/tensor/matrix.hpp"
 
 #include "byte_mutator.hpp"
+#include "snapshot_lookup.hpp"
 
 namespace {
 
 using namespace le;
+using le::testing_support::counter_in;
+using le::testing_support::gauge_in;
 
 /// Flips the global metrics flag for one test and restores it after.
 class MetricsOn {
@@ -934,6 +937,135 @@ TEST(HealthMonitor, PublishesGaugesWhenMetricsEnabled) {
   EXPECT_TRUE(found_shadow_counter);
 }
 
+TEST(HealthMonitor, ExportedMetricsEqualTheReportTheyRead) {
+  obs::MetricsRegistry registry;
+  obs::SurrogateHealthMonitor monitor(tight_health_config(),
+                                      uniform_column(256, 0.0, 1.0, 5));
+  monitor.enable_metrics(registry, "h");
+  feed_shadows(monitor, 12, 0.05);
+  UnitStream stream(31);
+  for (std::size_t i = 0; i < 96; ++i) {
+    const double v = 2.0 + stream.next();
+    monitor.observe_query(std::span<const double>(&v, 1));
+  }
+  const obs::HealthReport r = monitor.report();
+  obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(gauge_in(snap, "h.state"),
+            static_cast<double>(static_cast<int>(r.state)));
+  EXPECT_EQ(gauge_in(snap, "h.psi_max"), r.drift.max_psi);
+  EXPECT_EQ(gauge_in(snap, "h.ks_max"), r.drift.max_ks);
+  EXPECT_EQ(gauge_in(snap, "h.residual_rmse"), r.residual_rmse);
+  EXPECT_EQ(gauge_in(snap, "h.coverage"), r.coverage);
+  EXPECT_EQ(gauge_in(snap, "h.sharpness"), r.sharpness);
+  EXPECT_EQ(counter_in(snap, "h.shadow_samples"), r.shadow_samples);
+  EXPECT_EQ(counter_in(snap, "h.transitions"), monitor.transitions().size());
+  EXPECT_GT(r.drift.max_psi, 0.0);
+  // A retrain restarts the report's shadow count; the exported counter is
+  // lifetime and never goes down.
+  monitor.on_retrained(uniform_column(256, 0.0, 1.0, 6));
+  feed_shadows(monitor, 3, 0.05);
+  EXPECT_EQ(monitor.report().shadow_samples, 3u);
+  snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "h.shadow_samples"), 15u);
+  EXPECT_EQ(counter_in(snap, "h.transitions"), monitor.transitions().size());
+}
+
+// ---------------------------------------------------------------------------
+// MetricsRegistry::attach: components export their own books
+
+/// An exporter over counts a test owns.
+obs::MetricsExporter counts_exporter(const std::uint64_t& counter,
+                                     const double& gauge) {
+  return [&counter, &gauge](obs::MetricsSnapshot& out) {
+    out.add("c", {{"n", counter}}, {{"g", gauge}});
+  };
+}
+
+TEST(MetricsSource, SnapshotMergesLiveExportersInAttachOrder) {
+  obs::MetricsRegistry registry;
+  registry.counter("c.n").add(1);  // the registry's own metric adds too
+  std::uint64_t a_n = 3, b_n = 4;
+  double a_g = 1.5, b_g = 2.5;
+  const obs::MetricsSource a = registry.attach(counts_exporter(a_n, a_g));
+  const obs::MetricsSource b = registry.attach(counts_exporter(b_n, b_g));
+  obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "c.n"), 8u);
+  EXPECT_EQ(gauge_in(snap, "c.g"), 2.5);  // the later attach wins
+  a_n = 10;  // a snapshot reads the book as it is now
+  b_g = 7.0;
+  snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "c.n"), 15u);
+  EXPECT_EQ(gauge_in(snap, "c.g"), 7.0);
+  ASSERT_EQ(snap.counters.size(), 1u);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+}
+
+TEST(MetricsSource, DetachKeepsCountersAndDropsGauges) {
+  obs::MetricsRegistry registry;
+  std::uint64_t a_n = 5, b_n = 2;
+  double a_g = 1.0, b_g = 9.0;
+  obs::MetricsSource b = registry.attach(counts_exporter(b_n, b_g));
+  {
+    const obs::MetricsSource a = registry.attach(counts_exporter(a_n, a_g));
+    EXPECT_EQ(counter_in(registry.snapshot(), "c.n"), 7u);
+  }
+  obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "c.n"), 7u);  // a's 5 retained
+  EXPECT_EQ(gauge_in(snap, "c.g"), 9.0);   // only b's gauge is live
+  b.reset();
+  snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "c.n"), 7u);
+  EXPECT_FALSE(gauge_in(snap, "c.g").has_value());
+}
+
+TEST(MetricsSource, ResetDropsSourcesAndOutlivingTheRegistryIsSafe) {
+  std::uint64_t n = 6;
+  double g = 1.0;
+  obs::MetricsSource kept;
+  {
+    obs::MetricsRegistry registry;
+    obs::MetricsSource dropped = registry.attach(counts_exporter(n, g));
+    registry.reset();  // a forked worker's fresh slate
+    EXPECT_FALSE(counter_in(registry.snapshot(), "c.n").has_value());
+    dropped.reset();  // detaching a dropped source adds nothing back
+    EXPECT_FALSE(counter_in(registry.snapshot(), "c.n").has_value());
+    kept = registry.attach(counts_exporter(n, g));
+    EXPECT_EQ(counter_in(registry.snapshot(), "c.n"), 6u);
+  }
+  kept.reset();  // the registry is gone: detaching is a no-op
+  EXPECT_EQ(kept, nullptr);
+}
+
+TEST(MetricsSource, SnapshotsRaceAttachDetachAndLiveBooks) {
+  obs::MetricsRegistry registry;
+  std::atomic<std::uint64_t> book{0};
+  const obs::MetricsSource source =
+      registry.attach([&book](obs::MetricsSnapshot& out) {
+        out.add("race", {{"n", book.load()}});
+      });
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 2000; ++i) {
+      book.fetch_add(1);
+      std::uint64_t n = 1;
+      double g = 0.0;
+      const obs::MetricsSource churn = registry.attach(counts_exporter(n, g));
+    }
+    stop.store(true);
+  });
+  std::uint64_t last = 0;
+  while (!stop.load()) {
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    const std::uint64_t n = counter_in(snap, "race.n").value_or(0);
+    EXPECT_GE(n, last);  // counters are monotone across snapshots
+    last = n;
+  }
+  writer.join();
+  const obs::MetricsSnapshot final_snap = registry.snapshot();
+  EXPECT_EQ(counter_in(final_snap, "race.n"), 2000u);
+  EXPECT_EQ(counter_in(final_snap, "c.n"), 2000u);  // every churn retained
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent registry export
 
@@ -1204,7 +1336,7 @@ TEST(SloTracker, NoAlertBeforeTheFastWindowFills) {
   // 7 straight failures: catastrophic burn, but the fast window has not
   // seen a full window's worth of evidence yet — no page on a cold start.
   for (int i = 0; i < 7; ++i) tracker.record(false);
-  EXPECT_FALSE(tracker.firing());
+  EXPECT_FALSE(tracker.stats().firing);
   EXPECT_EQ(tracker.stats().alerts_fired, 0U);
 }
 
@@ -1213,15 +1345,15 @@ TEST(SloTracker, FiresOnSustainedBurnThenResolvesOnRecovery) {
   // All-bad traffic: bad_fraction 1.0 over a 10% budget = burn rate 10,
   // above both thresholds once the fast window is full.
   for (int i = 0; i < 8; ++i) tracker.record(false);
-  EXPECT_TRUE(tracker.firing());
-  EXPECT_DOUBLE_EQ(tracker.fast_burn_rate(), 10.0);
+  EXPECT_TRUE(tracker.stats().firing);
+  EXPECT_DOUBLE_EQ(tracker.stats().fast_burn_rate, 10.0);
   EXPECT_EQ(tracker.stats().alerts_fired, 1U);
 
   // Sustained good traffic drains both windows below resolve_burn.
   for (int i = 0; i < 40; ++i) tracker.record(true);
-  EXPECT_FALSE(tracker.firing());
+  EXPECT_FALSE(tracker.stats().firing);
   EXPECT_EQ(tracker.stats().alerts_resolved, 1U);
-  EXPECT_DOUBLE_EQ(tracker.fast_burn_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(tracker.stats().fast_burn_rate, 0.0);
 }
 
 TEST(SloTracker, SingleBlipDoesNotPage) {
@@ -1229,7 +1361,7 @@ TEST(SloTracker, SingleBlipDoesNotPage) {
   // One failure in otherwise healthy traffic: fast burn 1/8 / 0.1 = 1.25,
   // far below the page threshold.
   for (int i = 0; i < 32; ++i) tracker.record(i != 10);
-  EXPECT_FALSE(tracker.firing());
+  EXPECT_FALSE(tracker.stats().firing);
   EXPECT_EQ(tracker.stats().alerts_fired, 0U);
   EXPECT_EQ(tracker.stats().bad_events, 1U);
 }
@@ -1270,6 +1402,23 @@ TEST(SloTracker, PublishesMetricsWhenEnabled) {
     if (c.name == "slo.deadline.alerts_fired") fired = c.value;
   }
   EXPECT_EQ(fired, 1U);
+}
+
+TEST(SloTracker, ExportedMetricsEqualTheStatsTheyRead) {
+  obs::MetricsRegistry registry;
+  obs::SloTracker tracker(small_slo());
+  tracker.enable_metrics(registry, "slo.t");
+  UnitStream stream(41);
+  for (int i = 0; i < 400; ++i) tracker.record(stream.next() > 0.3);
+  const obs::SloStats s = tracker.stats();
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "slo.t.bad_events"), s.bad_events);
+  EXPECT_EQ(counter_in(snap, "slo.t.alerts_fired"), s.alerts_fired);
+  EXPECT_EQ(counter_in(snap, "slo.t.alerts_resolved"), s.alerts_resolved);
+  EXPECT_EQ(gauge_in(snap, "slo.t.burn_fast"), s.fast_burn_rate);
+  EXPECT_EQ(gauge_in(snap, "slo.t.burn_slow"), s.slow_burn_rate);
+  EXPECT_EQ(gauge_in(snap, "slo.t.firing"), s.firing ? 1.0 : 0.0);
+  EXPECT_GT(s.bad_events, 0u);
 }
 
 // ---------------------------------------------------------------------------

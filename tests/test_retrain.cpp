@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "le/runtime/fault.hpp"
 #include "le/stats/rng.hpp"
 #include "le/uq/uq_model.hpp"
+#include "snapshot_lookup.hpp"
 
 namespace le {
 namespace {
@@ -519,6 +521,131 @@ TEST(RetrainRace, HotSwapAndTakeRaceAServingThread) {
   const core::DispatcherStats& stats = dispatcher.stats();
   EXPECT_EQ(banked_total, stats.simulation_answers);
   EXPECT_GT(stats.total(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One book per count: the registry reads the service's and dispatcher's
+// own stats
+
+TEST(RetrainMetrics, ExportedMetricsEqualTheStatsTheyRead) {
+  using testing_support::counter_in;
+  using testing_support::gauge_in;
+  auto incumbent = make_incumbent();
+  core::SurrogateDispatcher dispatcher(incumbent, simulation, 1e9);
+  dispatcher.enable_circuit_breaker({});
+  stats::Rng corpus_rng(7);
+  dispatcher.enable_health_monitoring(
+      health_config(), make_corpus(corpus_rng, 96, 0.0, 1.0).input_matrix());
+  obs::MetricsRegistry registry;
+  dispatcher.enable_metrics(registry);
+  retrain::RetrainingService service(dispatcher, service_config());
+  service.enable_metrics(registry);
+
+  stats::Rng rng(11);
+  trip_monitor(dispatcher, rng);
+  ASSERT_TRUE(drive_to_promotion(dispatcher, service, rng, 4000));
+
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const retrain::RetrainingStats r = service.stats();
+  EXPECT_EQ(counter_in(snap, "retrain.requests"), r.retrain_requests_seen);
+  EXPECT_EQ(counter_in(snap, "retrain.train_attempts"), r.train_attempts);
+  EXPECT_EQ(counter_in(snap, "retrain.train_failures"), r.train_failures);
+  EXPECT_EQ(counter_in(snap, "retrain.candidates_rejected"),
+            r.candidates_rejected);
+  EXPECT_EQ(counter_in(snap, "retrain.promotions"), r.promotions);
+  EXPECT_EQ(counter_in(snap, "retrain.rollbacks"), r.rollbacks);
+  EXPECT_EQ(gauge_in(snap, "retrain.state"),
+            static_cast<double>(service.state()));
+  EXPECT_EQ(gauge_in(snap, "retrain.last_eval_rmse"), r.last_eval_rmse);
+  EXPECT_EQ(gauge_in(snap, "retrain.last_eval_coverage"),
+            r.last_eval_coverage);
+  EXPECT_EQ(registry.histogram("retrain.train_seconds").count(),
+            r.train_attempts);
+  EXPECT_EQ(registry.histogram("retrain.train_seconds").sum(),
+            r.train_seconds);
+
+  const core::DispatcherStats d = dispatcher.stats();
+  EXPECT_EQ(counter_in(snap, "dispatcher.surrogate_answers"),
+            d.surrogate_answers);
+  EXPECT_EQ(counter_in(snap, "dispatcher.simulation_answers"),
+            d.simulation_answers);
+  EXPECT_EQ(counter_in(snap, "dispatcher.breaker_short_circuits"),
+            d.breaker_short_circuits);
+  EXPECT_EQ(counter_in(snap, "dispatcher.shadow_samples"), d.shadow_samples);
+  EXPECT_EQ(gauge_in(snap, "dispatcher.breaker_state"),
+            static_cast<double>(dispatcher.circuit_breaker()->state()));
+  // The promotion rebased the monitor, restarting its report's shadow
+  // count; the exported counter is lifetime, one per dispatcher shadow run.
+  const obs::SurrogateHealthMonitor& monitor = *dispatcher.health_monitor();
+  EXPECT_EQ(counter_in(snap, "dispatcher.health.shadow_samples"),
+            d.shadow_samples);
+  EXPECT_LT(monitor.report().shadow_samples, d.shadow_samples);
+  EXPECT_EQ(counter_in(snap, "dispatcher.health.transitions"),
+            monitor.transitions().size());
+  EXPECT_EQ(gauge_in(snap, "dispatcher.health.state"),
+            static_cast<double>(static_cast<int>(monitor.state())));
+}
+
+TEST(RetrainRace, ScrapeWhileADispatcherAnswersBatches) {
+  // A serving thread answers 16-row batches (cache hits, forwards, shadow
+  // samples, then drifted rows that trip the monitor and the breaker into
+  // fallbacks) while this thread snapshots the registry in a loop: the
+  // dispatcher's exporter reads its books race-free (proved by the _tsan
+  // build) and no counter ever goes down.
+  using testing_support::counter_in;
+  auto model = std::make_shared<StubModel>(
+      2, 2,
+      [](std::span<const double> p) {
+        return std::vector<double>{p[0], p[1]};
+      },
+      /*stddev=*/0.05);
+  core::SurrogateDispatcher dispatcher(model, simulation, /*threshold=*/0.11);
+  dispatcher.enable_circuit_breaker({});
+  serve::LookupCacheConfig cache;
+  cache.capacity = 64;
+  cache.resolution = 0.1;
+  dispatcher.enable_lookup_cache(cache);
+  stats::Rng corpus_rng(7);
+  dispatcher.enable_health_monitoring(
+      health_config(), make_corpus(corpus_rng, 96, 0.0, 1.0).input_matrix());
+  obs::MetricsRegistry registry;
+  dispatcher.enable_metrics(registry);
+
+  constexpr int kBatches = 200;
+  std::atomic<bool> serving_done{false};
+  std::thread server([&] {
+    stats::Rng rng(31);
+    tensor::Matrix batch(16, 2);
+    for (int b = 0; b < kBatches; ++b) {
+      const double lo = b < kBatches / 2 ? 0.0 : 2.0;
+      for (double& v : batch.flat()) v = rng.uniform(lo, lo + 1.0);
+      (void)dispatcher.query_batch(batch);
+    }
+    serving_done.store(true);
+  });
+  std::map<std::string, std::uint64_t> last;
+  std::size_t scrapes = 0;
+  while (!serving_done.load(std::memory_order_relaxed)) {
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    for (const auto& c : snap.counters) {
+      EXPECT_GE(c.value, last[c.name]) << c.name;
+      last[c.name] = c.value;
+    }
+    ++scrapes;
+  }
+  server.join();
+  const core::DispatcherStats s = dispatcher.stats();
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(s.total(), static_cast<std::size_t>(kBatches) * 16u);
+  EXPECT_EQ(counter_in(snap, "dispatcher.surrogate_answers"),
+            s.surrogate_answers);
+  EXPECT_EQ(counter_in(snap, "dispatcher.simulation_answers"),
+            s.simulation_answers);
+  EXPECT_EQ(counter_in(snap, "dispatcher.cache.hits"),
+            dispatcher.lookup_cache()->stats().hits);
+  EXPECT_GT(s.cache_hits, 0u);
+  EXPECT_GT(s.simulation_answers, 0u);
+  EXPECT_GT(scrapes, 0u);
 }
 
 // ---------------------------------------------------------------------------

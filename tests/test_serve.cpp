@@ -15,6 +15,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <new>
 #include <optional>
 #include <random>
@@ -32,6 +33,7 @@
 #include "le/serve/lookup_cache.hpp"
 #include "le/serve/overload.hpp"
 #include "le/tensor/matrix.hpp"
+#include "snapshot_lookup.hpp"
 
 // Global allocation counter for the cache's zero-allocation test: the
 // replaced operator new counts calls only while g_count_allocations is set.
@@ -78,6 +80,8 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace {
 
 using le::serve::BatchForwardFn;
+using le::testing_support::counter_in;
+using le::testing_support::gauge_in;
 using le::serve::BatchQueue;
 using le::serve::BatchQueueConfig;
 using le::serve::BatchQueueStats;
@@ -231,10 +235,11 @@ TEST(LookupCache, MetricsMirrorStats) {
   (void)cache.find(std::vector<double>{1.0});
   (void)cache.find(std::vector<double>{2.0});
 
-  EXPECT_EQ(registry.counter("test.cache.hits").value(), 1u);
-  EXPECT_EQ(registry.counter("test.cache.misses").value(), 1u);
-  EXPECT_EQ(registry.counter("test.cache.insertions").value(), 1u);
-  EXPECT_DOUBLE_EQ(registry.gauge("test.cache.entries").value(), 1.0);
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "test.cache.hits"), 1u);
+  EXPECT_EQ(counter_in(snap, "test.cache.misses"), 1u);
+  EXPECT_EQ(counter_in(snap, "test.cache.insertions"), 1u);
+  EXPECT_DOUBLE_EQ(gauge_in(snap, "test.cache.entries").value(), 1.0);
 }
 
 TEST(LookupCache, StripedShardsSurviveConcurrentMixedTraffic) {
@@ -551,13 +556,12 @@ void batch_model_check(std::size_t capacity, std::size_t shards,
   const auto stats = cache.stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(registry.counter("batch.cache.hits").value(), stats.hits);
-  EXPECT_EQ(registry.counter("batch.cache.misses").value(), stats.misses);
-  EXPECT_EQ(registry.counter("batch.cache.insertions").value(),
-            stats.insertions);
-  EXPECT_EQ(registry.counter("batch.cache.evictions").value(),
-            stats.evictions);
-  EXPECT_EQ(registry.gauge("batch.cache.entries").value(),
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "batch.cache.hits"), stats.hits);
+  EXPECT_EQ(counter_in(snap, "batch.cache.misses"), stats.misses);
+  EXPECT_EQ(counter_in(snap, "batch.cache.insertions"), stats.insertions);
+  EXPECT_EQ(counter_in(snap, "batch.cache.evictions"), stats.evictions);
+  EXPECT_EQ(gauge_in(snap, "batch.cache.entries"),
             static_cast<double>(stats.entries));
 }
 
@@ -930,8 +934,9 @@ TEST(BatchQueue, MetricsCountQueriesAndBatches) {
   for (int i = 0; i < 4; ++i) {
     (void)queue.query(std::vector<double>{1.0});
   }
-  EXPECT_EQ(registry.counter("test.bq.queries").value(), 4u);
-  EXPECT_GE(registry.counter("test.bq.batches").value(), 1u);
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "test.bq.queries"), 4u);
+  EXPECT_GE(counter_in(snap, "test.bq.batches"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1155,7 +1160,7 @@ TEST(AdmissionController, SojournSheddingNeedsAFullIntervalAboveTarget) {
   // a standing queue — still admitting.
   admission.record_sojourn(0.010, t0);
   admission.record_sojourn(0.010, t0 + std::chrono::milliseconds(50));
-  EXPECT_FALSE(admission.shedding());
+  EXPECT_FALSE(admission.stats().shedding);
   EXPECT_EQ(admission.try_admit(0, t0 + std::chrono::milliseconds(60)),
             ShedReason::kNone);
 }
@@ -1170,7 +1175,7 @@ TEST(AdmissionController, StandingSojournEngagesSheddingWithProbes) {
 
   admission.record_sojourn(0.010, t0);
   admission.record_sojourn(0.010, t0 + std::chrono::milliseconds(100));
-  EXPECT_TRUE(admission.shedding());
+  EXPECT_TRUE(admission.stats().shedding);
 
   // The first arrival while shedding is the immediate probe (measurement
   // never stops); the next one inside the probe spacing is shed.
@@ -1198,11 +1203,11 @@ TEST(AdmissionController, OneGoodSojournEndsTheEpisode) {
 
   admission.record_sojourn(0.010, t0);
   admission.record_sojourn(0.010, t0 + std::chrono::milliseconds(100));
-  ASSERT_TRUE(admission.shedding());
+  ASSERT_TRUE(admission.stats().shedding);
 
   // The queue drained: one below-target sojourn exits shedding immediately.
   admission.record_sojourn(0.001, t0 + std::chrono::milliseconds(150));
-  EXPECT_FALSE(admission.shedding());
+  EXPECT_FALSE(admission.stats().shedding);
   EXPECT_EQ(admission.try_admit(0, t0 + std::chrono::milliseconds(151)),
             ShedReason::kNone);
 }
@@ -1213,9 +1218,10 @@ TEST(AdmissionController, MetricsMirrorStats) {
   admission.enable_metrics(registry, "test.adm");
   EXPECT_EQ(admission.try_admit(0), ShedReason::kNone);
   EXPECT_EQ(admission.try_admit(1), ShedReason::kQueueFull);
-  EXPECT_EQ(registry.counter("test.adm.admitted").value(), 1u);
-  EXPECT_EQ(registry.counter("test.adm.shed_queue_full").value(), 1u);
-  EXPECT_DOUBLE_EQ(registry.gauge("test.adm.in_flight").value(), 1.0);
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "test.adm.admitted"), 1u);
+  EXPECT_EQ(counter_in(snap, "test.adm.shed_queue_full"), 1u);
+  EXPECT_DOUBLE_EQ(gauge_in(snap, "test.adm.in_flight").value(), 1.0);
 }
 
 TEST(AdmissionController, ConstructorRejectsZeroIntervalWithSojournGate) {
@@ -1255,8 +1261,9 @@ TEST(DegradationLadder, EngagesTheLevelTheQuantileCrosses) {
   feed_window(ladder, 1.5e-3);  // above engage[0], below engage[1]
   EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
   EXPECT_EQ(ladder.stats().engages, 1u);
-  EXPECT_DOUBLE_EQ(registry.gauge("test.ladder.level").value(), 1.0);
-  EXPECT_EQ(registry.counter("test.ladder.engages").value(), 1u);
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_DOUBLE_EQ(gauge_in(snap, "test.ladder.level").value(), 1.0);
+  EXPECT_EQ(counter_in(snap, "test.ladder.engages"), 1u);
 }
 
 TEST(DegradationLadder, SevereSpikeJumpsStraightToShedAll) {
@@ -1343,7 +1350,7 @@ TEST(DegradationLadder, SloAlertCallbackDrivesTheLadder) {
     if (alert.firing) ladder.engage_at_least(ServiceLevel::kDegraded);
   });
   for (int i = 0; i < 4; ++i) tracker.record(false);  // burn the budget
-  EXPECT_TRUE(tracker.firing());
+  EXPECT_TRUE(tracker.stats().firing);
   EXPECT_EQ(ladder.level(), ServiceLevel::kDegraded);
 }
 
@@ -1567,8 +1574,9 @@ TEST(BatchQueueOverload, RequestsExpiringWhileQueuedAreShedPreForward) {
   EXPECT_EQ(stats.expired, 4u);
   EXPECT_EQ(stats.queries, 1u);  // only the head row was ever forwarded
   EXPECT_EQ(stats.dead_request_forwards, 0u);
-  EXPECT_EQ(registry.counter("test.bq.expired").value(), 4u);
-  EXPECT_EQ(registry.counter("test.bq.dead_request_forwards").value(), 0u);
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "test.bq.expired"), 4u);
+  EXPECT_EQ(counter_in(snap, "test.bq.dead_request_forwards"), 0u);
 }
 
 TEST(BatchQueueOverload, AdmissionDepthBoundShedsAtSubmit) {
@@ -1604,7 +1612,7 @@ TEST(BatchQueueOverload, AdmissionDepthBoundShedsAtSubmit) {
   EXPECT_DOUBLE_EQ(q1.get()[0], 4.0);
   EXPECT_DOUBLE_EQ(q2.get()[0], 6.0);
   EXPECT_EQ(queue.stats().shed, 1u);
-  EXPECT_EQ(registry.counter("test.bq.shed").value(), 1u);
+  EXPECT_EQ(counter_in(registry.snapshot(), "test.bq.shed"), 1u);
 }
 
 TEST(BatchQueueOverload, ShedAwareForwardFailsMarkedRowsOnly) {
@@ -1777,6 +1785,195 @@ TEST(BatchQueueOverload, ConcurrentExpiringSubmittersVsStopAllResolve) {
     // crosser.  The invariant is pinned where deadlines have real margin
     // (the deterministic tests above and bench_overload's E17 gate).
   }
+}
+
+// ---------------------------------------------------------------------------
+// One book per count: the registry reads each component's own stats()
+// ---------------------------------------------------------------------------
+
+/// A forward that answers through `cache`: hits replay the cached value,
+/// misses are doubled and inserted.  Runs on the queue's serving thread.
+BatchForwardFn cached_doubling(LookupCache& cache, LookupCache::Batch& probe) {
+  return [&cache, &probe](const le::tensor::Matrix& in) {
+    std::vector<std::size_t> rows(in.rows());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    const std::uint64_t epoch = cache.epoch();
+    cache.find_batch({in.data(), in.size()}, in.cols(), rows, probe);
+    le::tensor::Matrix out = doubling_forward(in);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (probe.hit(i)) {
+        out(i, 0) = probe.values(i)[0];
+      } else {
+        probe.stage(i, out.row(i), 0.0);
+      }
+    }
+    (void)cache.insert_batch(probe, epoch);
+    return out;
+  };
+}
+
+/// Submits `n` seeded keys from [0, keys) in bursts of `burst` submits,
+/// waiting for each burst's admitted requests before the next, so the
+/// queue drains between bursts however slowly it is served; every 9th
+/// carries an already-expired deadline.  Sheds at submit and in flight are
+/// swallowed: only the books are under test.
+void drive_queue(BatchQueue& queue, int n, int burst, int keys,
+                 unsigned seed) {
+  std::mt19937 gen(seed);
+  const auto past = std::chrono::steady_clock::now() - std::chrono::hours(1);
+  std::vector<std::future<std::vector<double>>> pending;
+  for (int i = 0; i < n; ++i) {
+    const double key = static_cast<double>(gen() % static_cast<unsigned>(keys));
+    try {
+      pending.push_back(queue.submit(
+          std::vector<double>{key},
+          i % 9 == 0 ? le::serve::Deadline{past} : le::serve::Deadline{}));
+    } catch (const ShedError&) {
+    }
+    if ((i + 1) % burst == 0 || i + 1 == n) {
+      for (auto& f : pending) {
+        try {
+          (void)f.get();
+        } catch (const ShedError&) {
+        }
+      }
+      pending.clear();
+    }
+  }
+}
+
+TEST(OneBook, ServeComponentsExportExactlyTheirStats) {
+  le::obs::MetricsRegistry registry;
+  auto admission = std::make_shared<AdmissionController>(depth_only(3));
+  auto ladder = std::make_shared<DegradationLadder>(tiny_ladder());
+  LookupCache cache(small_cache(16, 2, 1e-9));
+  LookupCache::Batch probe;
+  BatchQueueConfig config;
+  config.max_batch = 4;
+  config.input_dim = 1;
+  BatchQueue queue(cached_doubling(cache, probe), config);
+  queue.set_admission(admission);
+  queue.set_degradation(ladder);
+  queue.enable_metrics(registry, "bq");
+  admission->enable_metrics(registry, "adm");
+  ladder->enable_metrics(registry, "lad");
+  cache.enable_metrics(registry, "cache");
+  drive_queue(queue, 300, 6, 40, 3);
+  // Engage, then calm windows release.  The queue's waits may have left
+  // half a window, so one more calm pair than the two the dwell needs.
+  feed_window(*ladder, 1.5e-3);
+  for (int i = 0; i < 3; ++i) feed_window(*ladder, 1e-4);
+  queue.stop();
+
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  const BatchQueueStats q = queue.stats();
+  EXPECT_EQ(counter_in(snap, "bq.queries"), q.queries);
+  EXPECT_EQ(counter_in(snap, "bq.batches"), q.batches);
+  EXPECT_EQ(counter_in(snap, "bq.expired"), q.expired);
+  EXPECT_EQ(counter_in(snap, "bq.shed"), q.shed);
+  EXPECT_EQ(counter_in(snap, "bq.dead_request_forwards"),
+            q.dead_request_forwards);
+  EXPECT_EQ(gauge_in(snap, "bq.batch_fill"),
+            static_cast<double>(q.last_batch));
+  const le::serve::AdmissionStats a = admission->stats();
+  EXPECT_EQ(counter_in(snap, "adm.admitted"), a.admitted);
+  EXPECT_EQ(counter_in(snap, "adm.shed_queue_full"), a.shed_queue_full);
+  EXPECT_EQ(counter_in(snap, "adm.shed_concurrency"), a.shed_concurrency);
+  EXPECT_EQ(counter_in(snap, "adm.shed_overload"), a.shed_overload);
+  EXPECT_EQ(gauge_in(snap, "adm.in_flight"), static_cast<double>(a.in_flight));
+  EXPECT_EQ(gauge_in(snap, "adm.shedding"), a.shedding ? 1.0 : 0.0);
+  const le::serve::DegradationStats l = ladder->stats();
+  EXPECT_EQ(counter_in(snap, "lad.engages"), l.engages);
+  EXPECT_EQ(counter_in(snap, "lad.releases"), l.releases);
+  EXPECT_EQ(gauge_in(snap, "lad.level"), static_cast<double>(l.level));
+  EXPECT_EQ(gauge_in(snap, "lad.pressure_quantile"), l.last_quantile);
+  const le::serve::LookupCacheStats c = cache.stats();
+  EXPECT_EQ(counter_in(snap, "cache.hits"), c.hits);
+  EXPECT_EQ(counter_in(snap, "cache.misses"), c.misses);
+  EXPECT_EQ(counter_in(snap, "cache.insertions"), c.insertions);
+  EXPECT_EQ(counter_in(snap, "cache.evictions"), c.evictions);
+  EXPECT_EQ(gauge_in(snap, "cache.entries"), static_cast<double>(c.entries));
+  // The traffic reached every kind of count.
+  EXPECT_GT(q.expired, 0u);
+  EXPECT_GT(c.hits, 0u);
+  EXPECT_GT(c.evictions, 0u);
+  EXPECT_GE(l.engages, 1u);
+  EXPECT_GE(l.releases, 1u);
+  EXPECT_EQ(c.hits + c.misses, q.queries);
+}
+
+TEST(OneBook, TwoComponentsOnOnePrefixSumAndADestroyedOneKeepsItsCounts) {
+  le::obs::MetricsRegistry registry;
+  LookupCache a(small_cache(8, 1, 1e-12));
+  a.enable_metrics(registry, "shared");
+  a.insert(std::vector<double>{1.0}, {{1.0}, 0.0});
+  (void)a.find(std::vector<double>{1.0});
+  (void)a.find(std::vector<double>{2.0});
+  {
+    LookupCache b(small_cache(8, 1, 1e-12));
+    b.enable_metrics(registry, "shared");
+    b.insert(std::vector<double>{1.0}, {{1.0}, 0.0});
+    b.insert(std::vector<double>{2.0}, {{2.0}, 0.0});
+    for (int i = 0; i < 3; ++i) (void)b.find(std::vector<double>{2.0});
+    const le::obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(counter_in(snap, "shared.hits"), 1u + 3u);
+    EXPECT_EQ(counter_in(snap, "shared.misses"), 1u);
+    EXPECT_EQ(counter_in(snap, "shared.insertions"), 1u + 2u);
+    EXPECT_EQ(gauge_in(snap, "shared.entries"), 2.0);  // b attached last
+  }
+  (void)a.find(std::vector<double>{1.0});
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "shared.hits"), 2u + 3u);  // b's 3 retained
+  EXPECT_EQ(counter_in(snap, "shared.insertions"), 1u + 2u);
+  EXPECT_EQ(gauge_in(snap, "shared.entries"), 1.0);  // a is the live one
+}
+
+TEST(OneBook, ScrapeWhileServing) {
+  // Two client threads drive a BatchQueue with admission control whose
+  // forward answers through a LookupCache, while a third thread snapshots
+  // the registry in a loop: every read of the books is race-free (the
+  // _tsan build proves it) and no counter ever goes down.
+  le::obs::MetricsRegistry registry;
+  auto admission = std::make_shared<AdmissionController>(depth_only(8));
+  LookupCache cache(small_cache(32, 4, 1e-9));
+  LookupCache::Batch probe;
+  BatchQueueConfig config;
+  config.max_batch = 8;
+  config.input_dim = 1;
+  BatchQueue queue(cached_doubling(cache, probe), config);
+  queue.set_admission(admission);
+  queue.enable_metrics(registry, "bq");
+  admission->enable_metrics(registry, "adm");
+  cache.enable_metrics(registry, "cache");
+
+  std::atomic<int> clients_done{0};
+  std::vector<std::thread> clients;
+  for (unsigned t = 0; t < 2; ++t) {
+    clients.emplace_back([&queue, &clients_done, t] {
+      drive_queue(queue, 400, 8, 64, 11 + t);
+      clients_done.fetch_add(1);
+    });
+  }
+  std::map<std::string, std::uint64_t> last;
+  std::size_t scrapes = 0;
+  while (clients_done.load() < 2) {
+    const le::obs::MetricsSnapshot snap = registry.snapshot();
+    for (const auto& c : snap.counters) {
+      EXPECT_GE(c.value, last[c.name]) << c.name;
+      last[c.name] = c.value;
+    }
+    ++scrapes;
+  }
+  for (auto& c : clients) c.join();
+  queue.stop();
+  const le::obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(counter_in(snap, "bq.queries"), queue.stats().queries);
+  EXPECT_EQ(counter_in(snap, "adm.admitted"), admission->stats().admitted);
+  EXPECT_EQ(counter_in(snap, "cache.hits"), cache.stats().hits);
+  EXPECT_EQ(counter_in(snap, "cache.hits").value_or(0) +
+                counter_in(snap, "cache.misses").value_or(0),
+            queue.stats().queries);
+  EXPECT_GT(scrapes, 0u);
 }
 
 }  // namespace
