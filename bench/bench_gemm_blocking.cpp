@@ -11,6 +11,8 @@
 //       evaluation budget.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "le/autotune/gemm_tuner.hpp"
 #include "report.hpp"
 
@@ -75,10 +77,32 @@ void BM_GemmAvx2(benchmark::State& state) {
                           kN * kN * kN);
 }
 
+void BM_GemmAvx512(benchmark::State& state) {
+  if (!tensor::cpu_has_avx512f()) {
+    state.SkipWithError("no AVX-512F on this host");
+    return;
+  }
+  tensor::Matrix a(kN, kN), b(kN, kN), c(kN, kN);
+  fill(a, 1);
+  fill(b, 2);
+  const tensor::GemmBlocking blocking{
+      static_cast<std::size_t>(state.range(0)),
+      static_cast<std::size_t>(state.range(1)),
+      static_cast<std::size_t>(state.range(2))};
+  for (auto _ : state) {
+    tensor::gemm_avx512(a, b, c, blocking);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          kN * kN * kN);
+}
+
 BENCHMARK(BM_GemmNaive);
 BENCHMARK(BM_GemmBlocked)->Args({8, 8, 8})->Args({32, 32, 32})
     ->Args({64, 64, 64})->Args({160, 16, 160});
 BENCHMARK(BM_GemmAvx2)->Args({32, 32, 32})->Args({64, 64, 64})
+    ->Args({160, 16, 160});
+BENCHMARK(BM_GemmAvx512)->Args({32, 32, 32})->Args({64, 64, 64})
     ->Args({160, 16, 160});
 
 void print_tuner_comparison() {
@@ -125,11 +149,10 @@ void print_tuner_comparison() {
   stats::Rng plan_rng(5);
   const autotune::GemmPlanTuneOutcome plan =
       autotune::tune_gemm_plan(cfg, search, plan_rng);
-  const char* kernel_name =
-      plan.best.kernel == tensor::GemmKernel::kAvx2 ? "avx2" : "scalar";
+  const std::string kernel_name = tensor::to_string(plan.best.kernel);
   std::printf("\njoint (kernel x blocking) search: %zu evals, best %s "
               "mc=%zu kc=%zu nc=%zu\n",
-              plan.evaluations, kernel_name, plan.best.blocking.mc,
+              plan.evaluations, kernel_name.c_str(), plan.best.blocking.mc,
               plan.best.blocking.kc, plan.best.blocking.nc);
   std::printf("best %.4g s vs scalar-only best %.4g s (%.2fx; AVX2 "
               "runnable: %s)\n",

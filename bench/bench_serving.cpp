@@ -289,8 +289,7 @@ int main() {
     std::printf("layer %zu (%zux%zux%zu): %s mc=%zu kc=%zu nc=%zu  "
                 "%.2f us (scalar best %.2f us)\n",
                 choice.layer_index, choice.rows, choice.inner, choice.cols,
-                choice.plan.kernel == tensor::GemmKernel::kAvx2 ? "avx2"
-                                                                : "scalar",
+                tensor::to_string(choice.plan.kernel).c_str(),
                 choice.plan.blocking.mc, choice.plan.blocking.kc,
                 choice.plan.blocking.nc, choice.best_us, choice.scalar_us);
   }

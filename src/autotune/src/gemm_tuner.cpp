@@ -88,6 +88,9 @@ GemmPlanTuneOutcome tune_gemm_plan(const GemmTuneConfig& config,
   if (tensor::cpu_has_avx2_fma()) {
     kernels.push_back(tensor::GemmKernel::kAvx2);
   }
+  if (tensor::cpu_has_avx512f()) {
+    kernels.push_back(tensor::GemmKernel::kAvx512);
+  }
   GemmPlanTuneOutcome outcome;
   outcome.best_seconds = std::numeric_limits<double>::infinity();
   for (const tensor::GemmKernel kernel : kernels) {

@@ -1,6 +1,7 @@
 #include "le/core/surrogate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -262,9 +263,6 @@ std::vector<Answer> SurrogateDispatcher::query_batch(
     if (!needs_sim[r]) {
       answer.source = AnswerSource::kSurrogate;
       answer.seconds = owed[r];
-      if (latency_.surrogate_seconds) {
-        latency_.surrogate_seconds->record(answer.seconds);
-      }
       continue;
     }
     if (level != serve::ServiceLevel::kFull) {
@@ -357,6 +355,23 @@ void SurrogateDispatcher::book_surrogate_answers(
         static_cast<double>(stats_.surrogate_answers);
   }
   if (meter_) meter_->record_lookups(booked, seconds);
+  if (latency_.surrogate_seconds) {
+    // One histogram update per batch of up to 64 answers, in row order,
+    // so its sum keeps the bits of a record() per answer.
+    std::array<double, 64> chunk;
+    std::size_t filled = 0;
+    for (const Answer& answer : answers) {
+      if (answer.source != AnswerSource::kSurrogate) continue;
+      chunk[filled++] = answer.seconds;
+      if (filled == chunk.size()) {
+        latency_.surrogate_seconds->record_batch({chunk.data(), filled});
+        filled = 0;
+      }
+    }
+    if (filled != 0) {
+      latency_.surrogate_seconds->record_batch({chunk.data(), filled});
+    }
+  }
 }
 
 void SurrogateDispatcher::shadow_sample(

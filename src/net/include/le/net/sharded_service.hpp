@@ -39,6 +39,7 @@
 #include "le/net/telemetry.hpp"
 #include "le/net/transport.hpp"
 #include "le/obs/flight_recorder.hpp"
+#include "le/obs/metrics.hpp"
 #include "le/obs/speedup_meter.hpp"
 #include "le/runtime/sync_engine.hpp"
 #include "le/serve/overload.hpp"
@@ -325,6 +326,12 @@ class ShardedService {
 
   [[nodiscard]] bool shard_alive(std::size_t shard) const;
   [[nodiscard]] ShardedServiceStats stats() const;
+
+  /// Writes stats().telemetry_frames as the "<prefix>.telemetry_frames"
+  /// counter.  A service constructed while obs::metrics_enabled() attaches
+  /// this to the global registry under "net" for its lifetime.
+  void export_metrics(obs::MetricsSnapshot& out,
+                      const std::string& prefix = "net") const;
   [[nodiscard]] const ShardRouter& router() const noexcept { return router_; }
   [[nodiscard]] const ShardedServiceConfig& config() const noexcept {
     return config_;
@@ -369,6 +376,7 @@ class ShardedService {
   std::uint64_t sync_round_ = 0;
   mutable std::mutex stats_mutex_;
   ShardedServiceStats stats_;
+  obs::MetricsSource metrics_;  ///< last member: detaches first
 };
 
 }  // namespace le::net

@@ -428,6 +428,9 @@ ShardedService::ShardedService(ShardedServiceConfig config,
   for (std::size_t s = 0; s < config_.shards; ++s) {
     workers_.push_back(std::make_unique<Worker>());
   }
+  if (obs::metrics_enabled()) {
+    metrics_ = obs::MetricsRegistry::global().attach(*this, "net");
+  }
 }
 
 ShardedService::~ShardedService() {
@@ -480,7 +483,6 @@ void ShardedService::absorb_telemetry_locked(std::size_t shard,
         .set(static_cast<double>(worker.last_meter.n_train));
     reg.gauge(p + "restarts").set(static_cast<double>(worker.restarts));
     reg.gauge(p + "alive").set(1.0);
-    reg.counter("net.telemetry_frames").add();
   }
 }
 
@@ -988,6 +990,11 @@ bool ShardedService::shard_alive(std::size_t shard) const {
 ShardedServiceStats ShardedService::stats() const {
   const std::lock_guard<std::mutex> lock(stats_mutex_);
   return stats_;
+}
+
+void ShardedService::export_metrics(obs::MetricsSnapshot& out,
+                                    const std::string& prefix) const {
+  out.add(prefix, {{"telemetry_frames", stats().telemetry_frames}});
 }
 
 }  // namespace le::net

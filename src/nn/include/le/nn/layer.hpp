@@ -135,8 +135,8 @@ enum class Activation { kIdentity, kRelu, kLeakyRelu, kTanh, kSigmoid };
 /// input: every supported derivative is a function of the output with the
 /// same bits (DESIGN.md section 13), so backward() evaluates no
 /// transcendental.  ReLU runs as compare-and-mask kernels (AVX2 when
-/// tensor::active_gemm_kernel() is kAvx2) equal to the scalar reference bit
-/// for bit.
+/// tensor::avx2_or_wider(tensor::active_gemm_kernel())) equal to the scalar
+/// reference bit for bit.
 class ActivationLayer final : public Layer {
  public:
   ActivationLayer(Activation kind, std::size_t dim)
@@ -166,10 +166,10 @@ class ActivationLayer final : public Layer {
 ///
 /// Each mask element takes one engine word, in row order, and keeps the unit
 /// exactly when std::bernoulli_distribution(1 - rate) would on that word.
-/// Under tensor::GemmKernel::kAvx2 the words come a block at a time from
-/// Mt19937_64::generate() and the compare, mask and product run on four
-/// lanes; otherwise each element is one engine call and one compare.  Both
-/// give the same masks, products and stream state.
+/// Under kAvx2 or kAvx512 (tensor::avx2_or_wider) the words come a block at
+/// a time from Mt19937_64::generate() and the compare, mask and product run
+/// on four lanes; otherwise each element is one engine call and one
+/// compare.  Both give the same masks, products and stream state.
 class DropoutLayer final : public Layer {
  public:
   DropoutLayer(double rate, std::size_t dim, stats::Rng rng);

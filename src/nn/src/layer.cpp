@@ -244,7 +244,7 @@ tensor::Matrix ActivationLayer::backward(const tensor::Matrix& grad_output) {
   std::size_t i = 0;
 #if defined(LE_LAYER_AVX2)
   if (kind_ == Activation::kRelu &&
-      tensor::active_gemm_kernel() == tensor::GemmKernel::kAvx2) {
+      tensor::avx2_or_wider(tensor::active_gemm_kernel())) {
     i = relu_backward_avx2(y, g, dx.data(), dx.size());
   }
 #endif
@@ -306,7 +306,7 @@ void DropoutLayer::apply_masks(const tensor::Matrix& input, double* out,
   const std::size_t n = input.size();
   stats::Mt19937_64& engine = rng_.engine();
 #if defined(LE_LAYER_AVX2)
-  if (tensor::active_gemm_kernel() == tensor::GemmKernel::kAvx2) {
+  if (tensor::avx2_or_wider(tensor::active_gemm_kernel())) {
     // One engine word per element, in row order, drawn a block at a time:
     // generate() hands out the words the per-element calls would.
     std::array<std::uint64_t, stats::Mt19937_64::state_size> words;

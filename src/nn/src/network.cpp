@@ -164,6 +164,9 @@ std::vector<LayerPlanChoice> Network::autotune_inference(
   if (tensor::cpu_has_avx2_fma()) {
     candidate_kernels.push_back(tensor::GemmKernel::kAvx2);
   }
+  if (tensor::cpu_has_avx512f()) {
+    candidate_kernels.push_back(tensor::GemmKernel::kAvx512);
+  }
 
   const auto time_plan = [&](const tensor::Matrix& a, const tensor::Matrix& b,
                              tensor::Matrix& out, const tensor::GemmPlan& plan) {

@@ -168,7 +168,7 @@ void AdamOptimizer::step(const std::vector<ParamView>& params) {
     auto& v = v_[i];
     std::size_t j = 0;
 #if defined(LE_ADAM_AVX2)
-    if (tensor::active_gemm_kernel() == tensor::GemmKernel::kAvx2) {
+    if (tensor::avx2_or_wider(tensor::active_gemm_kernel())) {
       j = adam_update_avx2(p.values.data(), p.grads.data(), m.data(), v.data(),
                            p.values.size(), coeffs);
     }

@@ -133,6 +133,12 @@ class Histogram {
                                          double sum, double min, double max);
 
   void record(double seconds) noexcept;
+  /// record() of every value in `seconds`, in order, with one update of the
+  /// sum (the values added in order, so uncontended its bits equal the
+  /// record() sequence's), one of the min, one of the max, and one bucket
+  /// increment per run of values that land in the same bucket.  Non-finite
+  /// values are skipped, as record() skips them.
+  void record_batch(std::span<const double> seconds) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept;
   [[nodiscard]] double sum() const noexcept {

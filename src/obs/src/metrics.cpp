@@ -84,6 +84,50 @@ void Histogram::record(double seconds) noexcept {
   buckets_[bucket_index(seconds)].fetch_add(1, std::memory_order_release);
 }
 
+void Histogram::record_batch(std::span<const double> seconds) noexcept {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  bool any = false;
+  for (const double v : seconds) {
+    if (!std::isfinite(v)) continue;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    any = true;
+  }
+  if (!any) return;
+  double cur = sum_.load(std::memory_order_relaxed);
+  double next;
+  do {
+    next = cur;
+    for (const double v : seconds) {
+      if (std::isfinite(v)) next += v;
+    }
+  } while (!sum_.compare_exchange_weak(cur, next, std::memory_order_relaxed));
+  cur = min_.load(std::memory_order_relaxed);
+  while (lo < cur &&
+         !min_.compare_exchange_weak(cur, lo, std::memory_order_relaxed)) {
+  }
+  cur = max_.load(std::memory_order_relaxed);
+  while (hi > cur &&
+         !max_.compare_exchange_weak(cur, hi, std::memory_order_relaxed)) {
+  }
+  // Buckets last, as in record(): a reader that counts these samples also
+  // sees their sum/min/max.
+  std::size_t run_bucket = 0;
+  std::uint64_t run = 0;
+  for (const double v : seconds) {
+    if (!std::isfinite(v)) continue;
+    const std::size_t bucket = bucket_index(v);
+    if (run != 0 && bucket != run_bucket) {
+      buckets_[run_bucket].fetch_add(run, std::memory_order_release);
+      run = 0;
+    }
+    run_bucket = bucket;
+    ++run;
+  }
+  buckets_[run_bucket].fetch_add(run, std::memory_order_release);
+}
+
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t n = 0;
   for (const auto& b : buckets_) n += b.load(std::memory_order_acquire);

@@ -51,6 +51,13 @@ void gemm_blocked(const Matrix& a, const Matrix& b, Matrix& out,
 void gemm_avx2(const Matrix& a, const Matrix& b, Matrix& out,
                const GemmBlocking& blocking = {});
 
+/// out = A * B through the AVX-512F form of gemm_avx2's tile loop nest
+/// (8-lane zmm tiles; the last 1-7 columns on its 4-lane strips).  Precondition:
+/// cpu_has_avx512f().  Every element is the same FMA chain over k as in
+/// gemm_avx2, so the two give the same bits on every shape and input.
+void gemm_avx512(const Matrix& a, const Matrix& b, Matrix& out,
+                 const GemmBlocking& blocking = {});
+
 /// out = A * B through the plan's kernel: kAuto resolves via
 /// active_gemm_kernel() (CPUID + LE_KERNEL override), and a kernel the CPU
 /// cannot run degrades to scalar rather than faulting.  This is the single
@@ -66,12 +73,13 @@ enum class DenseActivation {
 };
 
 /// One inference dense layer: out = act(A * W + bias), `bias` one entry per
-/// column of W.  When the plan resolves to kAvx2 (as gemm() resolves it)
-/// this is dense_avx2, one pass with the bias and activation applied in
-/// registers; otherwise it is gemm(), then a `+= bias` pass, then
-/// vtanh/vrelu, which under kScalar means gemm_blocked and std::tanh.  The
-/// two give the same bits as that layered sequence on their kernel.  `out`
-/// must already have A's rows and W's columns and must not alias an input.
+/// column of W.  When the plan resolves to kAvx2 or kAvx512 (as gemm()
+/// resolves it) this is dense_avx2 or dense_avx512, one pass with the bias
+/// and activation applied in registers; otherwise it is gemm(), then a
+/// `+= bias` pass, then vtanh/vrelu, which under kScalar means gemm_blocked
+/// and std::tanh.  Each gives the same bits as that layered sequence on its
+/// kernel, and kAvx512 gives kAvx2's bits.  `out` must already have A's
+/// rows and W's columns and must not alias an input.
 void dense(const Matrix& a, const Matrix& w, std::span<const double> bias,
            Matrix& out, DenseActivation activation = DenseActivation::kNone,
            const GemmPlan& plan = {});
@@ -83,6 +91,14 @@ void dense(const Matrix& a, const Matrix& w, std::span<const double> bias,
 void dense_avx2(const Matrix& a, const Matrix& w, std::span<const double> bias,
                 Matrix& out, DenseActivation activation,
                 const GemmBlocking& blocking = {});
+
+/// AVX-512F form of dense() (precondition cpu_has_avx512f()): gemm_avx512's
+/// tiles with dense_avx2's epilogue on 8 lanes, equal to dense_avx2 bit for
+/// bit.
+void dense_avx512(const Matrix& a, const Matrix& w,
+                  std::span<const double> bias, Matrix& out,
+                  DenseActivation activation,
+                  const GemmBlocking& blocking = {});
 
 /// Operand layout of gemm_exact: which operand enters transposed.
 enum class GemmOp {
@@ -96,9 +112,9 @@ enum class GemmOp {
 /// ascending, one separately rounded product (never an FMA).  This is the
 /// training path (nn::DenseLayer forward and backward), so kernel choice
 /// never changes trained weights.  The active kernel picks the AVX2 strip
-/// kernel (no transposed copy is made) or, under kScalar, gemm_naive on
-/// explicit transposes.  `out` must already have op(A)'s rows and op(B)'s
-/// columns and must not alias an operand.
+/// kernel (kAvx2 or kAvx512; no transposed copy is made) or, under
+/// kScalar, gemm_naive on explicit transposes.  `out` must already have
+/// op(A)'s rows and op(B)'s columns and must not alias an operand.
 void gemm_exact(const Matrix& a, const Matrix& b, Matrix& out,
                 GemmOp op = GemmOp::kNN);
 
@@ -108,9 +124,10 @@ void gemm_exact_avx2(const Matrix& a, const Matrix& b, Matrix& out,
                      GemmOp op = GemmOp::kNN);
 
 /// Elementwise y = tanh(x) through the active kernel.  The scalar kernel is
-/// std::tanh exactly; the AVX2 kernel uses a clamped rational minimax
-/// approximation whose absolute error vs std::tanh is < 1e-7 (part of the
-/// DESIGN.md section 13 tolerance contract).  x and y may alias exactly.
+/// std::tanh exactly; the AVX2 kernel (also under kAvx512) uses a clamped
+/// rational minimax approximation whose absolute error vs std::tanh is
+/// < 1e-7 (part of the DESIGN.md section 13 tolerance contract).  x and y
+/// may alias exactly.
 void vtanh(std::span<const double> x, std::span<double> y);
 
 /// Elementwise y = max(x, 0) through the active kernel; exact on all paths.
@@ -118,7 +135,7 @@ void vtanh(std::span<const double> x, std::span<double> y);
 void vrelu(std::span<const double> x, std::span<double> y);
 
 /// AVX2 implementations (precondition cpu_has_avx2_fma()); vtanh/vrelu
-/// dispatch here when the active kernel is kAvx2.
+/// dispatch here when the active kernel is kAvx2 or kAvx512.
 void vtanh_avx2(std::span<const double> x, std::span<double> y);
 void vrelu_avx2(std::span<const double> x, std::span<double> y);
 

@@ -15,9 +15,16 @@
 ///     (DESIGN.md section 13).
 ///   - kAvx2 is selected only when CPUID reports AVX2 *and* FMA; forcing it
 ///     on unsupported hardware falls back to scalar rather than faulting.
-///   - LE_KERNEL=scalar|avx2|auto overrides the automatic choice for tests
-///     and benches (auto = CPUID pick); set_gemm_kernel_override() does the
-///     same in-process.
+///   - kAvx512 runs gemm() and dense() on 8-lane zmm tiles and is selected
+///     only when CPUID also reports AVX-512F; forced elsewhere it clamps to
+///     kAvx2, then kScalar.  It equals kAvx2 bit for bit on every shape and
+///     input (the same FMA chain per element, the same tanh sequence), so
+///     choosing between the two never changes an answer.  Every other
+///     kernel body (training GEMM, dropout, Adam, vtanh/vrelu) runs its
+///     AVX2 form under kAvx512: test avx2_or_wider(), never == kAvx2.
+///   - LE_KERNEL=scalar|avx2|avx512|auto overrides the automatic choice for
+///     tests and benches (auto = the best CPUID pick);
+///     set_gemm_kernel_override() does the same in-process.
 #pragma once
 
 #include <optional>
@@ -30,16 +37,34 @@ enum class GemmKernel {
   kAuto,    ///< resolve via active_gemm_kernel() at call time
   kScalar,  ///< portable blocked reference kernel (gemm_blocked)
   kAvx2,    ///< AVX2+FMA register-tiled micro-kernel (gemm_avx2)
+  kAvx512,  ///< AVX-512F 8-lane tiles for gemm/dense (gemm_avx512)
 };
 
 [[nodiscard]] std::string to_string(GemmKernel kernel);
 
-/// Parses "auto", "scalar" or "avx2" (the LE_KERNEL vocabulary); throws
-/// std::invalid_argument on anything else.
+/// Parses "auto", "scalar", "avx2" or "avx512" (the LE_KERNEL vocabulary);
+/// throws std::invalid_argument on anything else.
 [[nodiscard]] GemmKernel gemm_kernel_from_string(const std::string& name);
 
 /// True when CPUID reports both AVX2 and FMA, i.e. gemm_avx2 may run.
 [[nodiscard]] bool cpu_has_avx2_fma() noexcept;
+
+/// True when CPUID reports AVX-512F on top of AVX2 and FMA, i.e.
+/// gemm_avx512 may run.
+[[nodiscard]] bool cpu_has_avx512f() noexcept;
+
+/// True for the kernels whose process may run AVX2 code (kAvx2 and
+/// kAvx512): the one test every AVX2 kernel body dispatches on, so a
+/// wider tier keeps them rather than dropping them to scalar.  Pass a
+/// resolved (runnable) kernel, e.g. active_gemm_kernel().
+[[nodiscard]] constexpr bool avx2_or_wider(GemmKernel kernel) noexcept {
+  return kernel == GemmKernel::kAvx2 || kernel == GemmKernel::kAvx512;
+}
+
+/// `kernel` clamped to what this CPU can run: kAvx512 without AVX-512F
+/// becomes kAvx2, kAvx2 without AVX2/FMA becomes kScalar, and kAuto
+/// becomes the best kernel the CPU has.  Never returns kAuto.
+[[nodiscard]] GemmKernel runnable_gemm_kernel(GemmKernel kernel) noexcept;
 
 /// The kernel the process resolved at first use: the LE_KERNEL environment
 /// override when set (invalid values fall back to auto with a one-time
@@ -48,9 +73,9 @@ enum class GemmKernel {
 [[nodiscard]] GemmKernel default_gemm_kernel() noexcept;
 
 /// In-process override for tests and benches: forces active_gemm_kernel()
-/// to `kernel` (nullopt restores the default).  A forced kAvx2 on hardware
-/// without AVX2/FMA still resolves to kScalar — the override selects among
-/// runnable kernels, it cannot make hardware appear.
+/// to `kernel` (nullopt restores the default).  A forced kernel the
+/// hardware lacks is clamped by runnable_gemm_kernel() — the override
+/// selects among runnable kernels, it cannot make hardware appear.
 void set_gemm_kernel_override(std::optional<GemmKernel> kernel) noexcept;
 
 /// The kernel gemm() dispatches to right now: the override when one is

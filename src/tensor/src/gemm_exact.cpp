@@ -170,7 +170,7 @@ void gemm_exact_avx2(const Matrix& a, const Matrix& b, Matrix& out,
 
 void gemm_exact(const Matrix& a, const Matrix& b, Matrix& out, GemmOp op) {
   (void)check_exact_shapes(a, b, out, op);
-  if (active_gemm_kernel() == GemmKernel::kAvx2) {
+  if (avx2_or_wider(active_gemm_kernel())) {
     gemm_exact_avx2(a, b, out, op);
     return;
   }

@@ -72,26 +72,23 @@ namespace {
 // The kernel a GEMM under `plan` runs on.  A pinned process-wide kernel
 // (LE_KERNEL or set_gemm_kernel_override) is the operator escape hatch and
 // wins even over an explicit per-layer plan; otherwise the plan decides,
-// with kAuto deferring to the CPUID pick.  Never kAuto.
+// with kAuto deferring to the CPUID pick.  A kernel the CPU lacks degrades
+// to the best one it has, never faults.  Never kAuto.
 GemmKernel plan_kernel(const GemmPlan& plan) noexcept {
-  const GemmKernel kernel =
-      gemm_kernel_forced() || plan.kernel == GemmKernel::kAuto
-          ? active_gemm_kernel()
-          : plan.kernel;
-  if (kernel == GemmKernel::kAvx2 && cpu_has_avx2_fma()) {
-    return GemmKernel::kAvx2;
+  if (gemm_kernel_forced() || plan.kernel == GemmKernel::kAuto) {
+    return active_gemm_kernel();
   }
-  return GemmKernel::kScalar;  // degrade, never fault
+  return runnable_gemm_kernel(plan.kernel);
 }
 
 }  // namespace
 
 void gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmPlan& plan) {
-  if (plan_kernel(plan) == GemmKernel::kAvx2) {
-    gemm_avx2(a, b, out, plan.blocking);
-  } else {
-    gemm_blocked(a, b, out, plan.blocking);
+  switch (plan_kernel(plan)) {
+    case GemmKernel::kAvx512: gemm_avx512(a, b, out, plan.blocking); return;
+    case GemmKernel::kAvx2: gemm_avx2(a, b, out, plan.blocking); return;
+    default: gemm_blocked(a, b, out, plan.blocking); return;
   }
 }
 
@@ -100,9 +97,14 @@ void dense(const Matrix& a, const Matrix& w, std::span<const double> bias,
   if (bias.size() != w.cols()) {
     throw std::invalid_argument("dense: bias length != output width");
   }
-  if (plan_kernel(plan) == GemmKernel::kAvx2) {
-    dense_avx2(a, w, bias, out, activation, plan.blocking);
-    return;
+  switch (plan_kernel(plan)) {
+    case GemmKernel::kAvx512:
+      dense_avx512(a, w, bias, out, activation, plan.blocking);
+      return;
+    case GemmKernel::kAvx2:
+      dense_avx2(a, w, bias, out, activation, plan.blocking);
+      return;
+    default: break;
   }
   gemm_blocked(a, w, out, plan.blocking);
   for (std::size_t r = 0; r < out.rows(); ++r) {
@@ -140,7 +142,7 @@ void check_elementwise_spans(std::span<const double> x, std::span<double> y) {
 
 void vtanh(std::span<const double> x, std::span<double> y) {
   check_elementwise_spans(x, y);
-  if (active_gemm_kernel() == GemmKernel::kAvx2) {
+  if (avx2_or_wider(active_gemm_kernel())) {
     vtanh_avx2(x, y);
     return;
   }
@@ -149,7 +151,7 @@ void vtanh(std::span<const double> x, std::span<double> y) {
 
 void vrelu(std::span<const double> x, std::span<double> y) {
   check_elementwise_spans(x, y);
-  if (active_gemm_kernel() == GemmKernel::kAvx2) {
+  if (avx2_or_wider(active_gemm_kernel())) {
     vrelu_avx2(x, y);
     return;
   }

@@ -12,6 +12,7 @@ std::string to_string(GemmKernel kernel) {
     case GemmKernel::kAuto: return "auto";
     case GemmKernel::kScalar: return "scalar";
     case GemmKernel::kAvx2: return "avx2";
+    case GemmKernel::kAvx512: return "avx512";
   }
   return "unknown";
 }
@@ -20,6 +21,7 @@ GemmKernel gemm_kernel_from_string(const std::string& name) {
   if (name == "auto") return GemmKernel::kAuto;
   if (name == "scalar") return GemmKernel::kScalar;
   if (name == "avx2") return GemmKernel::kAvx2;
+  if (name == "avx512") return GemmKernel::kAvx512;
   throw std::invalid_argument("unknown gemm kernel: " + name);
 }
 
@@ -33,18 +35,26 @@ bool cpu_has_avx2_fma() noexcept {
 #endif
 }
 
-namespace {
+bool cpu_has_avx512f() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return cpu_has_avx2_fma() && __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
 
-/// Clamps a requested kernel to what the hardware can actually run.
-GemmKernel runnable(GemmKernel kernel) noexcept {
+GemmKernel runnable_gemm_kernel(GemmKernel kernel) noexcept {
+  if (kernel == GemmKernel::kAuto || kernel == GemmKernel::kAvx512) {
+    if (cpu_has_avx512f()) return GemmKernel::kAvx512;
+    kernel = GemmKernel::kAvx2;
+  }
   if (kernel == GemmKernel::kAvx2 && !cpu_has_avx2_fma()) {
     return GemmKernel::kScalar;
   }
-  if (kernel == GemmKernel::kAuto) {
-    return cpu_has_avx2_fma() ? GemmKernel::kAvx2 : GemmKernel::kScalar;
-  }
   return kernel;
 }
+
+namespace {
 
 /// kAuto doubles as the "not yet resolved / no override" sentinel in the
 /// two atomics below; neither ever exposes it to callers.
@@ -61,14 +71,14 @@ GemmKernel resolve_default() noexcept {
     } catch (const std::invalid_argument&) {
       std::fprintf(stderr,
                    "le::tensor: ignoring invalid LE_KERNEL='%s' "
-                   "(expected auto|scalar|avx2)\n",
+                   "(expected auto|scalar|avx2|avx512)\n",
                    env);
     }
   }
   if (requested != GemmKernel::kAuto) {
     g_env_forced.store(true, std::memory_order_relaxed);
   }
-  return runnable(requested);
+  return runnable_gemm_kernel(requested);
 }
 
 }  // namespace
@@ -83,7 +93,7 @@ GemmKernel default_gemm_kernel() noexcept {
 }
 
 void set_gemm_kernel_override(std::optional<GemmKernel> kernel) noexcept {
-  g_override.store(kernel ? runnable(*kernel) : GemmKernel::kAuto,
+  g_override.store(kernel ? runnable_gemm_kernel(*kernel) : GemmKernel::kAuto,
                    std::memory_order_relaxed);
 }
 

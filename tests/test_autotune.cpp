@@ -203,7 +203,8 @@ TEST(GemmTuner, PlanSearchCoversTheKernelAxis) {
   const GemmPlanTuneOutcome outcome = tune_gemm_plan(cfg, search, rng);
 
   // One blocking search per runnable kernel family.
-  const std::size_t families = tensor::cpu_has_avx2_fma() ? 2u : 1u;
+  const std::size_t families = 1u + (tensor::cpu_has_avx2_fma() ? 1u : 0u) +
+                               (tensor::cpu_has_avx512f() ? 1u : 0u);
   EXPECT_EQ(outcome.evaluations, families * search.budget);
   EXPECT_GT(outcome.best_seconds, 0.0);
   EXPECT_GT(outcome.scalar_best_seconds, 0.0);

@@ -1331,9 +1331,10 @@ TEST(DispatcherBatch, ServedAnswersEqualTheLayeredForwardBitForBit) {
   // A five-member 5 -> 32 -> 32 -> 3 tanh ensemble (the benchmark's served
   // shape) behind a cached dispatcher: every answer, fresh or replayed
   // from the cache, carries the layered path's mean and gate score bit for
-  // bit, on kScalar and on kAvx2.
+  // bit, on kScalar, kAvx2 and kAvx512.
   for (const auto kernel :
-       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2,
+        tensor::GemmKernel::kAvx512}) {
     tensor::set_gemm_kernel_override(kernel);
     Rng rng(88);
     std::vector<nn::Network> members, reference;
@@ -1387,10 +1388,11 @@ TEST(DispatcherBatch, ServedAnswersEqualTheLayeredForwardBitForBit) {
 TEST(DispatcherBatch, NanInputFallsBackToTheSimulationOnEveryKernel) {
   // A 2-member 2 -> 8 -> 1 tanh ensemble asked {NaN, 0.5}: the NaN reaches
   // the tanh, the prediction is invalid, and the row falls back to the
-  // simulation on kScalar and on kAvx2 alike (the AVX2 tanh keeps a NaN
-  // lane NaN, as std::tanh does, instead of clamping it to -9).
+  // simulation on kScalar, kAvx2 and kAvx512 alike (the SIMD tanh keeps a
+  // NaN lane NaN, as std::tanh does, instead of clamping it to -9).
   for (const auto kernel :
-       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2,
+        tensor::GemmKernel::kAvx512}) {
     tensor::set_gemm_kernel_override(kernel);
     Rng rng(25);
     std::vector<nn::Network> members;

@@ -1420,6 +1420,46 @@ TEST(ShardedService, ForkedWorkerExportsNoneOfTheRoutersComponentCounts) {
   service.stop();
 }
 
+TEST(ShardedService, TelemetryFramesAreReadFromTheServiceItsOneBook) {
+  LE_SKIP_UNDER_TSAN();
+  // The router counts a telemetry frame once, in stats(); a service built
+  // while metrics are on exports that count as "net.telemetry_frames" to
+  // the global registry's snapshot (with any total a detached service left
+  // behind), and no worker re-exports it.
+  using testing_support::counter_in;
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& registry = obs::MetricsRegistry::global();
+  const std::uint64_t before =
+      counter_in(registry.snapshot(), "net.telemetry_frames").value_or(0);
+  {
+    auto config = make_config(2);
+    config.telemetry_every = 1;
+    net::ShardedService service(std::move(config), scale_factory(1.0));
+    service.start();
+    tensor::Matrix inputs(6, 2);
+    for (std::size_t r = 0; r < inputs.rows(); ++r) inputs(r, 0) = 1.0 + r;
+    (void)service.query_batch(inputs);
+    (void)service.query_batch(inputs);
+    EXPECT_EQ(service.poll_telemetry(), 2U);
+    const std::uint64_t frames = service.stats().telemetry_frames;
+    EXPECT_GE(frames, 4U);
+    EXPECT_EQ(counter_in(registry.snapshot(), "net.telemetry_frames"),
+              before + frames);
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_FALSE(counter_in(service.shard_telemetry(s).metrics,
+                              "net.telemetry_frames"))
+          << "shard " << s;
+    }
+    service.stop();
+    EXPECT_EQ(counter_in(registry.snapshot(), "net.telemetry_frames"),
+              before + service.stats().telemetry_frames);
+  }
+  // A destroyed service's count stays in the registry's retained total.
+  EXPECT_GT(counter_in(registry.snapshot(), "net.telemetry_frames"), before);
+  obs::set_metrics_enabled(was_enabled);
+}
+
 TEST(ShardedService, LifecycleGuards) {
   LE_SKIP_UNDER_TSAN();
   net::ShardedService service(make_config(1), scale_factory(1.0));

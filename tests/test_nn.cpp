@@ -378,7 +378,8 @@ TEST(Activation, BackwardFromOutputMatchesTheInputFormula) {
   std::vector<double> gs{2.5, -1.0, 0.0, -0.0, 1e-310, 7.0, -3.25};
   KernelOverrideGuard guard;
   for (const tensor::GemmKernel kernel :
-       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2,
+        tensor::GemmKernel::kAvx512}) {
     tensor::set_gemm_kernel_override(kernel);
     for (const Activation kind :
          {Activation::kIdentity, Activation::kRelu, Activation::kLeakyRelu,
@@ -406,7 +407,8 @@ TEST(Activation, ReluKernelsMatchTheScalarReference) {
                                -0.0, 4e-320};
   KernelOverrideGuard guard;
   for (const tensor::GemmKernel kernel :
-       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2,
+        tensor::GemmKernel::kAvx512}) {
     tensor::set_gemm_kernel_override(kernel);
     for (const std::size_t n : kTailLengths) {
       for (std::size_t start = 0; start < values.size(); start += 5) {
@@ -442,7 +444,8 @@ TEST(Dropout, KernelsMatchTheScalarReference) {
   const std::vector<double> values = edge_values();
   KernelOverrideGuard guard;
   for (const tensor::GemmKernel kernel :
-       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2,
+        tensor::GemmKernel::kAvx512}) {
     tensor::set_gemm_kernel_override(kernel);
     for (const double rate : {0.1, 0.5}) {
       const double scale = 1.0 / (1.0 - rate);
@@ -617,11 +620,13 @@ TEST(Network, PredictBatchFusedPairsEqualTheLayersRunInTurn) {
   // clone run one layer's infer() at a time must get the same bits, for
   // every activation (sigmoid and leaky ReLU are not fused), with and
   // without MC dropout after the activation (same masks, same stream),
-  // on kScalar and kAvx2, with -0.0/NaN/inf/subnormal inputs in the batch.
+  // on kScalar, kAvx2 and kAvx512, with -0.0/NaN/inf/subnormal inputs in
+  // the batch.
   KernelOverrideGuard guard;
   const std::vector<double> edges = edge_values();
   for (const auto kernel :
-       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2}) {
+       {tensor::GemmKernel::kScalar, tensor::GemmKernel::kAvx2,
+        tensor::GemmKernel::kAvx512}) {
     tensor::set_gemm_kernel_override(kernel);
     for (const Activation act : {Activation::kTanh, Activation::kRelu,
                                  Activation::kSigmoid,

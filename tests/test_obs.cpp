@@ -11,6 +11,7 @@
 #include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -185,6 +186,63 @@ TEST(ObsHistogram, ConcurrentRecordsKeepCountAndExtremes) {
   EXPECT_EQ(h.count(), kThreads * kRecords);
   EXPECT_DOUBLE_EQ(h.min(), 1e-6);
   EXPECT_DOUBLE_EQ(h.max(), 8e-6);
+}
+
+/// record_batch() leaves what the same record() sequence leaves: count,
+/// sum (bit for bit), min, max and every bucket, over runs of equal
+/// buckets, values that alternate between buckets, both zeros, sub-ns
+/// values, duplicates of the extremes and skipped non-finite values, and
+/// on top of earlier samples.
+TEST(ObsHistogram, RecordBatchEqualsTheSameRecordSequence) {
+  std::vector<double> values{3e-6,   3e-6,    3.01e-6, 1e-3,   -0.0,
+                             0.0,    2e-10,   7.5e-5,  7.5e-5, 1e-3,
+                             4e-9,   1e-6,    1e-6,    1e-6,   2.5e-1};
+  values.push_back(std::numeric_limits<double>::quiet_NaN());
+  values.push_back(std::numeric_limits<double>::infinity());
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(1e-6 * (1.0 + 0.37 * std::sin(0.7 * i)));
+  }
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{5}}) {
+    obs::Histogram one_by_one, batched;
+    one_by_one.record(5e-5);
+    batched.record(5e-5);
+    const std::span<const double> part(values.data() + offset,
+                                       values.size() - offset);
+    for (const double v : part) one_by_one.record(v);
+    batched.record_batch(part);
+    EXPECT_EQ(batched.count(), one_by_one.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.sum()),
+              std::bit_cast<std::uint64_t>(one_by_one.sum()));
+    EXPECT_EQ(batched.min(), one_by_one.min());
+    EXPECT_EQ(batched.max(), one_by_one.max());
+    EXPECT_EQ(batched.buckets(), one_by_one.buckets());
+  }
+  obs::Histogram empty;
+  empty.record_batch({});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  empty.record_batch(std::vector<double>{nan, nan});
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.sum(), 0.0);
+  EXPECT_EQ(empty.min(), 0.0);
+  EXPECT_EQ(empty.max(), 0.0);
+}
+
+TEST(ObsHistogram, ConcurrentRecordBatchesKeepCountSumAndExtremes) {
+  obs::Histogram h;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kBatches = 500;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      const std::vector<double> batch(64, 1e-6 * static_cast<double>(t + 1));
+      for (std::size_t i = 0; i < kBatches; ++i) h.record_batch(batch);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(h.count(), kThreads * kBatches * 64);
+  EXPECT_NEAR(h.sum(), 1e-6 * 64 * kBatches * (1 + 2 + 3 + 4), 1e-9);
+  EXPECT_DOUBLE_EQ(h.min(), 1e-6);
+  EXPECT_DOUBLE_EQ(h.max(), 4e-6);
 }
 
 TEST(ObsRegistry, HandlesAreStableAndNamed) {

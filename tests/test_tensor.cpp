@@ -230,6 +230,12 @@ TEST(GemmProperty, TailAndDegenerateShapesMatchNaiveUnderRandomBlockings) {
             << "avx2 " << s.m << "x" << s.k << "x" << s.n << " mc="
             << blocking.mc << " kc=" << blocking.kc << " nc=" << blocking.nc;
       }
+      if (cpu_has_avx512f()) {
+        gemm_avx512(a, b, actual, blocking);
+        EXPECT_LT(max_abs_diff(expected, actual), 1e-12)
+            << "avx512 " << s.m << "x" << s.k << "x" << s.n << " mc="
+            << blocking.mc << " kc=" << blocking.kc << " nc=" << blocking.nc;
+      }
     }
   }
 }
@@ -271,9 +277,10 @@ TEST(GemmExact, EveryLayoutIsBitIdenticalToNaiveOnExplicitTransposes) {
             << "x" << n;
       }
     };
-    for (GemmKernel kernel : {GemmKernel::kScalar, GemmKernel::kAvx2}) {
+    for (GemmKernel kernel :
+         {GemmKernel::kScalar, GemmKernel::kAvx2, GemmKernel::kAvx512}) {
       set_gemm_kernel_override(kernel);
-      check(kernel == GemmKernel::kScalar ? "scalar" : "auto-avx2",
+      check(to_string(kernel).c_str(),
             [](const Matrix& x, const Matrix& y, Matrix& out, GemmOp op) {
               gemm_exact(x, y, out, op);
             });
@@ -288,7 +295,8 @@ TEST(GemmExact, EveryLayoutIsBitIdenticalToNaiveOnExplicitTransposes) {
 TEST(GemmExact, ShapeMismatchAndAliasingThrowOnEveryLayout) {
   KernelOverrideGuard guard;
   const Matrix a(4, 3, 1.0), b(3, 5, 1.0);
-  for (GemmKernel kernel : {GemmKernel::kScalar, GemmKernel::kAvx2}) {
+  for (GemmKernel kernel :
+       {GemmKernel::kScalar, GemmKernel::kAvx2, GemmKernel::kAvx512}) {
     set_gemm_kernel_override(kernel);
     Matrix out(4, 5);
     EXPECT_NO_THROW(gemm_exact(a, b, out, GemmOp::kNN));
@@ -316,9 +324,9 @@ TEST(GemmDispatch, PlanEntryPointMatchesNaiveForEveryKernelChoice) {
   const Matrix b = random_matrix(21, 11, gen);
   Matrix expected(13, 11), actual(13, 11);
   gemm_naive(a, b, expected);
-  for (GemmKernel kernel :
-       {GemmKernel::kAuto, GemmKernel::kScalar, GemmKernel::kAvx2}) {
-    // kAvx2 on a CPU without the ISA must degrade to scalar, not fault.
+  for (GemmKernel kernel : {GemmKernel::kAuto, GemmKernel::kScalar,
+                            GemmKernel::kAvx2, GemmKernel::kAvx512}) {
+    // A kernel the CPU lacks must degrade to one it has, not fault.
     gemm(a, b, actual, GemmPlan{kernel, GemmBlocking{8, 8, 8}});
     EXPECT_LT(max_abs_diff(expected, actual), 1e-12);
   }
@@ -334,6 +342,10 @@ TEST(GemmDispatch, OverrideRoundTripsAndForcesThePlanKernel) {
     EXPECT_EQ(active_gemm_kernel(), GemmKernel::kAvx2);
     EXPECT_TRUE(gemm_kernel_forced());
   }
+  // A forced kAvx512 clamps to the best kernel this CPU has.
+  set_gemm_kernel_override(GemmKernel::kAvx512);
+  EXPECT_EQ(active_gemm_kernel(), runnable_gemm_kernel(GemmKernel::kAuto));
+  EXPECT_TRUE(gemm_kernel_forced());
   set_gemm_kernel_override(std::nullopt);
   // Back to the CPUID/LE_KERNEL default; it must be a concrete kernel.
   EXPECT_NE(active_gemm_kernel(), GemmKernel::kAuto);
@@ -454,10 +466,11 @@ constexpr DenseActivation kEpilogues[] = {
     DenseActivation::kNone, DenseActivation::kTanh, DenseActivation::kRelu};
 
 /// The kernels a fused-kernel property runs under: forced kScalar, and
-/// kAvx2 where the CPU has it.
+/// kAvx2 and kAvx512 where the CPU has them.
 std::vector<GemmKernel> runnable_kernels() {
   std::vector<GemmKernel> kernels{GemmKernel::kScalar};
   if (cpu_has_avx2_fma()) kernels.push_back(GemmKernel::kAvx2);
+  if (cpu_has_avx512f()) kernels.push_back(GemmKernel::kAvx512);
   return kernels;
 }
 
@@ -465,9 +478,9 @@ std::vector<GemmKernel> runnable_kernels() {
 /// sequence bit for bit, for m in 1..9, 64, 65, k in 1..70 (kc = 64, so
 /// k > 64 takes two k-blocks and the epilogue must wait for the second),
 /// n in 1..9, 32, 33 (4x8 tiles, the 4-lane strip and the masked 1-3 lane
-/// strip), every epilogue, under forced kScalar and under kAvx2, where
-/// dense_avx2 is also called directly.  Outputs start as NaN, so an
-/// element the kernel skips cannot pass.
+/// strip), every epilogue, under forced kScalar, kAvx2 and kAvx512, where
+/// dense_avx2 and dense_avx512 are also called directly.  Outputs start as
+/// NaN, so an element the kernel skips cannot pass.
 TEST(DenseFused, EqualsLayeredGemmBiasActivationOnEveryShapeAndKernel) {
   KernelOverrideGuard guard;
   std::mt19937 gen(2019);
@@ -497,6 +510,12 @@ TEST(DenseFused, EqualsLayeredGemmBiasActivationOnEveryShapeAndKernel) {
               dense_avx2(a, w, bias, direct, act);
               ASSERT_TRUE(same_bits(expected, direct))
                   << "dense_avx2 " << m << "x" << k << "x" << n;
+            }
+            if (kernel == GemmKernel::kAvx512) {
+              Matrix direct(m, n, nan);
+              dense_avx512(a, w, bias, direct, act);
+              ASSERT_TRUE(same_bits(expected, direct))
+                  << "dense_avx512 " << m << "x" << k << "x" << n;
             }
           }
         }
@@ -614,6 +633,156 @@ TEST(DenseFused, SpecialValuesMatchTheLayeredPath) {
     dense(a, w, bias.flat(), relu, DenseActivation::kRelu);
     for (double& v : pre.flat()) v = v > 0.0 ? v : 0.0;
     EXPECT_TRUE(same_bits(pre, relu)) << to_string(kernel);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The AVX-512 tier against the AVX2 one, bit for bit: the same FMA chain
+// per element and the same tanh sequence, on 8 lanes instead of 4.
+
+/// gemm_avx512 and dense_avx512 (every epilogue) against gemm_avx2 and
+/// dense_avx2, bit for bit, for m in 1..9, 64, 65, k in 1..70 (two k-blocks
+/// past 64) and n in 1..9, 16, 17, 32, 33: the 4x32 zmm tiles, whole 8-lane
+/// strips and the masked 1-7 lane strip.  Outputs start as NaN.
+TEST(DenseFused, Avx512EqualsAvx2OnEveryShapeAndEpilogue) {
+  if (!cpu_has_avx512f()) GTEST_SKIP() << "no AVX-512F on this host";
+  std::mt19937 gen(512);
+  const Matrix a_all = random_matrix(65, 70, gen);
+  const Matrix w_all = random_matrix(70, 33, gen);
+  const Matrix bias_all = random_matrix(1, 33, gen);
+  const std::vector<std::size_t> ms{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65};
+  const std::vector<std::size_t> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 32, 33};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t k = 1; k <= 70; ++k) {
+    for (const std::size_t n : ns) {
+      const Matrix w = block(w_all, k, n);
+      const std::span<const double> bias{bias_all.data(), n};
+      for (const std::size_t m : ms) {
+        const Matrix a = block(a_all, m, k);
+        Matrix avx2(m, n, nan), avx512(m, n, nan);
+        gemm_avx2(a, w, avx2);
+        gemm_avx512(a, w, avx512);
+        ASSERT_TRUE(same_bits(avx2, avx512))
+            << "gemm " << m << "x" << k << "x" << n;
+        for (const DenseActivation act : kEpilogues) {
+          avx2.fill(nan);
+          avx512.fill(nan);
+          dense_avx2(a, w, bias, avx2, act);
+          dense_avx512(a, w, bias, avx512, act);
+          ASSERT_TRUE(same_bits(avx2, avx512))
+              << "dense " << m << "x" << k << "x" << n << " epilogue "
+              << static_cast<int>(act);
+        }
+      }
+    }
+  }
+}
+
+/// The same under random blockings (mc, kc, nc in 1..9 cut every dimension
+/// into several blocks, so the epilogue waits for the last k-block) and
+/// through the plan entry points: a kAvx512 plan equals a kAvx2 plan.
+TEST(DenseFused, Avx512EqualsAvx2UnderRandomBlockingsAndPlans) {
+  if (!cpu_has_avx512f()) GTEST_SKIP() << "no AVX-512F on this host";
+  std::mt19937 gen(8);
+  std::uniform_int_distribution<std::size_t> dim(1, 40);
+  std::uniform_int_distribution<std::size_t> block_dist(1, 9);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t m = dim(gen), k = dim(gen), n = dim(gen);
+    const Matrix a = random_matrix(m, k, gen);
+    const Matrix w = random_matrix(k, n, gen);
+    const Matrix bias = random_matrix(1, n, gen);
+    const GemmBlocking blocking{block_dist(gen), block_dist(gen),
+                                block_dist(gen)};
+    for (const DenseActivation act : kEpilogues) {
+      Matrix avx2(m, n), avx512(m, n);
+      dense_avx2(a, w, bias.flat(), avx2, act, blocking);
+      dense_avx512(a, w, bias.flat(), avx512, act, blocking);
+      ASSERT_TRUE(same_bits(avx2, avx512))
+          << m << "x" << k << "x" << n << " mc=" << blocking.mc
+          << " kc=" << blocking.kc << " nc=" << blocking.nc << " epilogue "
+          << static_cast<int>(act);
+      if (!gemm_kernel_forced()) {
+        dense(a, w, bias.flat(), avx2, act, {GemmKernel::kAvx2, blocking});
+        dense(a, w, bias.flat(), avx512, act, {GemmKernel::kAvx512, blocking});
+        ASSERT_TRUE(same_bits(avx2, avx512)) << "plans " << trial;
+      }
+    }
+  }
+}
+
+/// A row answered alone on kAvx512 gets the bits it gets inside a batch on
+/// kAvx2, and the other way round.
+TEST(DenseFused, Avx512RowAloneEqualsTheAvx2Batch) {
+  if (!cpu_has_avx512f()) GTEST_SKIP() << "no AVX-512F on this host";
+  std::mt19937 gen(65);
+  const Matrix a = random_matrix(65, 37, gen);
+  const Matrix w = random_matrix(37, 33, gen);
+  const Matrix bias = random_matrix(1, 33, gen);
+  for (const DenseActivation act : kEpilogues) {
+    Matrix batch2(65, 33), batch512(65, 33);
+    dense_avx2(a, w, bias.flat(), batch2, act);
+    dense_avx512(a, w, bias.flat(), batch512, act);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      Matrix row(1, 37), alone2(1, 33), alone512(1, 33);
+      std::copy(a.row(r).begin(), a.row(r).end(), row.data());
+      dense_avx2(row, w, bias.flat(), alone2, act);
+      dense_avx512(row, w, bias.flat(), alone512, act);
+      ASSERT_EQ(std::memcmp(alone512.data(), batch2.row(r).data(),
+                            33 * sizeof(double)),
+                0)
+          << "row " << r << " epilogue " << static_cast<int>(act);
+      ASSERT_EQ(std::memcmp(alone2.data(), batch512.row(r).data(),
+                            33 * sizeof(double)),
+                0)
+          << "row " << r << " epilogue " << static_cast<int>(act);
+    }
+  }
+}
+
+/// -0.0, NaN, +-inf, subnormals and huge finite values reach both tiers'
+/// FMA chains and epilogues with the same bits.  Row 0 is the overflow row
+/// {1e308, 1e308} . {10, -10}: each FMA adds an exact product to a running
+/// sum, so both tiers read +inf before the bias (where separately rounded
+/// products would give inf - inf = NaN), and tanh clamps it to 1.
+TEST(DenseFused, Avx512SpecialValuesEqualAvx2) {
+  if (!cpu_has_avx512f()) GTEST_SKIP() << "no AVX-512F on this host";
+  std::mt19937 gen(9);
+  const double specials[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -2.5e-310,
+                             1e308,
+                             -1e308};
+  for (const std::size_t n : {1, 3, 8, 11, 17, 33}) {
+    Matrix a = random_matrix(13, 9, gen);
+    for (std::size_t i = 0; i < a.size(); i += 3) {
+      a.data()[i] = specials[(i / 3) % std::size(specials)];
+    }
+    for (std::size_t c = 0; c < a.cols(); ++c) a(0, c) = c < 2 ? 1e308 : 0.0;
+    for (std::size_t c = 0; c < a.cols(); ++c) a(12, c) = c % 2 ? -0.0 : 0.0;
+    Matrix w = random_matrix(9, n, gen);
+    for (std::size_t c = 0; c < n; ++c) {
+      w(0, c) = 10.0;
+      w(1, c) = -10.0;
+    }
+    Matrix bias = random_matrix(1, n, gen);
+    bias(0, 0) = -0.0;
+    if (n > 1) bias(0, 1) = std::numeric_limits<double>::denorm_min();
+    for (const DenseActivation act : kEpilogues) {
+      Matrix avx2(a.rows(), n), avx512(a.rows(), n);
+      dense_avx2(a, w, bias.flat(), avx2, act);
+      dense_avx512(a, w, bias.flat(), avx512, act);
+      EXPECT_TRUE(same_bits(avx2, avx512))
+          << "n " << n << " epilogue " << static_cast<int>(act);
+      if (act == DenseActivation::kTanh) {
+        // The overflow row, first columns: w's rows 2.. add finite terms
+        // to +inf, so the pre-activation stays +inf and tanh gives ~1.
+        EXPECT_NEAR(avx512(0, 0), 1.0, 1e-7) << "n " << n;
+      }
+    }
   }
 }
 
