@@ -335,6 +335,11 @@ Answer SurrogateDispatcher::make_shed_answer(serve::ShedReason reason,
 
 void SurrogateDispatcher::book_surrogate_answers(
     std::span<const Answer> answers) {
+  // The latency histogram takes the answers' seconds once per up to 64, in
+  // row order, so its sum keeps the bits of a record() per answer.
+  obs::Histogram* const latency = latency_.surrogate_seconds;
+  std::array<double, 64> chunk{};
+  std::size_t filled = 0;
   std::size_t booked = 0;
   double seconds = 0.0;
   {
@@ -347,6 +352,13 @@ void SurrogateDispatcher::book_surrogate_answers(
       accepted_uncertainty_sum_ += answer.uncertainty;
       stats_.cache_hits += answer.from_cache ? 1 : 0;
       stats_.degraded_answers += answer.degraded ? 1 : 0;
+      if (latency != nullptr) {
+        chunk[filled++] = answer.seconds;
+        if (filled == chunk.size()) {
+          latency->record_batch({chunk.data(), filled});
+          filled = 0;
+        }
+      }
     }
     if (booked == 0) return;
     stats_.surrogate_answers += booked;
@@ -355,23 +367,7 @@ void SurrogateDispatcher::book_surrogate_answers(
         static_cast<double>(stats_.surrogate_answers);
   }
   if (meter_) meter_->record_lookups(booked, seconds);
-  if (latency_.surrogate_seconds) {
-    // One histogram update per batch of up to 64 answers, in row order,
-    // so its sum keeps the bits of a record() per answer.
-    std::array<double, 64> chunk;
-    std::size_t filled = 0;
-    for (const Answer& answer : answers) {
-      if (answer.source != AnswerSource::kSurrogate) continue;
-      chunk[filled++] = answer.seconds;
-      if (filled == chunk.size()) {
-        latency_.surrogate_seconds->record_batch({chunk.data(), filled});
-        filled = 0;
-      }
-    }
-    if (filled != 0) {
-      latency_.surrogate_seconds->record_batch({chunk.data(), filled});
-    }
-  }
+  if (filled != 0) latency->record_batch({chunk.data(), filled});
 }
 
 void SurrogateDispatcher::shadow_sample(

@@ -60,7 +60,8 @@ void gemm_avx512(const Matrix& a, const Matrix& b, Matrix& out,
 
 /// out = A * B through the plan's kernel: kAuto resolves via
 /// active_gemm_kernel() (CPUID + LE_KERNEL override), and a kernel the CPU
-/// cannot run degrades to scalar rather than faulting.  This is the single
+/// cannot run clamps to the best kernel the CPU runs
+/// (runnable_gemm_kernel) rather than faulting.  This is the single
 /// entry point of the serving hot path (nn::Layer::infer).
 void gemm(const Matrix& a, const Matrix& b, Matrix& out,
           const GemmPlan& plan = {});

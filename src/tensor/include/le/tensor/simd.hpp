@@ -16,15 +16,18 @@
 ///   - kAvx2 is selected only when CPUID reports AVX2 *and* FMA; forcing it
 ///     on unsupported hardware falls back to scalar rather than faulting.
 ///   - kAvx512 runs gemm() and dense() on 8-lane zmm tiles and is selected
-///     only when CPUID also reports AVX-512F; forced elsewhere it clamps to
-///     kAvx2, then kScalar.  It equals kAvx2 bit for bit on every shape and
+///     only when CPUID also reports AVX-512F; pinned elsewhere (an explicit
+///     GemmPlan or set_gemm_kernel_override()) it clamps to kAvx2, then
+///     kScalar.  It equals kAvx2 bit for bit on every shape and
 ///     input (the same FMA chain per element, the same tanh sequence), so
 ///     choosing between the two never changes an answer.  Every other
 ///     kernel body (training GEMM, dropout, Adam, vtanh/vrelu) runs its
 ///     AVX2 form under kAvx512: test avx2_or_wider(), never == kAvx2.
-///   - LE_KERNEL=scalar|avx2|avx512|auto overrides the automatic choice for
-///     tests and benches (auto = the best CPUID pick);
-///     set_gemm_kernel_override() does the same in-process.
+///   - LE_KERNEL=scalar|avx2|auto overrides the automatic choice for tests,
+///     benches and operators (auto = the best CPUID pick, kAvx512 where the
+///     CPU has it; avx2 bypasses the AVX-512 tier);
+///     set_gemm_kernel_override() does the same in-process and may also pin
+///     kAvx512.
 #pragma once
 
 #include <optional>
@@ -42,8 +45,9 @@ enum class GemmKernel {
 
 [[nodiscard]] std::string to_string(GemmKernel kernel);
 
-/// Parses "auto", "scalar", "avx2" or "avx512" (the LE_KERNEL vocabulary);
-/// throws std::invalid_argument on anything else.
+/// Parses "auto", "scalar" or "avx2" (the LE_KERNEL vocabulary); throws
+/// std::invalid_argument on anything else.  kAvx512 has no name here: under
+/// "auto" it is the pick wherever the CPU has AVX-512F.
 [[nodiscard]] GemmKernel gemm_kernel_from_string(const std::string& name);
 
 /// True when CPUID reports both AVX2 and FMA, i.e. gemm_avx2 may run.

@@ -28,7 +28,6 @@ namespace {
 // column-tail mask: the last 1-7 columns run on Ymm4Lanes.
 struct Zmm8Lanes {
   using Vec = __m512d;
-  using Mask = __mmask8;  // never set: no zmm strip is masked
   static constexpr std::size_t kWidth = 8;
 
   static Vec zero() noexcept { return _mm512_setzero_pd(); }
@@ -44,14 +43,16 @@ struct Zmm8Lanes {
   static Vec add(Vec a, Vec b) noexcept { return _mm512_add_pd(a, b); }
   static Vec mul(Vec a, Vec b) noexcept { return _mm512_mul_pd(a, b); }
   static Vec div(Vec a, Vec b) noexcept { return _mm512_div_pd(a, b); }
-// GCC 12's avx512fintrin.h passes _mm512_undefined_pd() as the unused
-// merge source of vminpd/vmaxpd, which -Wmaybe-uninitialized reports at
-// the call site; the lanes it names are never read.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-  static Vec min(Vec a, Vec b) noexcept { return _mm512_min_pd(a, b); }
-  static Vec max(Vec a, Vec b) noexcept { return _mm512_max_pd(a, b); }
-#pragma GCC diagnostic pop
+  // The zero-masked forms under an all-ones mask are plain vminpd/vmaxpd.
+  // GCC 12's _mm512_min_pd/_mm512_max_pd pass _mm512_undefined_pd() as the
+  // unused merge source, which -Wuninitialized and -Wmaybe-uninitialized
+  // report wherever the call is inlined.
+  static Vec min(Vec a, Vec b) noexcept {
+    return _mm512_maskz_min_pd(0xFF, a, b);
+  }
+  static Vec max(Vec a, Vec b) noexcept {
+    return _mm512_maskz_max_pd(0xFF, a, b);
+  }
 };
 
 }  // namespace

@@ -21,7 +21,6 @@ GemmKernel gemm_kernel_from_string(const std::string& name) {
   if (name == "auto") return GemmKernel::kAuto;
   if (name == "scalar") return GemmKernel::kScalar;
   if (name == "avx2") return GemmKernel::kAvx2;
-  if (name == "avx512") return GemmKernel::kAvx512;
   throw std::invalid_argument("unknown gemm kernel: " + name);
 }
 
@@ -71,7 +70,7 @@ GemmKernel resolve_default() noexcept {
     } catch (const std::invalid_argument&) {
       std::fprintf(stderr,
                    "le::tensor: ignoring invalid LE_KERNEL='%s' "
-                   "(expected auto|scalar|avx2|avx512)\n",
+                   "(expected auto|scalar|avx2)\n",
                    env);
     }
   }

@@ -1,14 +1,15 @@
 // The SIMD tile loop nest behind gemm_avx2/dense_avx2 and
 // gemm_avx512/dense_avx512, written once over a lane-traits type `L`:
 //
-//   L::Vec, L::Mask, L::kWidth     vector type, column-tail mask, lanes
-//   zero, set1, load, store        unaligned; the Mask overloads touch only
-//                                  the live lanes (nothing past the edge)
+//   L::Vec, L::kWidth              vector type, lanes
+//   zero, set1, load, store        unaligned
 //   broadcast, fmadd, add, mul,    one instruction each; min and max return
 //   div, min, max                  their second operand when either is NaN
-//   mask(live)                     the low `live` (1 .. kWidth-1) lanes;
-//                                  masked loads/stores and mask() are only
-//                                  needed of the traits that run the tail
+//
+// The traits that run the masked column tail (the `Tail` of tiled_product)
+// also have L::Mask, mask(live) for the low `live` (1 .. kWidth-1) lanes,
+// and load/store overloads that take a Mask and touch only those lanes
+// (nothing past the matrix edge).
 //
 // Ymm4Lanes, the 4-lane AVX2 traits, live here because both TUs use them:
 // gemm_avx2.cpp for everything, gemm_avx512.cpp (whose own traits are 8-lane
@@ -28,6 +29,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <type_traits>
 
 #include <immintrin.h>
 
@@ -149,39 +151,54 @@ struct TileStep {
   }
 };
 
+// How a tile loads and stores B, C and the bias: AllLanes touches every
+// lane, LiveLanes only the lanes set in `mask`, so a column tail reads and
+// writes nothing past the matrix edge.
+template <class L>
+struct AllLanes {
+  [[nodiscard]] typename L::Vec load(const double* p) const noexcept {
+    return L::load(p);
+  }
+  void store(double* p, typename L::Vec v) const noexcept { L::store(p, v); }
+};
+
+template <class L>
+struct LiveLanes {
+  typename L::Mask mask;
+
+  [[nodiscard]] typename L::Vec load(const double* p) const noexcept {
+    return L::load(p, mask);
+  }
+  void store(double* p, typename L::Vec v) const noexcept {
+    L::store(p, mask, v);
+  }
+};
+
 // C tile[R rows][C vectors] (+)= A[R rows, kc] * B[kc, C * kWidth cols];
 // all pointers are into the full row-major matrices (lda/ldb/ldc are the
-// parent row strides).  kMasked (with C == 1) loads and stores only the
-// lanes set in `mask`, bias included, so a column tail reads and writes
-// nothing past the matrix edge.
-template <class L, std::size_t R, std::size_t C, bool kMasked>
+// parent row strides).  `lanes` is AllLanes<L>, or LiveLanes<L> for a
+// one-vector column tail.
+template <class L, std::size_t R, std::size_t C, class Lanes>
 inline void tile(const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double* c, std::size_t ldc, std::size_t kc,
-                 typename L::Mask mask, const TileStep<L>& step) {
-  static_assert(!kMasked || C == 1, "only a one-vector strip is masked");
+                 const Lanes& lanes, const TileStep<L>& step) {
+  static_assert(std::is_same_v<Lanes, AllLanes<L>> || C == 1,
+                "only a one-vector strip is masked");
   using Vec = typename L::Vec;
-  const auto load = [mask](const double* src) {
-    if constexpr (kMasked) {
-      return L::load(src, mask);
-    } else {
-      (void)mask;
-      return L::load(src);
-    }
-  };
   Vec acc[R][C];
 #pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 4
     for (std::size_t v = 0; v < C; ++v) {
       acc[r][v] =
-          step.resume ? load(c + r * ldc + v * L::kWidth) : L::zero();
+          step.resume ? lanes.load(c + r * ldc + v * L::kWidth) : L::zero();
     }
   }
   for (std::size_t p = 0; p < kc; ++p) {
     Vec bv[C];
 #pragma GCC unroll 4
     for (std::size_t v = 0; v < C; ++v) {
-      bv[v] = load(b + p * ldb + v * L::kWidth);
+      bv[v] = lanes.load(b + p * ldb + v * L::kWidth);
     }
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < R; ++r) {
@@ -196,7 +213,7 @@ inline void tile(const double* a, std::size_t lda, const double* b,
     Vec bias[C];
 #pragma GCC unroll 4
     for (std::size_t v = 0; v < C; ++v) {
-      bias[v] = load(step.bias + v * L::kWidth);
+      bias[v] = lanes.load(step.bias + v * L::kWidth);
     }
 #pragma GCC unroll 8
     for (std::size_t r = 0; r < R; ++r) {
@@ -210,11 +227,7 @@ inline void tile(const double* a, std::size_t lda, const double* b,
   for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 4
     for (std::size_t v = 0; v < C; ++v) {
-      if constexpr (kMasked) {
-        L::store(c + r * ldc, mask, acc[r][v]);
-      } else {
-        L::store(c + r * ldc + v * L::kWidth, acc[r][v]);
-      }
+      lanes.store(c + r * ldc + v * L::kWidth, acc[r][v]);
     }
   }
 }
@@ -222,26 +235,26 @@ inline void tile(const double* a, std::size_t lda, const double* b,
 // One kWidth-lane column strip over `rows` rows: 8-row tiles (eight
 // independent FMA chains hide the FMA latency), then one tile for the 1-7
 // left over.
-template <class L, bool kMasked>
+template <class L, class Lanes = AllLanes<L>>
 void column_strip(const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, double* c, std::size_t ldc, std::size_t kc,
-                  std::size_t rows, typename L::Mask mask,
-                  const TileStep<L>& step) {
+                  std::size_t rows, const TileStep<L>& step,
+                  const Lanes& lanes = {}) {
   std::size_t r = 0;
   for (; r + 8 <= rows; r += 8) {
-    tile<L, 8, 1, kMasked>(a + r * lda, lda, b, ldb, c + r * ldc, ldc, kc,
-                           mask, step);
+    tile<L, 8, 1>(a + r * lda, lda, b, ldb, c + r * ldc, ldc, kc, lanes,
+                  step);
   }
   a += r * lda;
   c += r * ldc;
   switch (rows - r) {
-    case 7: tile<L, 7, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
-    case 6: tile<L, 6, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
-    case 5: tile<L, 5, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
-    case 4: tile<L, 4, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
-    case 3: tile<L, 3, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
-    case 2: tile<L, 2, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
-    case 1: tile<L, 1, 1, kMasked>(a, lda, b, ldb, c, ldc, kc, mask, step); break;
+    case 7: tile<L, 7, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
+    case 6: tile<L, 6, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
+    case 5: tile<L, 5, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
+    case 4: tile<L, 4, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
+    case 3: tile<L, 3, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
+    case 2: tile<L, 2, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
+    case 1: tile<L, 1, 1>(a, lda, b, ldb, c, ldc, kc, lanes, step); break;
     default: break;
   }
 }
@@ -274,7 +287,6 @@ void tiled_product(const Matrix& a, const Matrix& b, const double* bias,
   const double* pa = a.data();
   const double* pb = b.data();
   double* pc = out.data();
-  const typename L::Mask no_mask{};  // unmasked strips ignore it
   for (std::size_t i0 = 0; i0 < m; i0 += blocking.mc) {
     const std::size_t i1 = std::min(i0 + blocking.mc, m);
     for (std::size_t p0 = 0; p0 == 0 || p0 < k; p0 += blocking.kc) {
@@ -291,33 +303,31 @@ void tiled_product(const Matrix& a, const Matrix& b, const double* bias,
         std::size_t i = i0;
         for (; i + kTileRows <= i1; i += kTileRows) {
           for (std::size_t j = j0; j < jg; j += kGroup) {
-            tile<L, kTileRows, kTileVecs, false>(
-                ap + i * k, k, bp + j, n, pc + i * n + j, n, kc, no_mask,
-                step.at_column(j));
+            tile<L, kTileRows, kTileVecs>(ap + i * k, k, bp + j, n,
+                                          pc + i * n + j, n, kc,
+                                          AllLanes<L>{}, step.at_column(j));
           }
         }
         for (std::size_t j = j0; j < jg && i < i1; j += L::kWidth) {
-          column_strip<L, false>(ap + i * k, k, bp + j, n, pc + i * n + j, n,
-                                 kc, i1 - i, no_mask, step.at_column(j));
+          column_strip<L>(ap + i * k, k, bp + j, n, pc + i * n + j, n, kc,
+                          i1 - i, step.at_column(j));
         }
         // The columns after the last group, over every row of the block:
         // whole-vector strips, then Tail strips, the last one masked.
         std::size_t j = jg;
         for (; j + L::kWidth <= j1; j += L::kWidth) {
-          column_strip<L, false>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j,
-                                 n, kc, i1 - i0, no_mask, step.at_column(j));
+          column_strip<L>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j, n, kc,
+                          i1 - i0, step.at_column(j));
         }
         const TileStep<Tail> tail_step = step.template as<Tail>();
         for (; j + Tail::kWidth <= j1; j += Tail::kWidth) {
-          column_strip<Tail, false>(ap + i0 * k, k, bp + j, n,
-                                    pc + i0 * n + j, n, kc, i1 - i0,
-                                    typename Tail::Mask{},
-                                    tail_step.at_column(j));
+          column_strip<Tail>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j, n,
+                             kc, i1 - i0, tail_step.at_column(j));
         }
         if (j < j1) {
-          column_strip<Tail, true>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j,
-                                   n, kc, i1 - i0, Tail::mask(j1 - j),
-                                   tail_step.at_column(j));
+          column_strip<Tail>(ap + i0 * k, k, bp + j, n, pc + i0 * n + j, n,
+                             kc, i1 - i0, tail_step.at_column(j),
+                             LiveLanes<Tail>{Tail::mask(j1 - j)});
         }
       }
     }

@@ -416,12 +416,11 @@ TEST(KernelDispatch, HonorsLeKernelEnvironment) {
     tensor::gemm(a, b, pinned,
                  tensor::GemmPlan{tensor::GemmKernel::kAvx2, {}});
     EXPECT_EQ(max_abs(reference, pinned), 0.0);  // bitwise: scalar ran
-  } else if (env != nullptr && (std::string(env) == "avx2" ||
-                                 std::string(env) == "avx512")) {
-    // A forced SIMD tier, clamped to what the CPU runs, trumps an explicit
+  } else if (env != nullptr && std::string(env) == "avx2") {
+    // A forced AVX2 tier, clamped to what the CPU runs, trumps an explicit
     // scalar plan: the product has the pinned tier's bits.
-    const tensor::GemmKernel pinned_kernel = tensor::runnable_gemm_kernel(
-        tensor::gemm_kernel_from_string(env));
+    const tensor::GemmKernel pinned_kernel =
+        tensor::runnable_gemm_kernel(tensor::GemmKernel::kAvx2);
     EXPECT_EQ(tensor::active_gemm_kernel(), pinned_kernel);
     EXPECT_TRUE(tensor::gemm_kernel_forced());
     const tensor::Matrix a = example_inputs(6, 10, 143);
@@ -430,7 +429,7 @@ TEST(KernelDispatch, HonorsLeKernelEnvironment) {
     if (pinned_kernel == tensor::GemmKernel::kScalar) {
       tensor::gemm_blocked(a, b, reference);
     } else {
-      tensor::gemm_avx2(a, b, reference);  // kAvx512 has the same bits
+      tensor::gemm_avx2(a, b, reference);
     }
     tensor::gemm(a, b, pinned,
                  tensor::GemmPlan{tensor::GemmKernel::kScalar, {}});
